@@ -107,15 +107,14 @@ const MODEL_NAME_ALLOW: &[&str] = &[
 /// one rewrite + reschedule + requirement round runs through each of
 /// these per spill step, so a `.clone()` of the loop, schedule, DDG or
 /// lifetime structures here is a per-step deep copy. Deliberate copies
-/// on cold exits spell `.to_owned()` instead; per-commit caching lives
-/// in functions outside this table (e.g. `SchedContext::commit`).
+/// on cold exits spell `.to_owned()` instead; building the returned
+/// `Schedule` happens outside this table (`SchedContext::commit`).
 const SPILL_HOT_FNS: &[(&str, &str)] = &[
     ("crates/spill/src/spiller.rs", "run_spill_loop"),
     ("crates/spill/src/spiller.rs", "select_victim"),
     ("crates/spill/src/trajectory.rs", "advance"),
     ("crates/sched/src/context.rs", "schedule"),
     ("crates/sched/src/context.rs", "attempt"),
-    ("crates/sched/src/context.rs", "attempt_merged"),
 ];
 
 /// The files of the u32 SoA index space, watched by the

@@ -1,10 +1,9 @@
 //! Iterative modulo scheduling (Rau's IMS).
 
-use crate::mii::mii;
-use crate::mrt::ModuloReservationTable;
+use crate::context::SchedContext;
 use crate::schedule::Schedule;
-use ncdrf_ddg::{Loop, OpId};
-use ncdrf_machine::{Machine, MachineError, UnitRef};
+use ncdrf_ddg::Loop;
+use ncdrf_machine::{Machine, MachineError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -88,7 +87,8 @@ pub fn modulo_schedule(l: &Loop, machine: &Machine) -> Result<Schedule, Schedule
     modulo_schedule_with(l, machine, SchedulerOptions::default())
 }
 
-/// Schedules `l` on `machine`, searching IIs upward from the MII.
+/// Schedules `l` on `machine`, searching IIs upward from the MII, on a
+/// fresh [`SchedContext`] (see [`SchedContext::schedule`]).
 ///
 /// # Errors
 ///
@@ -98,36 +98,12 @@ pub fn modulo_schedule_with(
     machine: &Machine,
     opts: SchedulerOptions,
 ) -> Result<Schedule, ScheduleError> {
-    let info = mii(l, machine)?;
-    let seq_len: u32 = l
-        .ops()
-        .iter()
-        .map(|op| machine.latency(op.kind()).unwrap_or(1))
-        .sum::<u32>()
-        + l.ops().len() as u32
-        + 1;
-    // An explicit `max_ii` is a *hard* ceiling: a loop whose MII already
-    // exceeds it fails with `NoSchedule` instead of silently scheduling
-    // above the cap (the cap used to be raised to the MII, which made it
-    // impossible to bound the II search — e.g. to reject spill rewrites
-    // whose added memory traffic outgrew a machine's ports).
-    let max_ii = match opts.max_ii {
-        Some(cap) => cap,
-        None => seq_len.max(info.mii),
-    };
-    for ii in info.mii..=max_ii {
-        if let Some(s) = schedule_at_ii_opts(l, machine, ii, opts)? {
-            return Ok(s);
-        }
-    }
-    Err(ScheduleError::NoSchedule {
-        tried_up_to: max_ii,
-    })
+    SchedContext::new().schedule(l, machine, opts)
 }
 
 /// Attempts to schedule `l` at exactly the given II (one IMS pass with the
-/// default budget). Returns `Ok(None)` when the budget is exhausted without
-/// a valid schedule.
+/// default options) on a fresh [`SchedContext`]. Returns `Ok(None)` when
+/// the budget is exhausted without a valid schedule.
 ///
 /// # Errors
 ///
@@ -138,158 +114,7 @@ pub fn schedule_at_ii(
     machine: &Machine,
     ii: u32,
 ) -> Result<Option<Schedule>, MachineError> {
-    schedule_at_ii_opts(l, machine, ii, SchedulerOptions::default())
-}
-
-fn schedule_at_ii_opts(
-    l: &Loop,
-    machine: &Machine,
-    ii: u32,
-    opts: SchedulerOptions,
-) -> Result<Option<Schedule>, MachineError> {
-    assert!(ii > 0, "II must be positive");
-    let n = l.ops().len();
-    let mut group = vec![0usize; n];
-    let mut lat = vec![0u32; n];
-    for (id, op) in l.iter_ops() {
-        group[id.index()] = machine.group_for(op.kind())?;
-        lat[id.index()] = machine.latency(op.kind())?;
-        if machine.groups()[group[id.index()]].count() == 0 {
-            return Err(MachineError::Unserved(op.kind()));
-        }
-    }
-
-    // Quick infeasibility check: a self-dependence tighter than II.
-    let edges = l.sched_edges();
-    for &(from, to, dist) in &edges {
-        if from == to && lat[from.index()] as i64 > ii as i64 * dist as i64 {
-            return Ok(None);
-        }
-    }
-
-    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for &(from, to, dist) in &edges {
-        preds[to.index()].push((from.index(), dist));
-        succs[from.index()].push((to.index(), dist));
-    }
-
-    let height = match opts.priority {
-        Priority::Height => compute_heights(n, &succs, &lat, ii),
-        Priority::InputOrder => (0..n).map(|v| (n - v) as i64).collect(),
-    };
-
-    let mut mrt = ModuloReservationTable::new(machine, ii);
-    let mut start: Vec<Option<u32>> = vec![None; n];
-    let mut instance: Vec<usize> = vec![0; n];
-    let mut prev_time: Vec<Option<u32>> = vec![None; n];
-    let mut budget: u64 = (opts.budget_ratio as u64).saturating_mul(n as u64).max(64);
-
-    // Highest-priority unscheduled op; ties broken by index for
-    // determinism.
-    while let Some(op) = (0..n)
-        .filter(|&v| start[v].is_none())
-        .max_by(|&a, &b| height[a].cmp(&height[b]).then(b.cmp(&a)))
-    {
-        if budget == 0 {
-            return Ok(None);
-        }
-        budget -= 1;
-
-        let mut estart: i64 = 0;
-        for &(p, dist) in &preds[op] {
-            if let Some(sp) = start[p] {
-                estart = estart.max(sp as i64 + lat[p] as i64 - ii as i64 * dist as i64);
-            }
-        }
-        let estart = estart.max(0) as u32;
-        let min_t = match prev_time[op] {
-            Some(pt) => estart.max(pt + 1),
-            None => estart,
-        };
-
-        // First resource-free slot in the II-wide window.
-        let mut placed = None;
-        for t in min_t..min_t + ii {
-            if let Some(inst) = mrt.free_instance(group[op], t) {
-                placed = Some((t, inst));
-                break;
-            }
-        }
-        let (t, inst) = match placed {
-            Some(p) => p,
-            None => {
-                // Forced placement at min_t: evict the lowest-priority
-                // occupant of the group's row.
-                let occ = mrt.occupants(group[op], min_t);
-                let &(evict_inst, evict_op) = occ
-                    .iter()
-                    .min_by_key(|&&(_, o)| height[o.index()])
-                    .expect("full row has occupants");
-                let et = start[evict_op.index()].expect("occupant is scheduled");
-                mrt.remove(evict_op, group[evict_op.index()], evict_inst, et);
-                start[evict_op.index()] = None;
-                (min_t, evict_inst)
-            }
-        };
-
-        start[op] = Some(t);
-        instance[op] = inst;
-        prev_time[op] = Some(t);
-        mrt.place(OpId::from_index(op), group[op], inst, t);
-
-        // Evict scheduled successors whose dependence is now violated.
-        for &(s, dist) in &succs[op] {
-            if s == op {
-                continue; // self-edges were pre-checked
-            }
-            if let Some(ts) = start[s] {
-                if (ts as i64) < t as i64 + lat[op] as i64 - ii as i64 * dist as i64 {
-                    mrt.remove(OpId::from_index(s), group[s], instance[s], ts);
-                    start[s] = None;
-                }
-            }
-        }
-    }
-
-    // Normalize so the earliest op starts at cycle 0 while preserving
-    // kernel slots (shift by a multiple of II).
-    let t0 = start.iter().map(|s| s.unwrap()).min().unwrap_or(0);
-    let shift = (t0 / ii) * ii;
-    let starts: Vec<u32> = start.iter().map(|s| s.unwrap() - shift).collect();
-    let units: Vec<UnitRef> = (0..n)
-        .map(|v| UnitRef {
-            group: group[v],
-            instance: instance[v],
-        })
-        .collect();
-    let sched = Schedule::from_parts(l, machine, ii, starts, units);
-    debug_assert_eq!(crate::schedule::verify(l, machine, &sched), Ok(()));
-    Ok(Some(sched))
-}
-
-/// Height-based priorities: `height[v] = max over edges v->w of
-/// lat(v) - II*dist + height[w]`, clamped at 0. Relaxed to a fixpoint,
-/// bounded by `n` passes (heights diverge only when II < RecMII, in which
-/// case the scheduling attempt fails anyway).
-fn compute_heights(n: usize, succs: &[Vec<(usize, u32)>], lat: &[u32], ii: u32) -> Vec<i64> {
-    let mut height = vec![0i64; n];
-    for _ in 0..=n {
-        let mut changed = false;
-        for v in 0..n {
-            for &(w, dist) in &succs[v] {
-                let cand = lat[v] as i64 - ii as i64 * dist as i64 + height[w];
-                if cand > height[v] {
-                    height[v] = cand;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    height
+    SchedContext::new().schedule_at_ii(l, machine, ii, SchedulerOptions::default())
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! * **iterative modulo scheduling** ([`modulo_schedule`],
 //!   [`schedule_at_ii`]) following Rau's IMS: height-based priorities,
 //!   earliest-start windows of II slots, budgeted eviction, and II escalation
-//!   when the budget is exhausted;
+//!   when the budget is exhausted — one arena-backed implementation,
+//!   [`SchedContext`], that the free functions run on a fresh context;
 //! * the resulting [`Schedule`]: per-operation start cycles and
 //!   functional-unit bindings, from which kernel slot, stage and — on a
 //!   clustered machine — the operation's *cluster* are derived;
@@ -48,7 +49,6 @@ mod context;
 mod ims;
 mod kernel;
 mod mii;
-mod mrt;
 mod schedule;
 mod table;
 

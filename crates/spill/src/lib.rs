@@ -55,12 +55,10 @@
 
 #![warn(missing_docs)]
 
-mod resched;
 mod rewrite;
 mod spiller;
 mod trajectory;
 
-pub use resched::{full_resched_forced, set_full_resched};
 pub use rewrite::{spill_value, RewriteStats};
 pub use spiller::{
     requirement_unified, spill_until_fits, spill_until_fits_seeded, RequirementFn, SpillError,

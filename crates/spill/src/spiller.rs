@@ -1,6 +1,5 @@
 //! The iterative spill-until-fits driver of the paper's §5.4.
 
-use crate::resched::schedule_step;
 use crate::rewrite::spill_value;
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
@@ -230,9 +229,8 @@ fn run_spill_loop(
 ) -> Result<SpillResult, SpillError> {
     // `None` means "still the caller's unmodified loop": the steady path
     // only materialises an owned copy when it actually returns or spills,
-    // and all scheduling/victim scratch lives in reused arenas.
+    // and the victim-selection scratch lives in a reused arena.
     let mut current: Option<Loop> = None;
-    let mut ctx = SchedContext::new();
     let mut scratch = VictimScratch::default();
     let mut excluded: HashSet<String> = HashSet::new();
     let mut spilled = Vec::new();
@@ -246,7 +244,7 @@ fn run_spill_loop(
         let cur = current.as_ref().unwrap_or(l);
         let mut sched = match seeded.take() {
             Some(base) => base,
-            None => schedule_step(&mut ctx, cur, machine, opts.scheduler)?,
+            None => modulo_schedule_with(cur, machine, opts.scheduler)?,
         };
         let regs = requirement(cur, machine, &mut sched)?;
         if regs <= budget {
@@ -334,6 +332,8 @@ pub(crate) struct SpillTally {
 /// Fallback when spilling alone cannot fit: re-schedule at increasing II
 /// until the requirement drops under the budget (it eventually does — at
 /// II equal to the sequential length at most a handful of values overlap).
+/// The base schedule and every rung run under `opts.scheduler` on one
+/// reused [`SchedContext`].
 pub(crate) fn escalate_ii(
     l: Loop,
     machine: &Machine,
@@ -342,7 +342,8 @@ pub(crate) fn escalate_ii(
     opts: SpillOptions,
     tally: SpillTally,
 ) -> Result<SpillResult, SpillError> {
-    let base = modulo_schedule_with(&l, machine, opts.scheduler)?;
+    let mut ctx = SchedContext::new();
+    let base = ctx.schedule(&l, machine, opts.scheduler)?;
     let seq_len: u32 = l
         .ops()
         .iter()
@@ -353,9 +354,7 @@ pub(crate) fn escalate_ii(
     let mut last = None;
     for ii in (base.ii() + 1)..=seq_len.max(base.ii() + 1) {
         rounds += 1;
-        let Some(mut sched) =
-            ncdrf_sched::schedule_at_ii(&l, machine, ii).map_err(SpillError::Machine)?
-        else {
+        let Some(mut sched) = ctx.schedule_at_ii(&l, machine, ii, opts.scheduler)? else {
             continue;
         };
         let regs = requirement(&l, machine, &mut sched)?;

@@ -51,13 +51,12 @@
 //! # }
 //! ```
 
-use crate::resched::schedule_step;
 use crate::rewrite::spill_value;
 use crate::spiller::{escalate_ii, select_victim, SpillTally, VictimScratch, Xorshift64};
 use crate::{RequirementFn, SpillError, SpillOptions, SpillResult};
 use ncdrf_ddg::Loop;
 use ncdrf_machine::Machine;
-use ncdrf_sched::{SchedContext, Schedule};
+use ncdrf_sched::{modulo_schedule_with, Schedule};
 use std::collections::HashSet;
 
 /// Per-checkpoint certification hook for
@@ -257,10 +256,6 @@ pub struct SpillTrajectory {
     /// No further victim exists (or `max_spills` was reached): the
     /// descent cannot be extended, only escalated per budget.
     exhausted: bool,
-    /// Incremental scheduling context threaded through every extension
-    /// step (see [`ncdrf_sched::SchedContext`]): each `advance` reuses
-    /// the previous step's arenas and clean placements.
-    ctx: SchedContext,
     /// Victim-selection arena, reused across extension steps.
     scratch: VictimScratch,
 }
@@ -302,7 +297,6 @@ impl SpillTrajectory {
             excluded: HashSet::new(),
             rng: Xorshift64::for_policy(opts.policy),
             exhausted: false,
-            ctx: SchedContext::new(),
             scratch: VictimScratch::default(),
         })
     }
@@ -423,7 +417,7 @@ impl SpillTrajectory {
                     })?;
                 let (next, reload_names, stats) = spill_value(&last_state.l, victim)
                     .map_err(|e| SpillError::Rewrite(e.to_string()))?;
-                let mut sched = schedule_step(&mut traj.ctx, &next, machine, opts.scheduler)?;
+                let mut sched = modulo_schedule_with(&next, machine, opts.scheduler)?;
                 let regs = requirement(&next, machine, &mut sched)?;
                 if regs != step.regs || sched.ii() != step.ii || next.memory_ops() != step.mem_ops {
                     return Err(SpillError::Snapshot(format!(
@@ -582,7 +576,7 @@ impl SpillTrajectory {
             let victim_name = last_state.l.op(victim).name().to_owned();
             let (next, reload_names, stats) = spill_value(&last_state.l, victim)
                 .map_err(|e| SpillError::Rewrite(e.to_string()))?;
-            let mut sched = schedule_step(&mut self.ctx, &next, machine, self.opts.scheduler)?;
+            let mut sched = modulo_schedule_with(&next, machine, self.opts.scheduler)?;
             let regs = requirement(&next, machine, &mut sched)?;
             (
                 SpillCheckpoint {

@@ -1,8 +1,8 @@
 //! The offline certification drivers, run the same two ways the CLI
-//! exposes: the golden fixtures must certify clean (in both resched
-//! modes), and a freshly produced artifact directory must certify clean
-//! until a cell is corrupted — at which point the corruption must be
-//! rejected *by cell coordinates*, not just by exit code.
+//! exposes: the golden fixtures must certify clean, and a freshly
+//! produced artifact directory must certify clean until a cell is
+//! corrupted — at which point the corruption must be rejected *by cell
+//! coordinates*, not just by exit code.
 
 use ncdrf::corpus::Corpus;
 use ncdrf::{Render, ReportFormat};
@@ -17,27 +17,19 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root resolves")
 }
 
-/// All seven golden fixtures certify clean — under the default
-/// (incremental) rescheduling path and under the forced reference
-/// full-reschedule path. One test, because the resched toggle is
-/// process-wide.
+/// All seven golden fixtures certify clean.
 #[test]
-fn all_seven_golden_fixtures_certify_clean_in_both_resched_modes() {
-    let golden = workspace_root().join("tests/golden");
-    for full_resched in [None, Some(true)] {
-        ncdrf::spill::set_full_resched(full_resched);
-        let checks = certify_golden(&golden);
-        assert_eq!(checks.len(), 7, "{checks:?}");
-        for check in &checks {
-            assert!(
-                check.fault.is_none(),
-                "golden `{}` failed certification (full_resched={full_resched:?}): {:?}",
-                check.fixture,
-                check.fault
-            );
-        }
+fn all_seven_golden_fixtures_certify_clean() {
+    let checks = certify_golden(&workspace_root().join("tests/golden"));
+    assert_eq!(checks.len(), 7, "{checks:?}");
+    for check in &checks {
+        assert!(
+            check.fault.is_none(),
+            "golden `{}` failed certification: {:?}",
+            check.fixture,
+            check.fault
+        );
     }
-    ncdrf::spill::set_full_resched(None);
 }
 
 /// A freshly produced shard set certifies clean; corrupting one cell's

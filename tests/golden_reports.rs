@@ -171,27 +171,3 @@ fn golden_extended_json_parses_back_to_the_report() {
     let parsed = ncdrf::parse_sweep_report(&report.render(ReportFormat::Json)).unwrap();
     assert_eq!(parsed, report);
 }
-
-/// The fixtures above run under the *incremental* rescheduling path by
-/// default (set `NCDRF_FULL_RESCHED=1` to force the reference scheduler
-/// process-wide). This test pins the other side: with the reference
-/// full-reschedule path forced at runtime, every fixture is still
-/// byte-identical — the golden files are mode-independent facts, and
-/// `tests/incremental_resched.rs` proves the two paths agree cell by
-/// cell.
-#[test]
-fn all_fixtures_are_byte_identical_under_the_forced_reference_path() {
-    ncdrf::spill::set_full_resched(Some(true));
-    let c = corpus();
-    assert_golden("fig67.json", &fig67_report(&c).render(ReportFormat::Json));
-    let fig89 = fig89_report(&c);
-    assert_golden("fig89.json", &fig89.render(ReportFormat::Json));
-    assert_golden("fig89.txt", &fig89.render(ReportFormat::Text));
-    let table1 = table1_report(&c);
-    assert_golden("table1.json", &table1.render(ReportFormat::Json));
-    assert_golden("table1.txt", &table1.table1().render(ReportFormat::Text));
-    let extended = extended_report(&c);
-    assert_golden("extended.json", &extended.render(ReportFormat::Json));
-    assert_golden("extended.txt", &extended.render(ReportFormat::Text));
-    ncdrf::spill::set_full_resched(None);
-}

@@ -23,18 +23,11 @@
 
 use ncdrf::corpus::{generate, kernels, GenConfig};
 use ncdrf::machine::Machine;
-use ncdrf::sched::{modulo_schedule, modulo_schedule_with, SchedContext, SchedulerOptions};
+use ncdrf::sched::{modulo_schedule, SchedContext, SchedulerOptions};
 use ncdrf::spill::{
-    requirement_unified, set_full_resched, spill_until_fits_seeded, spill_value, SpillOptions,
-    SpillPolicy, SpillTrajectory,
+    requirement_unified, spill_until_fits_seeded, SpillOptions, SpillPolicy, SpillTrajectory,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serialises the tests that flip the process-global rescheduling mode.
-/// (Flipping mid-run is benign — both modes are bit-identical — but the
-/// lock keeps each differential comparison's two phases well-defined.)
-static RESCHED_MODE: Mutex<()> = Mutex::new(());
 
 fn arb_config() -> impl Strategy<Value = GenConfig> {
     (2usize..10, 1usize..4, 0.0f64..0.4, 0.0f64..0.9).prop_map(|(arith, loads, rec, chain)| {
@@ -173,83 +166,6 @@ proptest! {
         prop_assert!(r.fits || t.is_exhausted());
         let (_, again) = t.evaluate(&machine, 2, &mut requirement_unified).unwrap();
         prop_assert_eq!(again.steps_computed, 0);
-    }
-
-    // The incremental rescheduling path is bit-identical to the full
-    // reference path on *arbitrary* generated loops, every checkpoint of
-    // the whole descent — not just the curated corpus the golden grids
-    // pin.
-    #[test]
-    fn incremental_descent_matches_full_reschedule(
-        seed in 0u64..3_000,
-        cfg in arb_config(),
-        lat in prop_oneof![Just(3u32), Just(6u32)],
-    ) {
-        let _guard = RESCHED_MODE.lock().unwrap_or_else(|p| p.into_inner());
-        let l = generate("prop", seed, &cfg);
-        let machine = Machine::clustered(lat, 1);
-        set_full_resched(Some(true));
-        let full = deep_trajectory(&l, &machine, SpillOptions::default());
-        set_full_resched(Some(false));
-        let incremental = deep_trajectory(&l, &machine, SpillOptions::default());
-        set_full_resched(None);
-        prop_assert_eq!(incremental.checkpoints(), full.checkpoints());
-        prop_assert_eq!(incremental.is_exhausted(), full.is_exhausted());
-    }
-
-    // Dirty-set soundness: the closure is an *over*-approximation, so
-    // every op whose placement changed between the cached run and the
-    // extended reschedule must have been in the dirty set. Equivalently:
-    // any op the merged attempt reports clean keeps its kernel slot and
-    // functional unit exactly. (And the extended result is bit-identical
-    // to the reference either way.)
-    #[test]
-    fn dirty_set_is_a_sound_over_approximation(
-        seed in 0u64..3_000,
-        cfg in arb_config(),
-        victim_pick in 0usize..8,
-    ) {
-        let l = generate("prop", seed, &cfg);
-        let machine = Machine::clustered(6, 1);
-        let opts = SchedulerOptions::default();
-        let mut ctx = SchedContext::new();
-        let first = ctx.schedule(&l, &machine, opts).unwrap();
-
-        let victims: Vec<_> = l
-            .ops()
-            .iter()
-            .filter(|op| op.kind().produces_value())
-            .map(|op| l.find_op(op.name()).unwrap())
-            .collect();
-        prop_assert!(!victims.is_empty());
-        let victim = victims[victim_pick % victims.len()];
-        let (rewritten, _reloads, _stats) = spill_value(&l, victim).unwrap();
-
-        let got = ctx.reschedule_extended(&rewritten, &machine, opts, l.ops().len());
-        let want = modulo_schedule_with(&rewritten, &machine, opts);
-        match (got, want) {
-            (Ok(got), Ok(want)) => {
-                prop_assert_eq!(&got, &want);
-                if let Some(mask) = ctx.last_clean_mask() {
-                    prop_assert_eq!(got.ii(), first.ii());
-                    for (i, op) in l.ops().iter().enumerate() {
-                        if !mask[i] {
-                            continue;
-                        }
-                        let id = rewritten.find_op(op.name()).unwrap();
-                        let old = l.find_op(op.name()).unwrap();
-                        prop_assert_eq!(got.kernel_slot(id), first.kernel_slot(old));
-                        prop_assert_eq!(got.unit(id), first.unit(old));
-                    }
-                    // Appended spill code is never clean.
-                    for flag in &mask[l.ops().len()..] {
-                        prop_assert!(!flag);
-                    }
-                }
-            }
-            (Err(g), Err(w)) => prop_assert_eq!(format!("{g:?}"), format!("{w:?}")),
-            (g, w) => prop_assert!(false, "paths disagree: {:?} vs {:?}", g, w),
-        }
     }
 
     // Arena hygiene: one `SchedContext` reused across foreign loops of

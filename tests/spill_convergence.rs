@@ -3,7 +3,10 @@
 //! one base schedule.
 
 use ncdrf::corpus::{kernels, Corpus};
+use ncdrf::ddg::Loop;
 use ncdrf::machine::Machine;
+use ncdrf::sched::{modulo_schedule_with, Priority, SchedContext, Schedule, SchedulerOptions};
+use ncdrf::spill::{requirement_unified, spill_until_fits, SpillOptions};
 use ncdrf::{Model, Session};
 
 #[test]
@@ -94,4 +97,86 @@ fn ideal_never_spills() {
         assert!(e.fits);
         assert_eq!(e.spilled, 0);
     }
+}
+
+/// The II-escalation fallback by hand: the base schedule of the fully
+/// spilled loop, then every II above it under `scheduler`, stopping at
+/// the first rung that fits. Returns `(schedule, regs, rungs tried)`.
+fn manual_escalation(
+    l: &Loop,
+    machine: &Machine,
+    budget: u32,
+    scheduler: SchedulerOptions,
+) -> (Schedule, u32, usize) {
+    let mut base = modulo_schedule_with(l, machine, scheduler).unwrap();
+    let seq_len: u32 = l
+        .ops()
+        .iter()
+        .map(|op| machine.latency(op.kind()).unwrap() + 1)
+        .sum::<u32>()
+        + 1;
+    let mut last = None;
+    let mut rungs = 0;
+    for ii in (base.ii() + 1)..=seq_len.max(base.ii() + 1) {
+        rungs += 1;
+        let exact = SchedContext::new().schedule_at_ii(l, machine, ii, scheduler);
+        let Some(mut sched) = exact.unwrap() else {
+            continue;
+        };
+        let regs = requirement_unified(l, machine, &mut sched).unwrap();
+        if regs <= budget {
+            return (sched, regs, rungs);
+        }
+        last = Some((sched, regs));
+    }
+    let (sched, regs) = last.unwrap_or_else(|| {
+        let regs = requirement_unified(l, machine, &mut base).unwrap();
+        (base, regs)
+    });
+    (sched, regs, rungs)
+}
+
+/// II escalation schedules its rungs under `SpillOptions::scheduler`,
+/// like the base schedule and every spill step: under program-order
+/// priority, each escalated result equals a manual exact-II scan with
+/// the same options. The kernels include loops whose rungs schedule
+/// differently under the default options, so a scan that ignored the
+/// caller's options would be caught.
+#[test]
+fn escalation_rungs_use_the_spill_scheduler_options() {
+    let machine = Machine::clustered(6, 1);
+    let scheduler = SchedulerOptions {
+        priority: Priority::InputOrder,
+        ..SchedulerOptions::default()
+    };
+    let opts = SpillOptions {
+        scheduler,
+        ..SpillOptions::default()
+    };
+    let (mut escalated, mut option_sensitive) = (0, 0);
+    for l in kernels::all() {
+        for budget in [2, 4, 6] {
+            let r = spill_until_fits(&l, &machine, budget, &mut requirement_unified, opts).unwrap();
+            let descent_rounds = r.spilled.len() + 1;
+            if r.rounds == descent_rounds {
+                continue; // served by the descent, no escalation
+            }
+            escalated += 1;
+            let (sched, regs, rungs) = manual_escalation(&r.l, &machine, budget, scheduler);
+            assert_eq!(r.sched, sched, "{} @{budget}", l.name());
+            assert_eq!(r.regs, regs, "{} @{budget}", l.name());
+            assert_eq!(r.fits, regs <= budget, "{} @{budget}", l.name());
+            assert_eq!(r.rounds, descent_rounds + rungs, "{} @{budget}", l.name());
+            let (default_sched, _, _) =
+                manual_escalation(&r.l, &machine, budget, SchedulerOptions::default());
+            if default_sched != sched {
+                option_sensitive += 1;
+            }
+        }
+    }
+    assert!(escalated > 0, "no kernel escalated");
+    assert!(
+        option_sensitive > 0,
+        "no escalated kernel is sensitive to the scheduler options"
+    );
 }
