@@ -105,14 +105,16 @@ const MODEL_NAME_ALLOW: &[&str] = &[
 
 /// The spill descent's per-step hot functions, as `(file, fn)` pairs:
 /// one rewrite + reschedule + requirement round runs through each of
-/// these per spill step, so a `.clone()` of the loop, schedule, DDG or
-/// lifetime structures here is a per-step deep copy. Deliberate copies
+/// these per spill step (one reschedule + requirement per II-escalation
+/// rung for the ladder's `extend`), so a `.clone()` of the loop,
+/// schedule, DDG or lifetime structures here is a per-step deep copy. Deliberate copies
 /// on cold exits spell `.to_owned()` instead; building the returned
 /// `Schedule` happens outside this table (`SchedContext::commit`).
 const SPILL_HOT_FNS: &[(&str, &str)] = &[
     ("crates/spill/src/spiller.rs", "run_spill_loop"),
     ("crates/spill/src/spiller.rs", "select_victim"),
     ("crates/spill/src/trajectory.rs", "advance"),
+    ("crates/spill/src/escalation.rs", "extend"),
     ("crates/sched/src/context.rs", "schedule"),
     ("crates/sched/src/context.rs", "attempt"),
 ];
@@ -959,7 +961,7 @@ mod tests {
         assert!(lint_source("crates/spill/src/spiller.rs", cold).is_empty());
 
         // Clones outside the hot functions of a watched file are fine.
-        let elsewhere = "fn escalate_ii(l: &Loop) -> Loop { l.clone() }";
+        let elsewhere = "fn take_current(l: &Loop) -> Loop { l.clone() }";
         assert!(lint_source("crates/spill/src/spiller.rs", elsewhere).is_empty());
 
         // Unwatched files may clone freely.

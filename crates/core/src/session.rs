@@ -88,8 +88,9 @@ pub struct CacheStats {
     /// Base requests that ran the scheduler.
     pub misses: u64,
     /// Budgeted evaluations served **entirely** from an existing spill
-    /// trajectory's checkpoints — no spill step was recomputed and no
-    /// per-budget escalation fallback ran.
+    /// trajectory's checkpoints — no spill step was recomputed and the
+    /// II-escalation fallback did not answer (an escalated evaluation
+    /// recomputes at least its served rung, so it is never a hit).
     pub traj_hits: u64,
     /// Budgeted evaluations that *resumed* an existing trajectory:
     /// extension started from the deepest prior checkpoint instead of
@@ -773,8 +774,8 @@ impl Session {
                         }
                     }
                     // This budget needs the descent extended (or the
-                    // per-budget escalation fallback): replay the record
-                    // into a live trajectory and resume below.
+                    // II-escalation fallback): replay the record into a
+                    // live trajectory and resume below.
                     (self.materialize(l, model, &snap)?, false)
                 }
                 None => self.trajectory(l, model)?,
@@ -794,8 +795,9 @@ impl Session {
             if resume.steps_computed > 0 {
                 self.traj_resumes.fetch_add(1, Ordering::Relaxed);
             } else if !resume.escalated {
-                // An escalated call recomputes the (uncached, budget-
-                // dependent) II-escalation scan even when it added no
+                // An escalated call recomputes its served rung of the
+                // trajectory's escalation ladder (and extends the ladder
+                // when no recorded rung fits) even when it added no
                 // checkpoints; counting it as a hit would misreport
                 // repeated below-floor budgets as free.
                 self.traj_hits.fetch_add(1, Ordering::Relaxed);

@@ -95,30 +95,56 @@ pub fn lifetimes_into(
 /// MaxLive: the maximum, over the II kernel cycles, of the number of
 /// simultaneously-live value instances. A lower bound on the registers any
 /// allocation needs.
+///
+/// Runs in O(n + II) time and O(II) space for `n` lifetimes (see
+/// [`max_live_subset`]).
 pub fn max_live(lifetimes: &[Lifetime], ii: u32) -> u32 {
     max_live_subset(lifetimes, ii, |_| true)
 }
 
 /// MaxLive restricted to the lifetimes selected by `keep` (used for the
 /// per-class pressures of the dual organisation and by the swapping pass).
+///
+/// The instances of a lifetime live at kernel row `t` are the cycles of
+/// `[start, end)` congruent to `t` modulo II: `len / II` of them on every
+/// row, plus one more on the `len % II` consecutive rows starting at
+/// `start % II` (wrapping past the last row). The per-row counts are
+/// accumulated in a circular difference array, so the cost is O(n + II)
+/// rather than a pass over every lifetime per row.
 pub fn max_live_subset<F: Fn(&Lifetime) -> bool>(lifetimes: &[Lifetime], ii: u32, keep: F) -> u32 {
     assert!(ii > 0, "II must be positive");
-    let ii_i = ii as i64;
-    let mut best = 0u32;
-    for t in 0..ii as i64 {
-        let mut live = 0i64;
-        for lt in lifetimes.iter().filter(|lt| keep(lt)) {
-            if lt.is_empty() {
-                continue;
-            }
-            // Instances k with start + k*ii <= t < end + k*ii.
-            let hi = crate::div_floor(t - lt.start as i64, ii_i);
-            let lo = crate::div_floor(t - lt.end as i64, ii_i);
-            live += hi - lo;
+    let rows = ii as usize;
+    // Instances live on every row, and the +1/-1 edges of the partial
+    // windows; `diff[rows]` absorbs the closing edge of a window that
+    // ends exactly on the last row. A wrapping window stays open to the
+    // last row and reopens at row 0.
+    let mut every_row = 0u64;
+    let mut diff = vec![0i64; rows + 1];
+    for lt in lifetimes.iter().filter(|lt| keep(lt) && !lt.is_empty()) {
+        let len = lt.len();
+        every_row += u64::from(len / ii);
+        let extra = (len % ii) as usize;
+        if extra == 0 {
+            continue;
         }
-        best = best.max(live.max(0) as u32);
+        let first = (lt.start % ii) as usize;
+        let stop = first + extra;
+        diff[first] += 1;
+        if stop <= rows {
+            diff[stop] -= 1;
+        } else {
+            diff[0] += 1;
+            diff[stop - rows] -= 1;
+        }
     }
-    best
+    let mut partial = 0i64;
+    let mut peak = 0i64;
+    for d in &diff[..rows] {
+        partial += d;
+        peak = peak.max(partial);
+    }
+    // `peak` counts windows covering one row, so it is non-negative.
+    (every_row + peak as u64) as u32
 }
 
 #[cfg(test)]
@@ -127,6 +153,111 @@ mod tests {
     use ncdrf_ddg::{LoopBuilder, Weight};
     use ncdrf_machine::Machine;
     use ncdrf_sched::modulo_schedule;
+
+    /// The window-counting definition of MaxLive: for every kernel row,
+    /// sum each lifetime's instances live there. O(II·n); the oracle
+    /// [`max_live_subset`] must agree with.
+    fn max_live_by_rows<F: Fn(&Lifetime) -> bool>(lifetimes: &[Lifetime], ii: u32, keep: F) -> u32 {
+        let ii_i = ii as i64;
+        let mut best = 0u32;
+        for t in 0..ii_i {
+            let mut live = 0i64;
+            for lt in lifetimes.iter().filter(|lt| keep(lt)) {
+                if lt.is_empty() {
+                    continue;
+                }
+                // Instances k with start + k*ii <= t < end + k*ii.
+                let hi = crate::div_floor(t - lt.start as i64, ii_i);
+                let lo = crate::div_floor(t - lt.end as i64, ii_i);
+                live += hi - lo;
+            }
+            best = best.max(live.max(0) as u32);
+        }
+        best
+    }
+
+    /// Deterministic xorshift stream for the generated cases.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % u64::from(n)) as u32
+        }
+    }
+
+    /// `n` lifetimes with starts up to `max_start` and lengths up to
+    /// `max_len` (zero included, so some are empty).
+    fn generated(g: &mut Gen, n: usize, max_start: u32, max_len: u32) -> Vec<Lifetime> {
+        (0..n)
+            .map(|i| {
+                let start = g.below(max_start + 1);
+                Lifetime {
+                    op: OpId::from_index(i),
+                    start,
+                    end: start + g.below(max_len + 1),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn max_live_matches_the_row_oracle_on_generated_inputs() {
+        let mut g = Gen(0x9e37_79b9_7f4a_7c15);
+        for case in 0..400 {
+            let ii = 1 + g.below(24);
+            let n = g.below(40) as usize;
+            // Lifetimes several IIs long, starting well past II.
+            let long = generated(&mut g, n, 5 * ii, 4 * ii + 3);
+            // Every lifetime shorter than II.
+            let short = generated(&mut g, n, 3 * ii, ii - 1);
+            for lts in [&long, &short] {
+                assert_eq!(
+                    max_live(lts, ii),
+                    max_live_by_rows(lts, ii, |_| true),
+                    "case {case}: II {ii}, {lts:?}"
+                );
+                let odd = |lt: &Lifetime| lt.op.index() % 2 == 1;
+                let late = |lt: &Lifetime| lt.start >= ii;
+                assert_eq!(
+                    max_live_subset(lts, ii, odd),
+                    max_live_by_rows(lts, ii, odd),
+                    "case {case}: odd ops, II {ii}"
+                );
+                assert_eq!(
+                    max_live_subset(lts, ii, late),
+                    max_live_by_rows(lts, ii, late),
+                    "case {case}: starts >= II, II {ii}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn max_live_edge_cases_match_the_row_oracle() {
+        let lt = |i: usize, start: u32, end: u32| Lifetime {
+            op: OpId::from_index(i),
+            start,
+            end,
+        };
+        let cases: [(&[Lifetime], u32); 6] = [
+            (&[], 5),
+            (&[lt(0, 3, 3), lt(1, 9, 4)], 4),
+            (&[lt(0, 0, 7), lt(1, 2, 3)], 1),
+            (&[lt(0, 4, 8), lt(1, 5, 10)], 5),
+            (&[lt(0, 2, 5), lt(1, 6, 8), lt(2, 1, 2)], 64),
+            (&[lt(0, 7, 13), lt(1, 3, 3)], 6),
+        ];
+        for (lts, ii) in cases {
+            assert_eq!(
+                max_live(lts, ii),
+                max_live_by_rows(lts, ii, |_| true),
+                "{lts:?} at II {ii}"
+            );
+        }
+    }
 
     #[test]
     fn instances_is_ceil_div() {

@@ -55,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+mod escalation;
 mod rewrite;
 mod spiller;
 mod trajectory;

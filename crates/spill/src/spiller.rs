@@ -1,10 +1,11 @@
 //! The iterative spill-until-fits driver of the paper's §5.4.
 
+use crate::escalation::{EscalationLadder, SpillTally};
 use crate::rewrite::spill_value;
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{lifetimes, lifetimes_into, Lifetime};
-use ncdrf_sched::{modulo_schedule_with, SchedContext, Schedule, ScheduleError, SchedulerOptions};
+use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError, SchedulerOptions};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -275,14 +276,15 @@ fn run_spill_loop(
         };
 
         let Some(victim) = victim else {
-            // Nothing left to spill. Optionally trade II for pressure.
+            // Nothing left to spill. Optionally trade II for pressure, on
+            // a one-shot ladder.
             if opts.escalate_ii {
-                return escalate_ii(
-                    take_current(current, l),
+                return EscalationLadder::new(cur, machine, opts.scheduler)?.serve(
+                    cur,
                     machine,
                     budget,
                     requirement,
-                    opts,
+                    opts.scheduler,
                     SpillTally {
                         spilled,
                         spill_stores,
@@ -320,76 +322,6 @@ fn run_spill_loop(
 /// otherwise.
 fn take_current(current: Option<Loop>, l: &Loop) -> Loop {
     current.unwrap_or_else(|| l.to_owned())
-}
-
-pub(crate) struct SpillTally {
-    pub(crate) spilled: Vec<String>,
-    pub(crate) spill_stores: usize,
-    pub(crate) spill_loads: usize,
-    pub(crate) rounds: usize,
-}
-
-/// Fallback when spilling alone cannot fit: re-schedule at increasing II
-/// until the requirement drops under the budget (it eventually does — at
-/// II equal to the sequential length at most a handful of values overlap).
-/// The base schedule and every rung run under `opts.scheduler` on one
-/// reused [`SchedContext`].
-pub(crate) fn escalate_ii(
-    l: Loop,
-    machine: &Machine,
-    budget: u32,
-    requirement: &mut RequirementFn<'_>,
-    opts: SpillOptions,
-    tally: SpillTally,
-) -> Result<SpillResult, SpillError> {
-    let mut ctx = SchedContext::new();
-    let base = ctx.schedule(&l, machine, opts.scheduler)?;
-    let seq_len: u32 = l
-        .ops()
-        .iter()
-        .map(|op| machine.latency(op.kind()).unwrap_or(1) + 1)
-        .sum::<u32>()
-        + 1;
-    let mut rounds = tally.rounds;
-    let mut last = None;
-    for ii in (base.ii() + 1)..=seq_len.max(base.ii() + 1) {
-        rounds += 1;
-        let Some(mut sched) = ctx.schedule_at_ii(&l, machine, ii, opts.scheduler)? else {
-            continue;
-        };
-        let regs = requirement(&l, machine, &mut sched)?;
-        if regs <= budget {
-            return Ok(SpillResult {
-                l,
-                sched,
-                regs,
-                fits: true,
-                spilled: tally.spilled,
-                spill_stores: tally.spill_stores,
-                spill_loads: tally.spill_loads,
-                rounds,
-            });
-        }
-        last = Some((sched, regs));
-    }
-    let (sched, regs) = match last {
-        Some(x) => x,
-        None => {
-            let mut sched = base;
-            let regs = requirement(&l, machine, &mut sched)?;
-            (sched, regs)
-        }
-    };
-    Ok(SpillResult {
-        l,
-        sched,
-        regs,
-        fits: regs <= budget,
-        spilled: tally.spilled,
-        spill_stores: tally.spill_stores,
-        spill_loads: tally.spill_loads,
-        rounds,
-    })
 }
 
 /// Reusable arena for [`select_victim`]: lifetime and consumer buffers

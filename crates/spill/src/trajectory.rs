@@ -51,8 +51,9 @@
 //! # }
 //! ```
 
+use crate::escalation::{EscalationLadder, SpillTally};
 use crate::rewrite::spill_value;
-use crate::spiller::{escalate_ii, select_victim, SpillTally, VictimScratch, Xorshift64};
+use crate::spiller::{select_victim, VictimScratch, Xorshift64};
 use crate::{RequirementFn, SpillError, SpillOptions, SpillResult};
 use ncdrf_ddg::Loop;
 use ncdrf_machine::Machine;
@@ -226,10 +227,13 @@ pub struct ResumeStats {
     /// Spill steps (graph rewrite + reschedule + requirement) computed
     /// by this call. Zero means no step was recomputed.
     pub steps_computed: usize,
-    /// Whether the per-budget II-escalation fallback ran: the exhausted
-    /// descent could not fit this budget, so the call re-ran the
-    /// (budget-dependent, uncached) escalation scan. Such a call is
-    /// *not* a pure checkpoint hit even when `steps_computed` is zero.
+    /// Whether the II-escalation fallback answered: the exhausted
+    /// descent could not fit this budget, so the call was served from the
+    /// trajectory's escalation ladder. The ladder's rungs are
+    /// budget-independent and recorded once, but a served rung's schedule
+    /// and requirement are recomputed, and the ladder is extended when no
+    /// recorded rung fits. Such a call is *not* a pure checkpoint hit
+    /// even when `steps_computed` is zero.
     pub escalated: bool,
 }
 
@@ -254,8 +258,12 @@ pub struct SpillTrajectory {
     /// a fresh run would.
     rng: Xorshift64,
     /// No further victim exists (or `max_spills` was reached): the
-    /// descent cannot be extended, only escalated per budget.
+    /// descent cannot be extended, only escalated.
     exhausted: bool,
+    /// The II-escalation rungs of the terminal loop, created by the first
+    /// escalated evaluation and shared by every later one (the terminal
+    /// loop no longer changes once the descent is exhausted).
+    ladder: Option<EscalationLadder>,
     /// Victim-selection arena, reused across extension steps.
     scratch: VictimScratch,
 }
@@ -297,6 +305,7 @@ impl SpillTrajectory {
             excluded: HashSet::new(),
             rng: Xorshift64::for_policy(opts.policy),
             exhausted: false,
+            ladder: None,
             scratch: VictimScratch::default(),
         })
     }
@@ -476,7 +485,7 @@ impl SpillTrajectory {
 
     /// Whether the descent ran out of spillable values (or hit
     /// `max_spills`) — deeper budgets can only be served by the
-    /// per-budget II-escalation fallback.
+    /// II-escalation fallback.
     pub fn is_exhausted(&self) -> bool {
         self.exhausted
     }
@@ -624,9 +633,10 @@ impl SpillTrajectory {
 
     /// Evaluates `budget`: serves it from the first fitting checkpoint,
     /// extending the trajectory only as far as this budget needs. When
-    /// the descent exhausts without fitting, the per-budget fallback of
-    /// the fresh driver runs (II escalation under
-    /// [`SpillOptions::escalate_ii`], an honest unfit result otherwise).
+    /// the descent exhausts without fitting, the fallback of the fresh
+    /// driver answers: II escalation under [`SpillOptions::escalate_ii`]
+    /// (served from the trajectory's rung ladder, which later budgets
+    /// share), an honest unfit result otherwise.
     ///
     /// The returned [`SpillResult`] is bit-identical to
     /// [`crate::spill_until_fits_seeded`] with the same base schedule,
@@ -654,31 +664,29 @@ impl SpillTrajectory {
             }
             stats.steps_computed += 1;
         }
-        // Exhausted and nothing fits: the fresh driver's fallback, run
-        // per budget from the terminal state (budget-dependent, so never
-        // checkpointed).
+        // Exhausted and nothing fits: the fresh driver's fallback, served
+        // from the terminal loop's escalation ladder (budget-independent
+        // rungs, recorded once and extended lazily).
         let terminal = self.checkpoints.len() - 1;
-        let last = &self.checkpoints[terminal];
         if self.opts.escalate_ii {
             stats.escalated = true;
+            let last = &self.checkpoints[terminal];
             let tally = SpillTally {
                 spilled: self.spilled_names(terminal),
                 spill_stores: last.spill_stores,
                 spill_loads: last.spill_loads,
                 rounds: terminal + 1,
             };
-            let r = escalate_ii(
-                last.state
-                    .as_ref()
-                    .expect("the terminal checkpoint retains its state")
-                    .l
-                    .clone(),
-                machine,
-                budget,
-                requirement,
-                self.opts,
-                tally,
-            )?;
+            let l = &last
+                .state
+                .as_ref()
+                .expect("the terminal checkpoint retains its state")
+                .l;
+            let ladder = match &mut self.ladder {
+                Some(ladder) => ladder,
+                empty => empty.insert(EscalationLadder::new(l, machine, self.opts.scheduler)?),
+            };
+            let r = ladder.serve(l, machine, budget, requirement, self.opts.scheduler, tally)?;
             return Ok((r, stats));
         }
         Ok((self.result_at(terminal, budget), stats))
@@ -805,8 +813,9 @@ mod tests {
         let fresh =
             spill_until_fits_seeded(&l, &machine, base, 1, &mut requirement_unified, opts).unwrap();
         assert_eq!(r, fresh);
-        // A repeat of the below-floor budget re-runs the escalation scan
-        // and must say so — it is not a checkpoint hit.
+        // A repeat of the below-floor budget is answered by the escalation
+        // ladder (recomputing the served rung) and must say so — it is not
+        // a checkpoint hit.
         if t.is_exhausted() {
             assert!(s.escalated);
             let (r2, s2) = t.evaluate(&machine, 1, &mut requirement_unified).unwrap();
@@ -819,6 +828,105 @@ mod tests {
         assert!(r64.fits);
         assert_eq!(s64.steps_computed, 0);
         assert!(!s64.escalated);
+    }
+
+    /// A fresh seeded spill run at `budget`: the reference every ladder
+    /// answer must equal.
+    fn fresh(l: &Loop, machine: &Machine, budget: u32, opts: SpillOptions) -> SpillResult {
+        let base = modulo_schedule(l, machine).unwrap();
+        spill_until_fits_seeded(l, machine, base, budget, &mut requirement_unified, opts).unwrap()
+    }
+
+    /// The budgets below the descent's floor: each one escalates.
+    fn below_floor(l: &Loop, machine: &Machine, opts: SpillOptions) -> Vec<u32> {
+        let mut t = traj(l, machine, opts);
+        t.evaluate(machine, 0, &mut requirement_unified).unwrap();
+        assert!(t.is_exhausted());
+        (0..t.min_regs()).collect()
+    }
+
+    #[test]
+    fn ladder_serves_below_floor_budgets_in_any_order() {
+        let l = pressured();
+        let machine = Machine::clustered(6, 1);
+        let opts = SpillOptions::default();
+        let below = below_floor(&l, &machine, opts);
+        assert!(below.len() >= 3, "floor too low to exercise the ladder");
+        let descending: Vec<u32> = below.iter().rev().copied().collect();
+        let repeated: Vec<u32> = below
+            .iter()
+            .chain(&descending)
+            .chain(&below)
+            .copied()
+            .collect();
+        for order in [descending, below.clone(), repeated] {
+            let mut t = traj(&l, &machine, opts);
+            for &budget in &order {
+                let (served, stats) = t
+                    .evaluate(&machine, budget, &mut requirement_unified)
+                    .unwrap();
+                assert!(stats.escalated, "budget {budget} is below the floor");
+                assert_eq!(
+                    served,
+                    fresh(&l, &machine, budget, opts),
+                    "budget {budget} in {order:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ladder_with_nothing_fitting_serves_the_fresh_result_twice() {
+        let l = pressured();
+        let machine = Machine::clustered(6, 1);
+        let opts = SpillOptions::default();
+        let expected = fresh(&l, &machine, 0, opts);
+        assert!(!expected.fits);
+        let mut t = traj(&l, &machine, opts);
+        for _ in 0..2 {
+            let (served, stats) = t.evaluate(&machine, 0, &mut requirement_unified).unwrap();
+            assert!(stats.escalated);
+            assert_eq!(served, expected);
+        }
+    }
+
+    #[test]
+    fn ladder_computes_each_rung_once() {
+        let l = pressured();
+        let machine = Machine::clustered(6, 1);
+        let opts = SpillOptions::default();
+        let floor = *below_floor(&l, &machine, opts).last().unwrap() + 1;
+        let mut t = traj(&l, &machine, opts);
+        // Evaluates `budget`, returning the result and the II of every
+        // schedule the requirement function saw.
+        let counted = |t: &mut SpillTrajectory, budget: u32| {
+            let mut seen = Vec::new();
+            let mut counting = |l: &Loop, m: &Machine, s: &mut Schedule| {
+                seen.push(s.ii());
+                requirement_unified(l, m, s)
+            };
+            let (r, _) = t.evaluate(&machine, budget, &mut counting).unwrap();
+            (r, seen)
+        };
+        let (first, _) = counted(&mut t, floor - 1);
+        assert!(first.fits && first.regs > 0);
+        // A smaller budget the first fit cannot serve computes only the
+        // rungs above it, in order, and stops at the one it serves.
+        let second_budget = first.regs - 1;
+        let (second, seen) = counted(&mut t, second_budget);
+        assert_eq!(second, fresh(&l, &machine, second_budget, opts));
+        assert!(!seen.is_empty());
+        assert!(seen.iter().all(|&ii| ii > first.sched.ii()), "{seen:?}");
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+        assert_eq!(seen.last(), Some(&second.sched.ii()));
+        // A repeated budget recomputes only the rung it serves.
+        let (again, seen) = counted(&mut t, second_budget);
+        assert_eq!(again, second);
+        assert_eq!(seen, [second.sched.ii()]);
+        // So does the first budget, from its recorded rung.
+        let (first_again, seen) = counted(&mut t, floor - 1);
+        assert_eq!(first_again, first);
+        assert_eq!(seen, [first.sched.ii()]);
     }
 
     #[test]
