@@ -236,7 +236,7 @@ mod tests {
     fn sweep(corpus: &Corpus) -> Sweep<'_> {
         Sweep::new(corpus)
             .clustered_latencies([3])
-            .models([ncdrf::Model::Unified])
+            .models([ncdrf::ModelId::UNIFIED])
             .budget(32)
     }
 

@@ -21,8 +21,8 @@
 //! Exit codes: `0` clean, `1` findings/counterexample, `2` usage,
 //! `3` target unreadable.
 
+use ncdrf::json::{json_array, json_string, JsonObject};
 use ncdrf_analyze::certify::{certify_artifact_dir, certify_golden, ArtifactCheck, GoldenCheck};
-use ncdrf_analyze::emit::{json_array, json_string, JsonObject};
 use ncdrf_analyze::scenarios::{farm_lease_scenario, pool_scenario, FarmProbes};
 use ncdrf_analyze::{audit, check, model, CheckReport};
 use std::path::PathBuf;

@@ -19,8 +19,8 @@
 
 use ncdrf::corpus::Corpus;
 use ncdrf::{
-    default_points, scan_artifacts, ArtifactError, CellFault, Model, Render, ReportFormat, Sweep,
-    SweepReport, TABLE1_POINTS,
+    default_points, scan_artifacts, ArtifactError, CellFault, ModelId, Render, ReportFormat, Sweep,
+    SweepReport, PAPER_FINITE_MODELS, PAPER_MODELS, TABLE1_POINTS,
 };
 use ncdrf_certify::ScheduleCertifier;
 use std::path::{Path, PathBuf};
@@ -123,7 +123,7 @@ pub fn certify_golden(dir: &Path) -> Vec<GoldenCheck> {
         certified(
             Sweep::new(&corpus)
                 .clustered_latencies([3, 6])
-                .models(Model::finite())
+                .models(PAPER_FINITE_MODELS)
                 .points(default_points()),
         )
         .run_sequential(),
@@ -135,7 +135,7 @@ pub fn certify_golden(dir: &Path) -> Vec<GoldenCheck> {
         certified(
             Sweep::new(&corpus)
                 .clustered_latencies([3, 6])
-                .models(Model::all())
+                .models(PAPER_MODELS)
                 .budgets([64, 48, 32, 16]),
         )
         .run_sequential(),
@@ -147,7 +147,7 @@ pub fn certify_golden(dir: &Path) -> Vec<GoldenCheck> {
         certified(
             Sweep::new(&corpus)
                 .pxly_configs([(1, 3), (2, 3), (1, 6), (2, 6)])
-                .models([Model::Unified])
+                .models([ModelId::UNIFIED])
                 .points(TABLE1_POINTS),
         )
         .run_sequential(),

@@ -35,7 +35,6 @@
 
 pub mod audit;
 pub mod certify;
-pub mod emit;
 pub mod hb;
 pub mod lint;
 pub mod scenarios;

@@ -10,8 +10,8 @@
 //!   test and under the model checker.
 //! * **float-format** — no float formatting (`{:.N}`, `{:e}`) inside a
 //!   JSON-building string literal of the wire/artifact render files;
-//!   `json_number` is the one sanctioned float serializer, keeping
-//!   artifact bytes exact across round-trips.
+//!   `json_number` in `crates/core/src/json.rs` is the one sanctioned
+//!   float serializer, keeping artifact bytes exact across round-trips.
 //! * **daemon-unwrap** — no `.unwrap(` / `.expect(` in the farm's
 //!   request-handling files; a malformed request must map to an HTTP
 //!   error, never a daemon panic.
@@ -70,9 +70,9 @@ const WALL_CLOCK_ALLOW: &[&str] = &[
 /// The wire/artifact render-and-parse files: everything whose bytes
 /// must survive a round-trip exactly.
 const WIRE_FILES: &[&str] = &[
+    "crates/core/src/json.rs",
     "crates/core/src/report.rs",
     "crates/core/src/artifact.rs",
-    "crates/farm/src/json.rs",
     "crates/farm/src/api.rs",
     "crates/farm/src/worker.rs",
     "crates/farm/src/http.rs",
@@ -889,7 +889,7 @@ mod tests {
     #[test]
     fn float_formatting_in_json_literals_is_flagged() {
         let json = "fn f(v: f64) -> String { format!(\"\\\"mean\\\":{:.3}\", v) }";
-        let found = lint_source("crates/farm/src/json.rs", json);
+        let found = lint_source("crates/core/src/json.rs", json);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "float-format");
         // CSV-style float formatting (no quotes) is not wire bytes.

@@ -1,4 +1,4 @@
-//! Benchmark guard for the `Session` schedule cache: a `figures_8_9`-style
+//! Benchmark guard for the `Session` schedule cache: a Figure 8/9-style
 //! four-model evaluation of one corpus slice, cached vs uncached.
 //!
 //! The uncached baseline re-runs modulo scheduling per model (the

@@ -266,24 +266,24 @@ pub fn sweep_for_signature<'c>(
 /// naming different presets, which the merge's signature check catches.
 pub fn preset_sweep<'c>(corpus: &'c Corpus, grid: &str) -> Option<Sweep<'c>> {
     use crate::distribution::{default_points, TABLE1_POINTS};
-    use crate::model::{Model, ModelId};
+    use crate::model::{ModelId, PAPER_FINITE_MODELS, PAPER_MODELS};
     Some(match grid {
         "full" => Sweep::new(corpus)
             .clustered_latencies([3, 6])
-            .models(Model::all())
+            .models(PAPER_MODELS)
             .points(default_points())
             .budgets([32, 64]),
         "fig67" => Sweep::new(corpus)
             .clustered_latencies([3, 6])
-            .models(Model::finite())
+            .models(PAPER_FINITE_MODELS)
             .points(default_points()),
         "fig89" => Sweep::new(corpus)
             .clustered_latencies([3, 6])
-            .models(Model::all())
+            .models(PAPER_MODELS)
             .budgets([32, 64]),
         "table1" => Sweep::new(corpus)
             .pxly_configs([(1, 3), (2, 3), (1, 6), (2, 6)])
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .points(TABLE1_POINTS),
         "extended" => Sweep::new(corpus)
             .clustered_latencies([3])
@@ -302,13 +302,13 @@ pub fn preset_sweep<'c>(corpus: &'c Corpus, grid: &str) -> Option<Sweep<'c>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
+    use crate::model::ModelId;
     use crate::{Render, ReportFormat};
 
     fn tiny_sweep(corpus: &Corpus) -> Sweep<'_> {
         Sweep::new(corpus)
             .clustered_latencies([3])
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .budget(32)
     }
 

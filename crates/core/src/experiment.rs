@@ -1,68 +1,11 @@
-//! Experiment result types shared by [`crate::Sweep`] reports, plus the
-//! deprecated free-function drivers they replace.
+//! Experiment result types shared by [`crate::Sweep`] reports.
 //!
 //! The typed results ([`Table1Row`], [`DistributionCurve`],
 //! [`BudgetOutcome`]) are produced by [`crate::Sweep::run`] and rendered
-//! through [`crate::Render`]. The free functions at the bottom are shims
-//! kept for source compatibility; they re-run scheduling per call where a
-//! [`crate::Session`] or [`crate::Sweep`] would cache it.
+//! through [`crate::Render`].
 
-use crate::model::{Model, ModelId};
-use crate::pipeline::{analyze, evaluate, LoopAnalysis, LoopEval, PipelineError, PipelineOptions};
-use crate::sweep::Sweep;
-use ncdrf_corpus::Corpus;
-use ncdrf_ddg::Loop;
-use ncdrf_exec::Pool;
-use ncdrf_machine::Machine;
+use crate::model::ModelId;
 use serde::{Deserialize, Serialize};
-
-/// Maps `f` over `items` on a work-stealing [`Pool`], preserving order.
-///
-/// Kept as a source-compatible shim over the execution subsystem. Unlike
-/// the original implementation, a panicking worker no longer takes the
-/// whole process down: every other item still completes, and the first
-/// panic is then re-raised on the **calling** thread (so callers can
-/// contain it with `std::panic::catch_unwind`). Callers that want panics
-/// as values should use [`ncdrf_exec::Pool::run`] directly.
-#[deprecated(
-    note = "use `ncdrf_exec::Pool::run` (panics become values) or the `Session` corpus methods"
-)]
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let results = Pool::new().run(items.len(), |i| f(&items[i]));
-    results
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(p) => std::panic::resume_unwind(Box::new(p.message)),
-        })
-        .collect()
-}
-
-/// Runs the fallible per-loop closure over a corpus on a fresh pool,
-/// preserving corpus order and returning the first failure (a contained
-/// worker panic surfaces as [`crate::PipelineStage::Panic`], naming the
-/// loop).
-pub(crate) fn try_map_loops<R, F>(corpus: &Corpus, f: F) -> Result<Vec<R>, PipelineError>
-where
-    R: Send,
-    F: Fn(&Loop) -> Result<R, PipelineError> + Sync,
-{
-    let loops = corpus.loops();
-    Pool::new()
-        .run(loops.len(), |i| f(&loops[i]))
-        .into_iter()
-        .zip(loops)
-        .map(|(r, l)| match r {
-            Ok(per_loop) => per_loop,
-            Err(p) => Err(PipelineError::panic(l.name(), p.message)),
-        })
-        .collect()
-}
 
 /// Performance of a finite-register model relative to the ideal model:
 /// `ideal_cycles / cycles`, so `1.0` means "as fast as infinite
@@ -145,164 +88,38 @@ pub struct BudgetOutcome {
 /// The four (latency, registers) configurations of Figures 8–9.
 pub const FIG89_CONFIGS: [(u32, u32); 4] = [(3, 32), (6, 32), (3, 64), (6, 64)];
 
-// ---------------------------------------------------------------------
-// Deprecated free-function drivers (pre-Session API)
-// ---------------------------------------------------------------------
-
-/// Analyses every corpus loop under `model` with unlimited registers.
-///
-/// # Errors
-///
-/// Returns the first per-loop failure (the standard corpus never fails).
-#[deprecated(note = "use `Session::analyze_corpus`, which caches schedules across models")]
-pub fn sweep_analyze(
-    corpus: &Corpus,
-    machine: &Machine,
-    model: Model,
-    opts: &PipelineOptions,
-) -> Result<Vec<LoopAnalysis>, PipelineError> {
-    try_map_loops(corpus, |l| analyze(l, machine, model, opts))
-}
-
-/// Evaluates every corpus loop under `model` with a `budget`-register
-/// file, spilling until fits.
-///
-/// # Errors
-///
-/// Returns the first per-loop failure.
-#[deprecated(note = "use `Session::evaluate_corpus`, which caches schedules across models")]
-pub fn sweep_evaluate(
-    corpus: &Corpus,
-    machine: &Machine,
-    model: Model,
-    budget: u32,
-    opts: &PipelineOptions,
-) -> Result<Vec<LoopEval>, PipelineError> {
-    try_map_loops(corpus, |l| evaluate(l, machine, model, budget, opts))
-}
-
-/// Reproduces Table 1 over `(x, latency)` unified configurations.
-///
-/// # Errors
-///
-/// Propagates per-loop pipeline failures.
-#[deprecated(
-    note = "use `Sweep::new(corpus).pxly_configs(..).models([Model::Unified]).points(TABLE1_POINTS)` and `SweepReport::table1`"
-)]
-pub fn table1(
-    corpus: &Corpus,
-    configs: &[(u32, u32)],
-    opts: &PipelineOptions,
-) -> Result<Vec<Table1Row>, PipelineError> {
-    Ok(Sweep::new(corpus)
-        .pxly_configs(configs.iter().copied())
-        .models([Model::Unified])
-        .points(crate::distribution::TABLE1_POINTS)
-        .options(*opts)
-        .run()?
-        .table1())
-}
-
-/// Reproduces one panel of Figures 6–7: the three finite models'
-/// distributions on the clustered machine with the given latency.
-///
-/// # Errors
-///
-/// Propagates per-loop pipeline failures.
-#[deprecated(
-    note = "use `Sweep::new(corpus).clustered_latencies([lat]).models(Model::finite()).points(points)`"
-)]
-pub fn figures_6_7(
-    corpus: &Corpus,
-    latency: u32,
-    points: &[u32],
-    opts: &PipelineOptions,
-) -> Result<Vec<DistributionCurve>, PipelineError> {
-    Ok(Sweep::new(corpus)
-        .clustered_latencies([latency])
-        .models(Model::finite())
-        .points(points.iter().copied())
-        .options(*opts)
-        .run()?
-        .distributions)
-}
-
-/// Reproduces one configuration column of Figures 8–9: evaluates all four
-/// models on the clustered machine with `latency` and a `registers`-entry
-/// file, with the §5.4 spiller active.
-///
-/// # Errors
-///
-/// Propagates per-loop pipeline failures.
-#[deprecated(
-    note = "use `Sweep::new(corpus).clustered_latencies([lat]).models(Model::all()).budget(registers)`"
-)]
-pub fn figures_8_9(
-    corpus: &Corpus,
-    latency: u32,
-    registers: u32,
-    opts: &PipelineOptions,
-) -> Result<Vec<BudgetOutcome>, PipelineError> {
-    Ok(Sweep::new(corpus)
-        .clustered_latencies([latency])
-        .models(Model::all())
-        .budget(registers)
-        .options(*opts)
-        .run()?
-        .outcomes)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::distribution::TABLE1_POINTS;
+    use crate::model::{PAPER_FINITE_MODELS, PAPER_MODELS};
+    use crate::session::Session;
+    use crate::sweep::Sweep;
+    use ncdrf_corpus::Corpus;
+    use ncdrf_machine::Machine;
 
     fn tiny_corpus() -> Corpus {
         Corpus::small().take(12)
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, |&x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_panic_is_catchable_and_other_items_complete() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let completed = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..16).collect();
-        // The panic must reach the caller as an unwind (containable with
-        // catch_unwind), not abort the process as the old
-        // `expect("worker threads do not panic")` did — and the
-        // non-panicking items must all have run.
-        let outcome = std::panic::catch_unwind(|| {
-            par_map(&items, |&x| {
-                if x == 7 {
-                    panic!("item seven failed");
-                }
-                completed.fetch_add(1, Ordering::SeqCst);
-                x
-            })
-        });
-        assert!(outcome.is_err(), "the panic propagates to the caller");
-        assert_eq!(completed.load(Ordering::SeqCst), 15);
-    }
-
-    #[test]
     fn sweep_analyze_covers_corpus() {
         let c = tiny_corpus();
-        let machine = Machine::clustered(3, 1);
-        let rows =
-            sweep_analyze(&c, &machine, Model::Unified, &PipelineOptions::default()).unwrap();
+        let session = Session::new(Machine::clustered(3, 1));
+        let rows = session.analyze_corpus(&c, ModelId::UNIFIED).unwrap();
         assert_eq!(rows.len(), c.len());
     }
 
     #[test]
     fn table1_shape() {
         let c = tiny_corpus();
-        let rows = table1(&c, &[(1, 3), (2, 6)], &PipelineOptions::default()).unwrap();
+        let rows = Sweep::new(&c)
+            .pxly_configs([(1, 3), (2, 6)])
+            .models([ModelId::UNIFIED])
+            .points(TABLE1_POINTS)
+            .run()
+            .unwrap()
+            .table1();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             // Monotone in the register budget.
@@ -314,11 +131,17 @@ mod tests {
     #[test]
     fn figures_6_7_partitioned_dominates_unified() {
         let c = Corpus::small().take(25);
-        let curves = figures_6_7(&c, 3, &[8, 16, 32, 64], &PipelineOptions::default()).unwrap();
-        let uni = curves.iter().find(|c| c.model == Model::Unified).unwrap();
+        let curves = Sweep::new(&c)
+            .clustered_latencies([3])
+            .models(PAPER_FINITE_MODELS)
+            .points([8, 16, 32, 64])
+            .run()
+            .unwrap()
+            .distributions;
+        let uni = curves.iter().find(|c| c.model == ModelId::UNIFIED).unwrap();
         let part = curves
             .iter()
-            .find(|c| c.model == Model::Partitioned)
+            .find(|c| c.model == ModelId::PARTITIONED)
             .unwrap();
         // At every sampled point, at least as many loops fit under the
         // partitioned model (its requirement is never larger).
@@ -335,8 +158,14 @@ mod tests {
     #[test]
     fn figures_8_9_ideal_is_upper_bound() {
         let c = tiny_corpus();
-        let outcomes = figures_8_9(&c, 3, 16, &PipelineOptions::default()).unwrap();
-        let ideal = outcomes.iter().find(|o| o.model == Model::Ideal).unwrap();
+        let outcomes = Sweep::new(&c)
+            .clustered_latencies([3])
+            .models(PAPER_MODELS)
+            .budget(16)
+            .run()
+            .unwrap()
+            .outcomes;
+        let ideal = outcomes.iter().find(|o| o.model == ModelId::IDEAL).unwrap();
         assert_eq!(ideal.relative_performance, 1.0);
         for o in &outcomes {
             assert!(o.relative_performance <= 1.0 + 1e-12);

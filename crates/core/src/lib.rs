@@ -36,7 +36,7 @@
 //! corpus-wide, a [`Sweep`]:
 //!
 //! ```
-//! use ncdrf::{Model, Session};
+//! use ncdrf::{ModelId, Session};
 //! use ncdrf::corpus::kernels;
 //! use ncdrf::machine::Machine;
 //!
@@ -44,8 +44,8 @@
 //! let session = Session::new(Machine::clustered(3, 1));
 //! let loop_ = kernels::livermore::hydro();
 //!
-//! let unified = session.analyze(&loop_, Model::Unified)?;
-//! let swapped = session.analyze(&loop_, Model::Swapped)?;
+//! let unified = session.analyze(&loop_, ModelId::UNIFIED)?;
+//! let swapped = session.analyze(&loop_, ModelId::SWAPPED)?;
 //! assert!(swapped.regs <= unified.regs);
 //! // Both analyses shared one scheduling run.
 //! assert_eq!(session.cache_stats().misses, 1);
@@ -56,14 +56,14 @@
 //! Reproducing a paper figure is a [`Sweep`] plus a [`Render`] backend:
 //!
 //! ```no_run
-//! use ncdrf::{Model, Render, ReportFormat, Sweep, FIG89_CONFIGS};
+//! use ncdrf::{Render, ReportFormat, Sweep, PAPER_MODELS};
 //! use ncdrf::corpus::Corpus;
 //!
 //! # fn main() -> Result<(), ncdrf::PipelineError> {
 //! let corpus = Corpus::standard();
 //! let report = Sweep::new(&corpus)
 //!     .clustered_latencies([3, 6])
-//!     .models(Model::all())
+//!     .models(PAPER_MODELS)
 //!     .budgets([32, 64])
 //!     .run()?;
 //! println!("{}", report.render(ReportFormat::Text));
@@ -78,6 +78,7 @@ mod artifact;
 mod certify;
 mod distribution;
 mod experiment;
+pub mod json;
 mod model;
 mod pipeline;
 mod report;
@@ -94,26 +95,17 @@ pub use certify::{
     RULE_MRT_OVERFLOW, RULE_REQUIREMENT, RULE_SPILL_SHAPE, RULE_UNIT_CONFLICT,
 };
 pub use distribution::{default_points, Cumulative, Observation, TABLE1_POINTS};
-#[allow(deprecated)]
-pub use experiment::par_map;
-#[allow(deprecated)]
-pub use experiment::{figures_6_7, figures_8_9, sweep_analyze, sweep_evaluate, table1};
 pub use experiment::{
     relative_performance, BudgetOutcome, DistributionCurve, Table1Row, FIG89_CONFIGS,
 };
 pub use model::{
-    resolve_models, CompressedSpec, Model, ModelId, ModelRegistry, ModelSpec, PortLimitedSpec,
+    resolve_models, CompressedSpec, ModelId, ModelRegistry, ModelSpec, PortLimitedSpec,
     RegistryError, RequirementCtx, COMPRESSED_CAPACITY, PAPER_FINITE_MODELS, PAPER_MODELS,
     PORT_LIMITED_READ_PORTS,
 };
 pub use pipeline::{
     analyze, evaluate, requirement, ConfigError, LoopAnalysis, LoopEval, PipelineError,
     PipelineOptions, PipelineStage,
-};
-#[allow(deprecated)]
-pub use report::{
-    csv_budget_outcomes, csv_distribution, csv_table1, render_budget_outcomes, render_distribution,
-    render_table1,
 };
 pub use report::{
     parse_grid_signature, parse_partial_sweep, parse_sweep_report, parse_sweep_shard,

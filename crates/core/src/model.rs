@@ -1,6 +1,6 @@
 //! The register-file model space: a [`ModelSpec`] trait plus a process-wide
-//! [`ModelRegistry`], with the paper's four §5.2 organisations as built-in
-//! registrations behind the deprecated [`Model`] enum shim.
+//! [`ModelRegistry`], with the paper's four §5.2 organisations (and two
+//! related-work families) as built-in registrations.
 //!
 //! Every stage of the pipeline — [`Session`](crate::Session) caching,
 //! [`Sweep`](crate::Sweep) grids, shard artifacts, farm job specs — carries a
@@ -436,139 +436,33 @@ pub const PAPER_MODELS: [ModelId; 4] = [
 pub const PAPER_FINITE_MODELS: [ModelId; 3] =
     [ModelId::UNIFIED, ModelId::PARTITIONED, ModelId::SWAPPED];
 
-/// The paper's four evaluation models (§5.2) — a deprecated shim over the
-/// registry built-ins.
-///
-/// Retained `Copy`-compatible for one release: everywhere the pipeline used
-/// to take a `Model` it now takes `impl Into<ModelId>`, and `Model` converts
-/// losslessly into the matching built-in ID. New code should use the
-/// [`ModelId`] constants directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Model {
-    /// Infinite registers (upper bound).
-    Ideal,
-    /// Unified / consistent dual register file.
-    Unified,
-    /// Non-consistent dual register file, no swapping.
-    Partitioned,
-    /// Non-consistent dual register file with operation swapping.
-    Swapped,
-}
-
-impl Model {
-    /// All paper models, in the paper's presentation order. These are the
-    /// default model set of a fresh [`Sweep`](crate::Sweep).
-    pub fn all() -> [Model; 4] {
-        [
-            Model::Ideal,
-            Model::Unified,
-            Model::Partitioned,
-            Model::Swapped,
-        ]
-    }
-
-    /// The three finite-register paper models (those that can require spill
-    /// code).
-    pub fn finite() -> [Model; 3] {
-        [Model::Unified, Model::Partitioned, Model::Swapped]
-    }
-
-    /// Whether this model allocates on the non-consistent dual file.
-    #[deprecated(note = "query the registry instead: `id.spec().is_dual()`")]
-    pub fn is_dual(self) -> bool {
-        ModelId::from(self).spec().is_dual()
-    }
-
-    /// Whether this model runs the swapping pass.
-    #[deprecated(note = "query the registry instead: `id.spec().swaps()`")]
-    pub fn swaps(self) -> bool {
-        ModelId::from(self).spec().swaps()
-    }
-
-    /// The paper model with the given wire name, resolved through the
-    /// registry (`"ideal"`, `"unified"`, `"partitioned"`, `"swapped"`).
-    #[deprecated(
-        note = "use `ModelRegistry::resolve`, which also finds registered non-paper models"
-    )]
-    pub fn from_name(name: &str) -> Option<Model> {
-        match ModelRegistry::resolve(name)? {
-            ModelId::IDEAL => Some(Model::Ideal),
-            ModelId::UNIFIED => Some(Model::Unified),
-            ModelId::PARTITIONED => Some(Model::Partitioned),
-            ModelId::SWAPPED => Some(Model::Swapped),
-            _ => None,
-        }
-    }
-}
-
-impl From<Model> for ModelId {
-    fn from(m: Model) -> ModelId {
-        match m {
-            Model::Ideal => ModelId::IDEAL,
-            Model::Unified => ModelId::UNIFIED,
-            Model::Partitioned => ModelId::PARTITIONED,
-            Model::Swapped => ModelId::SWAPPED,
-        }
-    }
-}
-
-impl PartialEq<Model> for ModelId {
-    fn eq(&self, other: &Model) -> bool {
-        *self == ModelId::from(*other)
-    }
-}
-
-impl PartialEq<ModelId> for Model {
-    fn eq(&self, other: &ModelId) -> bool {
-        ModelId::from(*self) == *other
-    }
-}
-
-impl std::str::FromStr for Model {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        #[allow(deprecated)]
-        Model::from_name(s).ok_or_else(|| format!("unknown model `{s}`"))
-    }
-}
-
-impl fmt::Display for Model {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        ModelId::from(*self).fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_names() {
-        let names: Vec<String> = Model::all().iter().map(|m| m.to_string()).collect();
+        let names: Vec<String> = PAPER_MODELS.iter().map(|m| m.to_string()).collect();
         assert_eq!(names, ["ideal", "unified", "partitioned", "swapped"]);
     }
 
     #[test]
-    #[allow(deprecated)]
     fn names_round_trip() {
-        for m in Model::all() {
-            assert_eq!(Model::from_name(&m.to_string()), Some(m));
-            assert_eq!(m.to_string().parse::<Model>(), Ok(m));
+        for m in PAPER_MODELS {
+            assert_eq!(m.to_string().parse::<ModelId>(), Ok(m));
         }
-        assert_eq!(Model::from_name("POWER2"), None);
-        assert!("".parse::<Model>().is_err());
+        assert!("POWER2".parse::<ModelId>().is_err());
+        assert!("".parse::<ModelId>().is_err());
     }
 
     #[test]
-    #[allow(deprecated)]
     fn classification_helpers() {
-        assert!(!Model::Unified.is_dual());
-        assert!(Model::Partitioned.is_dual());
-        assert!(Model::Swapped.is_dual());
-        assert!(Model::Swapped.swaps());
-        assert!(!Model::Partitioned.swaps());
-        assert_eq!(Model::finite().len(), 3);
+        // The finite set is the paper set minus the ideal model, in order.
+        let finite: Vec<ModelId> = PAPER_MODELS
+            .into_iter()
+            .filter(|m| !m.spec().is_ideal())
+            .collect();
+        assert_eq!(finite, PAPER_FINITE_MODELS);
     }
 
     #[test]
@@ -589,15 +483,6 @@ mod tests {
             Some(ModelId::COMPRESSED)
         );
         assert_eq!(ModelRegistry::resolve("POWER2"), None);
-    }
-
-    #[test]
-    fn enum_shim_converts_and_compares() {
-        assert_eq!(ModelId::from(Model::Ideal), ModelId::IDEAL);
-        assert_eq!(ModelId::from(Model::Swapped), ModelId::SWAPPED);
-        assert!(ModelId::UNIFIED == Model::Unified);
-        assert!(Model::Unified == ModelId::UNIFIED);
-        assert!(ModelId::PORT_LIMITED != Model::Unified);
     }
 
     #[test]

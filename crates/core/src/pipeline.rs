@@ -137,7 +137,7 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptyModelSet => write!(
                 f,
                 "the sweep has no models; pass a non-empty set to `models` \
-                 (the default is `Model::all()`)"
+                 (the default is `PAPER_MODELS`)"
             ),
             ConfigError::EmptyWorkload => write!(
                 f,
@@ -317,10 +317,10 @@ pub fn requirement(
     l: &Loop,
     machine: &Machine,
     sched: &mut Schedule,
-    model: impl Into<ModelId>,
+    model: ModelId,
     opts: &PipelineOptions,
 ) -> Result<u32, MachineError> {
-    let spec = model.into().spec();
+    let spec = model.spec();
     if spec.is_ideal() {
         return Ok(0);
     }
@@ -355,10 +355,9 @@ pub fn requirement(
 pub fn analyze(
     l: &Loop,
     machine: &Machine,
-    model: impl Into<ModelId>,
+    model: ModelId,
     opts: &PipelineOptions,
 ) -> Result<LoopAnalysis, PipelineError> {
-    let model = model.into();
     let fail = |stage: PipelineStage| PipelineError {
         loop_name: l.name().to_owned(),
         stage,
@@ -466,11 +465,10 @@ pub(crate) fn eval_from_spill(l: &Loop, model: ModelId, budget: u32, r: &SpillRe
 pub fn evaluate(
     l: &Loop,
     machine: &Machine,
-    model: impl Into<ModelId>,
+    model: ModelId,
     budget: u32,
     opts: &PipelineOptions,
 ) -> Result<LoopEval, PipelineError> {
-    let model = model.into();
     let fail = |stage: PipelineStage| PipelineError {
         loop_name: l.name().to_owned(),
         stage,
@@ -506,7 +504,6 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
     use ncdrf_corpus::kernels;
     use ncdrf_machine::Machine;
 
@@ -515,8 +512,8 @@ mod tests {
         let machine = Machine::clustered(3, 1);
         let opts = PipelineOptions::default();
         for l in kernels::all() {
-            let uni = analyze(&l, &machine, Model::Unified, &opts).unwrap();
-            let part = analyze(&l, &machine, Model::Partitioned, &opts).unwrap();
+            let uni = analyze(&l, &machine, ModelId::UNIFIED, &opts).unwrap();
+            let part = analyze(&l, &machine, ModelId::PARTITIONED, &opts).unwrap();
             assert!(
                 part.regs <= uni.regs,
                 "{}: partitioned {} > unified {}",
@@ -534,8 +531,8 @@ mod tests {
         let machine = Machine::clustered(6, 1);
         let opts = PipelineOptions::default();
         for l in kernels::all().into_iter().take(20) {
-            let part = analyze(&l, &machine, Model::Partitioned, &opts).unwrap();
-            let swap = analyze(&l, &machine, Model::Swapped, &opts).unwrap();
+            let part = analyze(&l, &machine, ModelId::PARTITIONED, &opts).unwrap();
+            let swap = analyze(&l, &machine, ModelId::SWAPPED, &opts).unwrap();
             assert!(
                 swap.regs <= part.regs + 1,
                 "{}: swapped {} much worse than partitioned {}",
@@ -550,7 +547,7 @@ mod tests {
     fn ideal_has_zero_requirement() {
         let machine = Machine::clustered(3, 1);
         let l = kernels::blas::daxpy();
-        let a = analyze(&l, &machine, Model::Ideal, &PipelineOptions::default()).unwrap();
+        let a = analyze(&l, &machine, ModelId::IDEAL, &PipelineOptions::default()).unwrap();
         assert_eq!(a.regs, 0);
         assert!(a.cycles() > 0);
     }
@@ -560,7 +557,7 @@ mod tests {
         let machine = Machine::clustered(6, 1);
         let opts = PipelineOptions::default();
         for l in kernels::all().into_iter().take(15) {
-            let a = analyze(&l, &machine, Model::Unified, &opts).unwrap();
+            let a = analyze(&l, &machine, ModelId::UNIFIED, &opts).unwrap();
             assert!(a.regs >= a.max_live);
         }
     }
@@ -570,8 +567,8 @@ mod tests {
         let machine = Machine::clustered(3, 1);
         let opts = PipelineOptions::default();
         let l = kernels::livermore::hydro();
-        let a = analyze(&l, &machine, Model::Unified, &opts).unwrap();
-        let e = evaluate(&l, &machine, Model::Unified, 512, &opts).unwrap();
+        let a = analyze(&l, &machine, ModelId::UNIFIED, &opts).unwrap();
+        let e = evaluate(&l, &machine, ModelId::UNIFIED, 512, &opts).unwrap();
         assert!(e.fits);
         assert_eq!(e.spilled, 0);
         assert_eq!(e.ii, a.ii);
@@ -583,9 +580,9 @@ mod tests {
         let machine = Machine::clustered(6, 1);
         let opts = PipelineOptions::default();
         let l = kernels::recurrences::chain8();
-        let a = analyze(&l, &machine, Model::Unified, &opts).unwrap();
+        let a = analyze(&l, &machine, ModelId::UNIFIED, &opts).unwrap();
         assert!(a.regs > 4, "chain8 should be pressured");
-        let e = evaluate(&l, &machine, Model::Unified, 4, &opts).unwrap();
+        let e = evaluate(&l, &machine, ModelId::UNIFIED, 4, &opts).unwrap();
         assert!(e.fits);
         assert!(e.spilled > 0 || e.ii > a.ii);
         if e.spilled > 0 {
@@ -598,8 +595,8 @@ mod tests {
         let machine = Machine::clustered(6, 1);
         let opts = PipelineOptions::default();
         let l = kernels::recurrences::wide8();
-        let free = evaluate(&l, &machine, Model::Unified, 512, &opts).unwrap();
-        let tight = evaluate(&l, &machine, Model::Unified, 6, &opts).unwrap();
+        let free = evaluate(&l, &machine, ModelId::UNIFIED, 512, &opts).unwrap();
+        let tight = evaluate(&l, &machine, ModelId::UNIFIED, 6, &opts).unwrap();
         if tight.spilled > 0 && tight.ii == free.ii {
             assert!(tight.density() > free.density());
         }
@@ -612,11 +609,11 @@ mod tests {
         let machine = Machine::clustered(3, 1);
         let opts = PipelineOptions::default();
         let l = kernels::blas::daxpy();
-        assert!(analyze(&l, &machine, Model::Unified, &opts)
+        assert!(analyze(&l, &machine, ModelId::UNIFIED, &opts)
             .unwrap()
             .pressure
             .is_none());
-        assert!(analyze(&l, &machine, Model::Partitioned, &opts)
+        assert!(analyze(&l, &machine, ModelId::PARTITIONED, &opts)
             .unwrap()
             .pressure
             .is_some());
@@ -654,13 +651,13 @@ mod tests {
         .unwrap();
         let l = kernels::blas::daxpy();
         let a_err =
-            analyze(&l, &no_adder, Model::Unified, &PipelineOptions::default()).unwrap_err();
+            analyze(&l, &no_adder, ModelId::UNIFIED, &PipelineOptions::default()).unwrap_err();
         assert_eq!(a_err.loop_name, "daxpy");
         assert!(matches!(a_err.stage, PipelineStage::Schedule(_)));
         let e_err = evaluate(
             &l,
             &no_adder,
-            Model::Unified,
+            ModelId::UNIFIED,
             32,
             &PipelineOptions::default(),
         )

@@ -17,6 +17,7 @@
 
 use crate::distribution::Cumulative;
 use crate::experiment::{BudgetOutcome, DistributionCurve, Table1Row};
+use crate::json::{json_array, JsonObject};
 use crate::model::{ModelId, ModelRegistry};
 use crate::pipeline::{LoopAnalysis, LoopEval, PipelineError, PipelineStage};
 use crate::session::CacheStats;
@@ -691,112 +692,6 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON writer (the vendor serde stand-in has no serializer)
-// ---------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Infinity/NaN literals.
-        "null".to_owned()
-    }
-}
-
-struct JsonObject {
-    body: String,
-}
-
-impl JsonObject {
-    fn new() -> Self {
-        JsonObject {
-            body: String::from("{"),
-        }
-    }
-
-    fn sep(&mut self) {
-        if self.body.len() > 1 {
-            self.body.push(',');
-        }
-    }
-
-    fn string(&mut self, key: &str, value: &str) {
-        self.sep();
-        let _ = write!(
-            self.body,
-            "\"{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
-        );
-    }
-
-    fn number(&mut self, key: &str, value: f64) {
-        self.sep();
-        let _ = write!(self.body, "\"{}\":{}", json_escape(key), json_number(value));
-    }
-
-    /// Emits an integer exactly (counters like sweep cycle totals exceed
-    /// 2^53, where `f64` formatting would round them).
-    fn integer(&mut self, key: &str, value: u128) {
-        self.sep();
-        let _ = write!(self.body, "\"{}\":{}", json_escape(key), value);
-    }
-
-    fn boolean(&mut self, key: &str, value: bool) {
-        self.sep();
-        let _ = write!(self.body, "\"{}\":{}", json_escape(key), value);
-    }
-
-    fn string_array(&mut self, key: &str, values: &[String]) {
-        self.sep();
-        let items: Vec<String> = values
-            .iter()
-            .map(|v| format!("\"{}\"", json_escape(v)))
-            .collect();
-        let _ = write!(self.body, "\"{}\":[{}]", json_escape(key), items.join(","));
-    }
-
-    fn number_array<T: Copy + Into<f64>>(&mut self, key: &str, values: &[T]) {
-        self.sep();
-        let items: Vec<String> = values.iter().map(|&v| json_number(v.into())).collect();
-        let _ = write!(self.body, "\"{}\":[{}]", json_escape(key), items.join(","));
-    }
-
-    fn raw(&mut self, key: &str, json: &str) {
-        self.sep();
-        let _ = write!(self.body, "\"{}\":{}", json_escape(key), json);
-    }
-
-    fn finish(mut self) -> String {
-        self.body.push('}');
-        self.body
-    }
-}
-
-fn json_array(items: impl Iterator<Item = String>) -> String {
-    let items: Vec<String> = items.collect();
-    format!("[{}]", items.join(","))
-}
-
-// ---------------------------------------------------------------------
 // Parsers (the other half of the JSON backend)
 // ---------------------------------------------------------------------
 
@@ -1365,52 +1260,10 @@ fn signature_from(sig: &Value, naming: ModelNaming) -> Parsed<GridSignature> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Deprecated pre-Render shims
-// ---------------------------------------------------------------------
-
-/// Renders Table 1 in the paper's layout.
-#[deprecated(note = "use `Render::render(ReportFormat::Text)` on the rows")]
-pub fn render_table1(rows: &[Table1Row]) -> String {
-    rows.render(ReportFormat::Text)
-}
-
-/// Renders Table 1 as CSV.
-#[deprecated(note = "use `Render::render(ReportFormat::Csv)` on the rows")]
-pub fn csv_table1(rows: &[Table1Row]) -> String {
-    rows.render(ReportFormat::Csv)
-}
-
-/// Renders one Figure 6/7 panel; `dynamic` selects the cycle-weighted
-/// panel (Figure 7).
-#[deprecated(note = "use `DistributionPanel { curves, dynamic }.render(ReportFormat::Text)`")]
-pub fn render_distribution(curves: &[DistributionCurve], dynamic: bool) -> String {
-    DistributionPanel { curves, dynamic }.render(ReportFormat::Text)
-}
-
-/// Renders Figure 6/7 curves as CSV.
-#[deprecated(note = "use `Render::render(ReportFormat::Csv)` on the curves")]
-pub fn csv_distribution(curves: &[DistributionCurve]) -> String {
-    curves.render(ReportFormat::Csv)
-}
-
-/// Renders Figure 8 (performance) or Figure 9 (traffic density) bars.
-#[deprecated(note = "use `BudgetTable { outcomes, metric }.render(ReportFormat::Text)`")]
-pub fn render_budget_outcomes(outcomes: &[BudgetOutcome], metric: BudgetMetric) -> String {
-    BudgetTable { outcomes, metric }.render(ReportFormat::Text)
-}
-
-/// Renders Figure 8/9 outcomes as CSV.
-#[deprecated(note = "use `Render::render(ReportFormat::Csv)` on the outcomes")]
-pub fn csv_budget_outcomes(outcomes: &[BudgetOutcome]) -> String {
-    outcomes.render(ReportFormat::Csv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distribution::Cumulative;
-    use crate::model::Model;
 
     fn sample_curves() -> Vec<DistributionCurve> {
         let dist = Cumulative {
@@ -1419,7 +1272,7 @@ mod tests {
         };
         vec![DistributionCurve {
             config: "C2L3".into(),
-            model: Model::Unified.into(),
+            model: ModelId::UNIFIED,
             latency: 3,
             static_dist: dist.clone(),
             dynamic_dist: dist,
@@ -1429,7 +1282,7 @@ mod tests {
     fn sample_outcomes() -> Vec<BudgetOutcome> {
         vec![BudgetOutcome {
             config: "C2L6".into(),
-            model: Model::Swapped.into(),
+            model: ModelId::SWAPPED,
             latency: 6,
             registers: 32,
             cycles: 1000,
@@ -1438,6 +1291,27 @@ mod tests {
             traffic_density: 0.15,
             loops_spilled: 12,
         }]
+    }
+
+    #[test]
+    fn json_escapes_control_and_quote_characters() {
+        // Report JSON goes through the one escape table: a config name
+        // with quotes, backslashes and control characters stays a valid
+        // string, and a non-finite ratio renders as `null`.
+        let rows = vec![Table1Row {
+            config: "k\"ey va\\l\nue\t".into(),
+            loops_within: [88.0, 97.8, 99.7],
+            cycles_within: [64.4, 94.9, 99.9],
+        }];
+        let json = rows.render(ReportFormat::Json);
+        assert!(
+            json.contains("\"config\":\"k\\\"ey va\\\\l\\nue\\t\""),
+            "{json}"
+        );
+        let mut outcomes = sample_outcomes();
+        outcomes[0].relative_performance = f64::INFINITY;
+        let json = outcomes.render(ReportFormat::Json);
+        assert!(json.contains("\"relative_performance\":null"), "{json}");
     }
 
     #[test]
@@ -1675,29 +1549,5 @@ mod tests {
             ModelNaming::Registry.resolve("port-limited"),
             Some(ModelId::PORT_LIMITED)
         );
-    }
-
-    #[test]
-    fn json_escapes_control_and_quote_characters() {
-        let mut o = JsonObject::new();
-        o.string("k\"ey", "va\\l\nue\t");
-        let s = o.finish();
-        assert_eq!(s, "{\"k\\\"ey\":\"va\\\\l\\nue\\t\"}");
-        assert_eq!(json_number(f64::INFINITY), "null");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate() {
-        let curves = sample_curves();
-        assert_eq!(
-            render_distribution(&curves, true),
-            DistributionPanel {
-                curves: &curves,
-                dynamic: true
-            }
-            .render(ReportFormat::Text)
-        );
-        assert_eq!(csv_distribution(&curves), curves.render(ReportFormat::Csv));
     }
 }

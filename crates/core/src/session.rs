@@ -10,15 +10,15 @@
 //! once instead of four times:
 //!
 //! ```
-//! use ncdrf::{Model, Session};
+//! use ncdrf::{ModelId, Session};
 //! use ncdrf::corpus::kernels;
 //! use ncdrf::machine::Machine;
 //!
 //! # fn main() -> Result<(), ncdrf::PipelineError> {
 //! let session = Session::new(Machine::clustered(3, 1));
 //! let l = kernels::livermore::hydro();
-//! let unified = session.analyze(&l, Model::Unified)?;
-//! let swapped = session.analyze(&l, Model::Swapped)?; // cache hit: no rescheduling
+//! let unified = session.analyze(&l, ModelId::UNIFIED)?;
+//! let swapped = session.analyze(&l, ModelId::SWAPPED)?; // cache hit: no rescheduling
 //! assert!(swapped.regs <= unified.regs);
 //! assert_eq!(session.cache_stats().hits, 1);
 //! # Ok(())
@@ -36,6 +36,7 @@ use crate::pipeline::{
 };
 use ncdrf_corpus::Corpus;
 use ncdrf_ddg::Loop;
+use ncdrf_exec::Pool;
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{allocate_dual, allocate_unified, classify, lifetimes, max_live, Lifetime};
 use ncdrf_sched::{modulo_schedule_with, Schedule};
@@ -143,7 +144,7 @@ pub struct Session {
     opts: PipelineOptions,
     cache: Mutex<HashMap<String, Arc<BaseSchedule>>>,
     /// Post-swap variants of cached base schedules, filled lazily the
-    /// first time a loop is examined under [`Model::Swapped`].
+    /// first time a loop is examined under [`ModelId::SWAPPED`].
     swapped: Mutex<HashMap<String, Arc<BaseSchedule>>>,
     /// Per-(loop, model) register requirements of the cached schedules.
     /// Budget-independent, so a multi-budget sweep allocates once.
@@ -274,7 +275,7 @@ impl Session {
             })
             .collect();
         // `ModelId` orders by registration index, which reproduces the old
-        // `Model::all()` rank for the paper four — export listings stay
+        // `PAPER_MODELS` rank for the paper four — export listings stay
         // byte-stable across the registry redesign.
         out.sort_by(|a, b| (a.loop_name.as_str(), a.model).cmp(&(b.loop_name.as_str(), b.model)));
         out
@@ -338,7 +339,7 @@ impl Session {
 
     /// The cached post-swap schedule of `l`: the base schedule cloned and
     /// run through the greedy swap pass once, with its lifetimes. Every
-    /// [`Model::Swapped`] analysis/evaluation shares this single run (the
+    /// [`ModelId::SWAPPED`] analysis/evaluation shares this single run (the
     /// pass is deterministic and idempotent).
     ///
     /// # Errors
@@ -348,7 +349,7 @@ impl Session {
         if let Some(hit) = self.swapped.lock().get(l.name()) {
             // A swapped-cache hit is saved work (scheduling *and* the swap
             // pass), so it counts toward `CacheStats::hits` like a base
-            // hit; omitting it under-reported reuse for `Model::Swapped`.
+            // hit; omitting it under-reported reuse for `ModelId::SWAPPED`.
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
         }
@@ -414,12 +415,7 @@ impl Session {
     /// # Errors
     ///
     /// Propagates scheduling and machine failures, naming the loop.
-    pub fn analyze(
-        &self,
-        l: &Loop,
-        model: impl Into<ModelId>,
-    ) -> Result<LoopAnalysis, PipelineError> {
-        let model = model.into();
+    pub fn analyze(&self, l: &Loop, model: ModelId) -> Result<LoopAnalysis, PipelineError> {
         let spec = model.spec();
         let base = if spec.swaps() {
             self.swapped_base(l)?
@@ -666,10 +662,9 @@ impl Session {
     pub fn evaluate(
         &self,
         l: &Loop,
-        model: impl Into<ModelId>,
+        model: ModelId,
         budget: u32,
     ) -> Result<LoopEval, PipelineError> {
-        let model = model.into();
         let no_spill_eval = |sched: &Schedule, regs: u32| LoopEval {
             name: l.name().to_owned(),
             model,
@@ -825,10 +820,9 @@ impl Session {
     pub fn analyze_corpus(
         &self,
         corpus: &Corpus,
-        model: impl Into<ModelId>,
+        model: ModelId,
     ) -> Result<Vec<LoopAnalysis>, PipelineError> {
-        let model = model.into();
-        crate::experiment::try_map_loops(corpus, |l| self.analyze(l, model))
+        try_map_loops(corpus, |l| self.analyze(l, model))
     }
 
     /// [`Session::evaluate`] over every loop of `corpus`, in parallel,
@@ -840,25 +834,44 @@ impl Session {
     pub fn evaluate_corpus(
         &self,
         corpus: &Corpus,
-        model: impl Into<ModelId>,
+        model: ModelId,
         budget: u32,
     ) -> Result<Vec<LoopEval>, PipelineError> {
-        let model = model.into();
-        crate::experiment::try_map_loops(corpus, |l| self.evaluate(l, model, budget))
+        try_map_loops(corpus, |l| self.evaluate(l, model, budget))
     }
+}
+
+/// Runs the fallible per-loop closure over a corpus on a fresh pool,
+/// preserving corpus order and returning the first failure (a contained
+/// worker panic surfaces as [`PipelineStage::Panic`], naming the loop).
+fn try_map_loops<R, F>(corpus: &Corpus, f: F) -> Result<Vec<R>, PipelineError>
+where
+    R: Send,
+    F: Fn(&Loop) -> Result<R, PipelineError> + Sync,
+{
+    let loops = corpus.loops();
+    Pool::new()
+        .run(loops.len(), |i| f(&loops[i]))
+        .into_iter()
+        .zip(loops)
+        .map(|(r, l)| match r {
+            Ok(per_loop) => per_loop,
+            Err(p) => Err(PipelineError::panic(l.name(), p.message)),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
+    use crate::model::{PAPER_FINITE_MODELS, PAPER_MODELS};
     use ncdrf_corpus::{kernels, Corpus};
 
     #[test]
     fn four_model_analysis_schedules_once() {
         let session = Session::new(Machine::clustered(3, 1));
         let l = kernels::livermore::hydro();
-        for model in Model::all() {
+        for model in PAPER_MODELS {
             session.analyze(&l, model).unwrap();
         }
         let stats = session.cache_stats();
@@ -870,8 +883,8 @@ mod tests {
     fn evaluate_reuses_the_analysis_schedule() {
         let session = Session::new(Machine::clustered(6, 1));
         let l = kernels::blas::daxpy();
-        session.analyze(&l, Model::Unified).unwrap();
-        for model in Model::all() {
+        session.analyze(&l, ModelId::UNIFIED).unwrap();
+        for model in PAPER_MODELS {
             session.evaluate(&l, model, 32).unwrap();
         }
         assert_eq!(session.cache_stats().misses, 1);
@@ -881,8 +894,12 @@ mod tests {
     fn parallel_corpus_sweep_schedules_each_loop_once() {
         let corpus = Corpus::small().take(12);
         let session = Session::new(Machine::clustered(3, 1));
-        for model in Model::finite() {
-            session.analyze_corpus(&corpus, model).unwrap();
+        for model in PAPER_FINITE_MODELS {
+            let rows = session.analyze_corpus(&corpus, model).unwrap();
+            // One row per loop, in corpus order.
+            let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+            let want: Vec<&str> = corpus.iter().map(|l| l.name()).collect();
+            assert_eq!(names, want);
         }
         let stats = session.cache_stats();
         assert_eq!(stats.misses, corpus.len() as u64);
@@ -895,7 +912,7 @@ mod tests {
         let session = Session::new(machine.clone());
         let opts = PipelineOptions::default();
         for l in Corpus::small().take(10).iter() {
-            for model in Model::all() {
+            for model in PAPER_MODELS {
                 for budget in [12, 64] {
                     let cached = session.evaluate(l, model, budget).unwrap();
                     let fresh =
@@ -910,7 +927,7 @@ mod tests {
     fn repeated_swapped_analyses_count_as_hits() {
         let session = Session::new(Machine::clustered(6, 1));
         let l = kernels::livermore::hydro();
-        session.analyze(&l, Model::Swapped).unwrap();
+        session.analyze(&l, ModelId::SWAPPED).unwrap();
         // First request: one scheduling run, swap pass filled lazily.
         assert_eq!(
             session.cache_stats(),
@@ -920,8 +937,8 @@ mod tests {
                 ..CacheStats::default()
             }
         );
-        session.analyze(&l, Model::Swapped).unwrap();
-        session.analyze(&l, Model::Swapped).unwrap();
+        session.analyze(&l, ModelId::SWAPPED).unwrap();
+        session.analyze(&l, ModelId::SWAPPED).unwrap();
         // Each repeat is served entirely from the swapped cache and must
         // be visible as reuse, not invisible work.
         assert_eq!(
@@ -939,15 +956,15 @@ mod tests {
         let machine = Machine::clustered(6, 1);
         let session = Session::new(machine);
         let l = kernels::recurrences::chain8();
-        let free = session.analyze(&l, Model::Unified).unwrap().regs;
+        let free = session.analyze(&l, ModelId::UNIFIED).unwrap().regs;
         assert!(free > 4, "chain8 should be pressured");
 
         // A descending budget ladder: the first rung creates and extends
         // the trajectory, every later rung hits or resumes it.
-        let top = session.evaluate(&l, Model::Unified, free - 1).unwrap();
+        let top = session.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
         assert!(top.spilled > 0);
-        let deepest = session.evaluate(&l, Model::Unified, 4).unwrap();
-        let between = session.evaluate(&l, Model::Unified, free - 1).unwrap();
+        let deepest = session.evaluate(&l, ModelId::UNIFIED, 4).unwrap();
+        let between = session.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
         assert_eq!(between, top, "checkpoint-served repeat is identical");
         let stats = session.cache_stats();
         assert_eq!(
@@ -962,7 +979,7 @@ mod tests {
         // clear_cache drops the trajectory too: the same evaluation
         // recomputes its steps from zero.
         session.clear_cache();
-        let again = session.evaluate(&l, Model::Unified, 4).unwrap();
+        let again = session.evaluate(&l, ModelId::UNIFIED, 4).unwrap();
         assert_eq!(again, deepest);
         assert_eq!(
             session.cache_stats().spill_steps,
@@ -978,9 +995,9 @@ mod tests {
         // Budget 1 sits below the descent's floor: the trajectory
         // exhausts and every evaluation re-runs the per-budget
         // escalation scan.
-        let first = session.evaluate(&l, Model::Unified, 1).unwrap();
+        let first = session.evaluate(&l, ModelId::UNIFIED, 1).unwrap();
         let after_first = session.cache_stats();
-        let second = session.evaluate(&l, Model::Unified, 1).unwrap();
+        let second = session.evaluate(&l, ModelId::UNIFIED, 1).unwrap();
         assert_eq!(second, first);
         let after_second = session.cache_stats();
         // The repeat recomputed escalation work — neither a hit nor a
@@ -989,8 +1006,8 @@ mod tests {
         assert_eq!(after_second.traj_resumes, after_first.traj_resumes);
         assert_eq!(after_second.spill_steps, after_first.spill_steps);
         // A checkpoint-served budget still counts as a real hit.
-        let free = session.analyze(&l, Model::Unified).unwrap().regs;
-        session.evaluate(&l, Model::Unified, free - 1).unwrap();
+        let free = session.analyze(&l, ModelId::UNIFIED).unwrap().regs;
+        session.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
         assert_eq!(session.cache_stats().traj_hits, after_second.traj_hits + 1);
     }
 
@@ -998,21 +1015,21 @@ mod tests {
     fn trajectories_are_isolated_per_model() {
         let session = Session::new(Machine::clustered(6, 1));
         let l = kernels::recurrences::chain8();
-        let e_uni = session.evaluate(&l, Model::Unified, 4).unwrap();
+        let e_uni = session.evaluate(&l, ModelId::UNIFIED, 4).unwrap();
         let before = session.cache_stats();
         // A different model neither hits nor resumes the unified
         // trajectory: it builds its own.
-        session.evaluate(&l, Model::Partitioned, 4).unwrap();
+        session.evaluate(&l, ModelId::PARTITIONED, 4).unwrap();
         let after = session.cache_stats();
         assert_eq!(after.traj_hits, before.traj_hits);
         assert_eq!(after.traj_resumes, before.traj_resumes);
         // And the unified one is still intact: the deep budget repeats
         // identically, and a checkpoint-served budget is a pure hit.
-        let repeat = session.evaluate(&l, Model::Unified, 4).unwrap();
+        let repeat = session.evaluate(&l, ModelId::UNIFIED, 4).unwrap();
         assert_eq!(repeat, e_uni);
-        let free = session.analyze(&l, Model::Unified).unwrap().regs;
+        let free = session.analyze(&l, ModelId::UNIFIED).unwrap().regs;
         let hits = session.cache_stats().traj_hits;
-        session.evaluate(&l, Model::Unified, free - 1).unwrap();
+        session.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
         assert_eq!(session.cache_stats().traj_hits, hits + 1);
     }
 
@@ -1022,21 +1039,21 @@ mod tests {
         let opts = PipelineOptions::default();
         let first = Session::new(machine.clone());
         let l = kernels::recurrences::chain8();
-        let free = first.analyze(&l, Model::Unified).unwrap().regs;
+        let free = first.analyze(&l, ModelId::UNIFIED).unwrap().regs;
         assert!(free > 5, "chain8 should be pressured");
-        let top = first.evaluate(&l, Model::Unified, free - 1).unwrap();
+        let top = first.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
         assert!(top.spilled > 0);
         let exported = first.export_trajectories();
         assert_eq!(exported.len(), 1);
         assert_eq!(exported[0].loop_name, "chain8");
-        assert_eq!(exported[0].model, Model::Unified);
+        assert_eq!(exported[0].model, ModelId::UNIFIED);
 
         // A fresh session importing the record serves the recorded
         // budget from the checkpoint scalars alone: bit-identical, no
         // spill step recomputed, counted as a trajectory hit.
         let second = Session::new(machine.clone());
         second.import_trajectories(exported.clone());
-        let served = second.evaluate(&l, Model::Unified, free - 1).unwrap();
+        let served = second.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
         assert_eq!(served, top);
         let stats = second.cache_stats();
         assert_eq!(stats.spill_steps, 0);
@@ -1046,8 +1063,8 @@ mod tests {
         // A deeper budget resumes the persisted descent: the replayed
         // prefix is not recounted, so the whole ladder costs fewer
         // steps than a from-scratch evaluation.
-        let deep = second.evaluate(&l, Model::Unified, 4).unwrap();
-        let fresh = crate::pipeline::evaluate(&l, &machine, Model::Unified, 4, &opts).unwrap();
+        let deep = second.evaluate(&l, ModelId::UNIFIED, 4).unwrap();
+        let fresh = crate::pipeline::evaluate(&l, &machine, ModelId::UNIFIED, 4, &opts).unwrap();
         assert_eq!(deep, fresh);
         let stats = second.cache_stats();
         assert_eq!(stats.traj_resumes, 1);
@@ -1066,10 +1083,10 @@ mod tests {
         let exported = second.export_trajectories();
         let floor = exported[0].snapshot.min_regs();
         third.import_trajectories(exported);
-        let at_floor = third.evaluate(&l, Model::Unified, floor).unwrap();
+        let at_floor = third.evaluate(&l, ModelId::UNIFIED, floor).unwrap();
         assert_eq!(
             at_floor,
-            crate::pipeline::evaluate(&l, &machine, Model::Unified, floor, &opts).unwrap()
+            crate::pipeline::evaluate(&l, &machine, ModelId::UNIFIED, floor, &opts).unwrap()
         );
         assert_eq!(third.cache_stats().spill_steps, 0);
         assert_eq!(third.cache_stats().traj_hits, 1);
@@ -1077,7 +1094,7 @@ mod tests {
         // the imported record is materialised and the per-budget
         // escalation fallback recomputes, which — exactly like the live
         // path — is neither a hit nor a resume.
-        assert_eq!(third.evaluate(&l, Model::Unified, 4).unwrap(), fresh);
+        assert_eq!(third.evaluate(&l, ModelId::UNIFIED, 4).unwrap(), fresh);
         assert_eq!(third.cache_stats().spill_steps, 0);
         assert_eq!(third.cache_stats().traj_hits, 1);
         assert_eq!(third.cache_stats().traj_resumes, 0);
@@ -1088,8 +1105,8 @@ mod tests {
         let machine = Machine::clustered(6, 1);
         let first = Session::new(machine.clone());
         let l = kernels::recurrences::chain8();
-        let free = first.analyze(&l, Model::Unified).unwrap().regs;
-        first.evaluate(&l, Model::Unified, free - 1).unwrap();
+        let free = first.analyze(&l, ModelId::UNIFIED).unwrap().regs;
+        first.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
         let mut exported = first.export_trajectories();
         for step in &mut exported[0].snapshot.steps {
             step.regs = step.regs.saturating_add(13);
@@ -1099,7 +1116,7 @@ mod tests {
         second.import_trajectories(exported.clone());
         // Budget 4 fits no (doctored) checkpoint, so the session must
         // replay — and the replay must catch the corruption.
-        let err = second.evaluate(&l, Model::Unified, 4).unwrap_err();
+        let err = second.evaluate(&l, ModelId::UNIFIED, 4).unwrap_err();
         assert_eq!(err.loop_name, "chain8");
         assert!(
             err.to_string().contains("does not replay"),
@@ -1115,7 +1132,7 @@ mod tests {
         }
         let third = Session::new(machine);
         third.import_trajectories(foreign);
-        let err = third.evaluate(&l, Model::Unified, free - 1).unwrap_err();
+        let err = third.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap_err();
         assert_eq!(err.loop_name, "chain8");
         assert!(
             err.to_string().contains("base checkpoint"),
@@ -1127,9 +1144,9 @@ mod tests {
     fn clear_cache_forces_rescheduling() {
         let session = Session::new(Machine::clustered(3, 1));
         let l = kernels::blas::dot();
-        session.analyze(&l, Model::Unified).unwrap();
+        session.analyze(&l, ModelId::UNIFIED).unwrap();
         session.clear_cache();
-        session.analyze(&l, Model::Unified).unwrap();
+        session.analyze(&l, ModelId::UNIFIED).unwrap();
         assert_eq!(session.cache_stats().misses, 2);
     }
 
@@ -1147,7 +1164,7 @@ mod tests {
         .unwrap();
         let session = Session::new(no_adder);
         let l = kernels::blas::daxpy();
-        let err = session.analyze(&l, Model::Unified).unwrap_err();
+        let err = session.analyze(&l, ModelId::UNIFIED).unwrap_err();
         assert_eq!(err.loop_name, "daxpy");
         assert!(matches!(err.stage, PipelineStage::Schedule(_)));
     }

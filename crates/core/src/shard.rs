@@ -15,14 +15,14 @@
 //! to an unsharded run, including after a JSON round trip.
 //!
 //! ```
-//! use ncdrf::{Model, Sweep, SweepShard};
+//! use ncdrf::{Sweep, SweepShard, PAPER_MODELS};
 //! use ncdrf::corpus::Corpus;
 //!
 //! # fn main() -> Result<(), ncdrf::PipelineError> {
 //! let corpus = Corpus::small().take(6);
 //! let sweep = Sweep::new(&corpus)
 //!     .clustered_latencies([3])
-//!     .models(Model::all())
+//!     .models(PAPER_MODELS)
 //!     .budget(32);
 //! // Run the grid as three shards (in one process here; `shard_runner`
 //! // does the same across processes via JSON files)...

@@ -2,10 +2,9 @@
 //! machine grid × model set × budget set, backed by per-machine
 //! [`Session`] caches.
 //!
-//! One `Sweep` replaces the positional-argument drivers that used to
-//! reproduce the paper's tables and figures (`table1`, `figures_6_7`,
-//! `figures_8_9`): every `(machine, loop)` pair is scheduled exactly once
-//! no matter how many models or budgets are evaluated on it.
+//! One `Sweep` reproduces any of the paper's tables and figures: every
+//! `(machine, loop)` pair is scheduled exactly once no matter how many
+//! models or budgets are evaluated on it.
 //!
 //! Execution is handled by the [`ncdrf_exec`] subsystem: [`Sweep::run`]
 //! flattens the whole grid into `(machine, loop)` cells and serves them
@@ -15,7 +14,7 @@
 //! one failing pair is reported by name instead of discarding the rest.
 //!
 //! ```
-//! use ncdrf::{Model, Sweep, Render, ReportFormat};
+//! use ncdrf::{Render, ReportFormat, Sweep, PAPER_MODELS};
 //! use ncdrf::corpus::Corpus;
 //! use ncdrf::machine::Machine;
 //!
@@ -24,7 +23,7 @@
 //! // Figures 8/9, one configuration: four models, 32 registers.
 //! let report = Sweep::new(&corpus)
 //!     .machine(Machine::clustered(3, 1))
-//!     .models(Model::all())
+//!     .models(PAPER_MODELS)
 //!     .budget(32)
 //!     .run()?;
 //! assert_eq!(report.outcomes.len(), 4);
@@ -37,7 +36,7 @@ use crate::artifact::ArtifactError;
 use crate::certify::{CellCertifier, CellFault};
 use crate::distribution::{Cumulative, Observation, TABLE1_POINTS};
 use crate::experiment::{relative_performance, BudgetOutcome, DistributionCurve, Table1Row};
-use crate::model::{Model, ModelId};
+use crate::model::{ModelId, PAPER_MODELS};
 use crate::pipeline::{ConfigError, LoopAnalysis, LoopEval, PipelineError, PipelineOptions};
 use crate::session::{CacheStats, Session, TrajectoryExport};
 use crate::shard::{CellTrajectory, ShardCell, ShardRole};
@@ -80,7 +79,7 @@ impl<'c> Sweep<'c> {
         Sweep {
             corpus,
             machines: Vec::new(),
-            models: Model::all().map(ModelId::from).to_vec(),
+            models: PAPER_MODELS.to_vec(),
             points: Vec::new(),
             budgets: Vec::new(),
             opts: PipelineOptions::default(),
@@ -121,14 +120,9 @@ impl<'c> Sweep<'c> {
     }
 
     /// Replaces the model set (default: the paper's four, in presentation
-    /// order). Accepts [`ModelId`]s and legacy [`Model`] variants alike —
-    /// any registered model drops into the same grid machinery.
-    pub fn models<I>(mut self, models: I) -> Self
-    where
-        I: IntoIterator,
-        I::Item: Into<ModelId>,
-    {
-        self.models = models.into_iter().map(Into::into).collect();
+    /// order). Any registered model drops into the same grid machinery.
+    pub fn models<I: IntoIterator<Item = ModelId>>(mut self, models: I) -> Self {
+        self.models = models.into_iter().collect();
         self
     }
 
@@ -1160,6 +1154,7 @@ fn curve_from_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::PAPER_FINITE_MODELS;
 
     fn tiny() -> Corpus {
         Corpus::small().take(10)
@@ -1236,7 +1231,7 @@ mod tests {
         let recipe = |certifier: Arc<dyn CellCertifier>| {
             Sweep::new(&corpus)
                 .clustered_latencies([3])
-                .models(Model::finite())
+                .models(PAPER_FINITE_MODELS)
                 .points([16, 32])
                 .budgets([16])
                 .certify(certifier)
@@ -1274,7 +1269,7 @@ mod tests {
         let corpus = tiny();
         let report = Sweep::new(&corpus)
             .clustered_latencies([3, 6])
-            .models(Model::finite())
+            .models(PAPER_FINITE_MODELS)
             .points([16, 32])
             .run()
             .unwrap();
@@ -1291,7 +1286,7 @@ mod tests {
         let corpus = tiny();
         let report = Sweep::new(&corpus)
             .machine(Machine::clustered(3, 1))
-            .models(Model::all())
+            .models(PAPER_MODELS)
             .points([16, 32, 64])
             .budgets([32, 64])
             .run()
@@ -1308,7 +1303,7 @@ mod tests {
         let corpus = tiny();
         let report = Sweep::new(&corpus)
             .pxly_configs([(1, 3), (2, 6)])
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .points(TABLE1_POINTS)
             .run()
             .unwrap();
@@ -1327,12 +1322,12 @@ mod tests {
         let corpus = tiny();
         let report = Sweep::new(&corpus)
             .machine(Machine::clustered(6, 1))
-            .models([Model::Swapped, Model::Ideal])
+            .models([ModelId::SWAPPED, ModelId::IDEAL])
             .budget(16)
             .run()
             .unwrap();
-        assert_eq!(report.outcomes[0].model, Model::Swapped);
-        assert_eq!(report.outcomes[1].model, Model::Ideal);
+        assert_eq!(report.outcomes[0].model, ModelId::SWAPPED);
+        assert_eq!(report.outcomes[1].model, ModelId::IDEAL);
         assert_eq!(report.outcomes[1].relative_performance, 1.0);
         assert!(report.outcomes[0].relative_performance <= 1.0 + 1e-12);
     }
@@ -1342,7 +1337,7 @@ mod tests {
         let corpus = tiny();
         let report = Sweep::new(&corpus)
             .machine(Machine::clustered(6, 1))
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .budget(12)
             .run()
             .unwrap();
@@ -1409,7 +1404,7 @@ mod tests {
         let corpus = Corpus::from_loops("mul-only", vec![kernels::blas::vscale()]);
         let partial = Sweep::new(&corpus)
             .machines([no_mul, Machine::clustered(3, 1)])
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .points([16])
             .budget(16)
             .run_partial();
@@ -1447,7 +1442,7 @@ mod tests {
         );
         let sweep = Sweep::new(&corpus)
             .machine(no_mul)
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .budget(16)
             .workers(1);
         let (_sessions, per_machine) = sweep.run_grid(true);
@@ -1467,7 +1462,7 @@ mod tests {
         let corpus = tiny();
         let report = Sweep::new(&corpus)
             .pxly_configs([(1, 3)])
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .points(TABLE1_POINTS)
             .run()
             .unwrap();
@@ -1488,7 +1483,7 @@ mod tests {
         let corpus = tiny();
         let sweep = Sweep::new(&corpus)
             .clustered_latencies([3, 6])
-            .models(Model::all())
+            .models(PAPER_MODELS)
             .points([16, 32])
             .budgets([16, 48])
             .workers(4);
@@ -1523,7 +1518,7 @@ mod tests {
         );
         let sweep = Sweep::new(&corpus)
             .machines([no_mul, Machine::clustered(3, 1)])
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .points([16, 64])
             .budget(16);
 
@@ -1545,7 +1540,7 @@ mod tests {
         assert_eq!(clustered.len(), 1);
         let seq = Sweep::new(&corpus)
             .machine(Machine::clustered(3, 1))
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .points([16, 64])
             .budget(16)
             .run_sequential()
@@ -1571,7 +1566,7 @@ mod tests {
         let corpus = tiny();
         let err = Sweep::new(&corpus)
             .machine(no_adder)
-            .models([Model::Unified])
+            .models([ModelId::UNIFIED])
             .points([16])
             .run()
             .unwrap_err();

@@ -19,7 +19,7 @@
 //! artifact (certify-mode farms only), 429 queue full.
 
 use crate::farm::{Farm, FarmError, JobStatus};
-use crate::json::{error_body, json_array, JsonObject};
+use ncdrf::json::{json_array, JsonObject};
 use ncdrf::CacheStats;
 
 fn scheduling_json(stats: &CacheStats) -> String {
@@ -46,6 +46,13 @@ fn status_json(s: &JobStatus) -> String {
     if let Some(stats) = &s.scheduling {
         o.raw("scheduling", &scheduling_json(stats));
     }
+    o.finish()
+}
+
+/// A `{"error": "..."}` body.
+fn error_body(message: &str) -> String {
+    let mut o = JsonObject::new();
+    o.string("error", message);
     o.finish()
 }
 

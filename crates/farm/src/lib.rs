@@ -42,7 +42,6 @@ pub mod api;
 pub mod clock;
 mod farm;
 pub mod http;
-mod json;
 pub mod worker;
 
 pub use clock::Clock;

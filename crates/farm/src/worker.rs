@@ -8,7 +8,7 @@
 //! vendored JSON stand-in parses integers exactly and never re-renders
 //! floats.
 
-use crate::json::{json_array, json_escape, u64_array, JsonObject};
+use ncdrf::json::{json_array, json_string, JsonObject};
 use ncdrf::{GridSignature, Provenance, Render, ReportFormat, Sweep, SweepShard};
 use ncdrf_exec::Pool;
 use std::sync::Arc;
@@ -42,8 +42,11 @@ impl LeaseOffer {
         let mut o = JsonObject::new();
         o.integer("lease", u128::from(self.lease));
         o.string("job", &self.job);
-        o.raw("tasks", &u64_array(&self.tasks));
-        o.raw("faults", &u64_array(&self.faults));
+        o.raw("tasks", &json_array(self.tasks.iter().map(u64::to_string)));
+        o.raw(
+            "faults",
+            &json_array(self.faults.iter().map(u64::to_string)),
+        );
         o.boolean("persist", self.persist);
         o.integer("deadline", u128::from(self.deadline));
         o.string("signature", &ncdrf::render_grid_signature(&self.signature));
@@ -52,7 +55,7 @@ impl LeaseOffer {
             &json_array(
                 self.seeds
                     .iter()
-                    .map(|s| format!("\"{}\"", json_escape(&s.render(ReportFormat::Json)))),
+                    .map(|s| json_string(&s.render(ReportFormat::Json))),
             ),
         );
         o.finish()

@@ -5,7 +5,7 @@
 
 use ncdrf::corpus::Corpus;
 use ncdrf::machine::Machine;
-use ncdrf::{Cumulative, Model, Observation, Session};
+use ncdrf::{Cumulative, ModelId, Observation, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let standard = std::env::args().any(|a| a == "--standard");
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let session = Session::new(Machine::clustered(3, 1));
-    let rows = session.analyze_corpus(&corpus, Model::Unified)?;
+    let rows = session.analyze_corpus(&corpus, ModelId::UNIFIED)?;
 
     // Static distribution of register requirements.
     let obs: Vec<Observation> = rows

@@ -8,7 +8,7 @@ use ncdrf::corpus::kernels;
 use ncdrf::machine::Machine;
 use ncdrf::regalloc::allocate_unified;
 use ncdrf::vliw::{check_equivalence, Binding};
-use ncdrf::{Model, Session};
+use ncdrf::{Session, PAPER_MODELS};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Livermore "hydro fragment": x[k] = q + y[k]*(r*z[k+10] + t*z[k+11]).
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A session schedules each loop once; the four models share the run.
     let session = Session::new(machine.clone());
     println!("{:<14} {:>4} {:>6}", "model", "II", "regs");
-    for model in Model::all() {
+    for model in PAPER_MODELS {
         let a = session.analyze(&l, model)?;
         println!("{:<14} {:>4} {:>6}", model.to_string(), a.ii, a.regs);
     }

@@ -6,13 +6,13 @@
 
 use ncdrf::corpus::kernels;
 use ncdrf::machine::Machine;
-use ncdrf::{Model, Session};
+use ncdrf::{ModelId, Session, PAPER_FINITE_MODELS};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let l = kernels::livermore::state(); // a wide 16-op loop
     let session = Session::new(Machine::clustered(6, 1));
 
-    let free = session.analyze(&l, Model::Unified)?;
+    let free = session.analyze(&l, ModelId::UNIFIED)?;
     println!(
         "loop `{}`: II {} with unlimited registers, unified requirement {}\n",
         l.name(),
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<12} {:>6} {:>4} {:>7} {:>8} {:>9}",
         "model", "budget", "II", "spills", "mem ops", "density"
     );
-    for model in Model::finite() {
+    for model in PAPER_FINITE_MODELS {
         for budget in [64, 32, 24, 16, 12] {
             let e = session.evaluate(&l, model, budget)?;
             println!(

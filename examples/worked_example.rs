@@ -9,7 +9,7 @@ use ncdrf::machine::Machine;
 use ncdrf::regalloc::{allocate_dual, allocate_unified, classify, lifetimes, DualPressure};
 use ncdrf::sched::{KernelView, ScheduleTable};
 use ncdrf::swap::swap_pass;
-use ncdrf::{Model, Session};
+use ncdrf::{Session, PAPER_MODELS};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 2: L1=x[i]; L2=y[i]; M3=L1*r; A4=M3+L2; M5=A4*t; A6=M5+L1;
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // schedule is computed once and shared by all four models).
     println!("\nmodel comparison on this loop:");
     let session = Session::new(machine);
-    for model in Model::all() {
+    for model in PAPER_MODELS {
         let a = session.analyze(&l, model)?;
         println!("  {:<12} II {} regs {}", model.to_string(), a.ii, a.regs);
     }

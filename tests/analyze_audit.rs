@@ -20,7 +20,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn small_sweep(corpus: &Corpus) -> Sweep<'_> {
     Sweep::new(corpus)
         .clustered_latencies([3])
-        .models([ncdrf::Model::Unified, ncdrf::Model::Partitioned])
+        .models([ncdrf::ModelId::UNIFIED, ncdrf::ModelId::PARTITIONED])
         .budget(32)
 }
 

@@ -5,9 +5,9 @@
 //! coordinates*, not just by exit code.
 
 use ncdrf::corpus::Corpus;
+use ncdrf::json::{json_array, json_string, JsonObject};
 use ncdrf::{Render, ReportFormat};
 use ncdrf_analyze::certify::{certify_artifact_dir, certify_golden};
-use ncdrf_analyze::emit::{json_array, json_string, JsonObject};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {

@@ -50,7 +50,7 @@ fn seeded_violations_fail_the_tree() {
     );
     // float-format: a float spec inside a JSON-building literal.
     plant(
-        "crates/farm/src/json.rs",
+        "crates/core/src/json.rs",
         "pub fn mean(v: f64) -> String { format!(\"\\\"mean\\\":{:.6}\", v) }\n",
     );
     // daemon-unwrap: a panic path in request handling.
@@ -86,7 +86,7 @@ fn seeded_violations_fail_the_tree() {
         "{findings:?}"
     );
     assert!(
-        has("float-format", "crates/farm/src/json.rs"),
+        has("float-format", "crates/core/src/json.rs"),
         "{findings:?}"
     );
     assert!(

@@ -22,7 +22,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn one_shard(corpus: &Corpus) -> SweepShard {
     Sweep::new(corpus)
         .clustered_latencies([3])
-        .models([ncdrf::Model::Unified])
+        .models([ncdrf::ModelId::UNIFIED])
         .budget(32)
         .shard(0, 1)
         .expect("shard evaluates")

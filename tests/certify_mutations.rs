@@ -5,7 +5,7 @@
 
 use ncdrf::corpus::{kernels, Corpus};
 use ncdrf::machine::Machine;
-use ncdrf::{Model, ModelId, Session};
+use ncdrf::{ModelId, Session, PAPER_MODELS};
 use ncdrf_certify::{certify_eval, certify_schedule, ScheduleCertifier};
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ fn sessions_certify_clean_and_unchanged() {
         let plain = Session::new(machine.clone());
         let certified = certifying_session(machine);
         for l in Corpus::small().take(10).iter() {
-            for model in Model::all() {
+            for model in PAPER_MODELS {
                 let a = certified.analyze(l, model).unwrap();
                 assert_eq!(a, plain.analyze(l, model).unwrap());
                 for budget in [64, 16, 8] {
@@ -157,7 +157,7 @@ fn understated_requirement_is_rejected() {
     let machine = Machine::clustered(6, 1);
     let l = kernels::recurrences::chain8();
     let session = Session::new(machine.clone());
-    let honest = session.analyze(&l, Model::Unified).unwrap();
+    let honest = session.analyze(&l, ModelId::UNIFIED).unwrap();
     assert!(honest.regs > 1);
     let base = session.base(&l).unwrap();
 
@@ -187,7 +187,7 @@ fn dropped_reload_is_rejected_as_spill_shape() {
     let machine = Machine::clustered(6, 1);
     let l = kernels::recurrences::chain8();
     let honest = Session::new(machine.clone())
-        .analyze(&l, Model::Unified)
+        .analyze(&l, ModelId::UNIFIED)
         .unwrap();
     let mut req = requirement_unified;
     let r = spill_until_fits(
@@ -313,7 +313,7 @@ fn inconsistent_eval_scalars_are_rejected() {
     let l = kernels::blas::daxpy();
     let session = Session::new(machine.clone());
     let base = session.base(&l).unwrap();
-    let honest = session.evaluate(&l, Model::Unified, 64).unwrap();
+    let honest = session.evaluate(&l, ModelId::UNIFIED, 64).unwrap();
     assert!(honest.fits);
 
     let mut lying = honest.clone();

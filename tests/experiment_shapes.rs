@@ -3,7 +3,7 @@
 //! through the `Sweep` API.
 
 use ncdrf::corpus::Corpus;
-use ncdrf::{Model, Sweep, TABLE1_POINTS};
+use ncdrf::{ModelId, Sweep, PAPER_FINITE_MODELS, PAPER_MODELS, TABLE1_POINTS};
 
 fn corpus() -> Corpus {
     Corpus::small()
@@ -14,12 +14,18 @@ fn table1_pressure_grows_with_latency_and_width() {
     let c = corpus().take(70);
     let rows = Sweep::new(&c)
         .pxly_configs([(1, 3), (2, 3), (1, 6), (2, 6)])
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .points(TABLE1_POINTS)
         .run()
         .unwrap()
         .table1();
     assert_eq!(rows.len(), 4);
+    for row in &rows {
+        // Monotone in the register budget: a loop that fits in 16
+        // registers fits in 32 and 64.
+        assert!(row.loops_within[0] <= row.loops_within[1], "{}", row.config);
+        assert!(row.loops_within[1] <= row.loops_within[2], "{}", row.config);
+    }
     let at32 = |name: &str| rows.iter().find(|r| r.config == name).unwrap().loops_within[1];
     // More latency -> fewer loops fit in 32 registers. (Width alone may
     // not hurt on a small corpus, but latency reliably does — the paper's
@@ -35,21 +41,21 @@ fn figures_6_7_model_ordering_holds_pointwise() {
     let c = corpus();
     let report = Sweep::new(&c)
         .clustered_latencies([3, 6])
-        .models(Model::finite())
+        .models(PAPER_FINITE_MODELS)
         .points(points)
         .run()
         .unwrap();
     for lat in [3, 6] {
-        let get = |m: Model| {
+        let get = |m: ModelId| {
             report
                 .distributions
                 .iter()
                 .find(|c| c.model == m && c.latency == lat)
                 .unwrap()
         };
-        let uni = get(Model::Unified);
-        let part = get(Model::Partitioned);
-        let swap = get(Model::Swapped);
+        let uni = get(ModelId::UNIFIED);
+        let part = get(ModelId::PARTITIONED);
+        let swap = get(ModelId::SWAPPED);
         for (i, &point) in points.iter().enumerate() {
             // Partitioned dominates unified (its requirement is <=).
             assert!(
@@ -78,11 +84,11 @@ fn figure_8_shape_with_64_registers() {
     let c = corpus().take(70);
     let report = Sweep::new(&c)
         .clustered_latencies([6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budget(64)
         .run()
         .unwrap();
-    let perf = |m: Model| {
+    let perf = |m: ModelId| {
         report
             .outcomes
             .iter()
@@ -90,10 +96,10 @@ fn figure_8_shape_with_64_registers() {
             .unwrap()
             .relative_performance
     };
-    assert_eq!(perf(Model::Ideal), 1.0);
-    assert!(perf(Model::Partitioned) >= perf(Model::Unified));
-    assert!(perf(Model::Swapped) >= perf(Model::Unified));
-    assert!(perf(Model::Partitioned) > 0.95, "dual ~ ideal at 64 regs");
+    assert_eq!(perf(ModelId::IDEAL), 1.0);
+    assert!(perf(ModelId::PARTITIONED) >= perf(ModelId::UNIFIED));
+    assert!(perf(ModelId::SWAPPED) >= perf(ModelId::UNIFIED));
+    assert!(perf(ModelId::PARTITIONED) > 0.95, "dual ~ ideal at 64 regs");
 }
 
 #[test]
@@ -103,15 +109,24 @@ fn figure_8_shape_with_32_registers() {
     let c = corpus().take(70);
     let report = Sweep::new(&c)
         .clustered_latencies([6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budget(32)
         .run()
         .unwrap();
-    let get = |m: Model| report.outcomes.iter().find(|o| o.model == m).unwrap();
+    let get = |m: ModelId| report.outcomes.iter().find(|o| o.model == m).unwrap();
+    // The ideal model is the upper bound: every model's relative
+    // performance is at most 1 and no model runs in fewer cycles.
+    let ideal = get(ModelId::IDEAL);
+    assert_eq!(ideal.relative_performance, 1.0);
+    for o in &report.outcomes {
+        assert!(o.relative_performance <= 1.0 + 1e-12, "{}", o.model);
+        assert!(o.cycles >= ideal.cycles, "{}", o.model);
+    }
     assert!(
-        get(Model::Partitioned).relative_performance >= get(Model::Unified).relative_performance
+        get(ModelId::PARTITIONED).relative_performance
+            >= get(ModelId::UNIFIED).relative_performance
     );
-    assert!(get(Model::Unified).loops_spilled >= get(Model::Partitioned).loops_spilled);
+    assert!(get(ModelId::UNIFIED).loops_spilled >= get(ModelId::PARTITIONED).loops_spilled);
 }
 
 #[test]
@@ -119,11 +134,11 @@ fn figure_9_dual_models_reduce_traffic_density() {
     let c = corpus().take(70);
     let report = Sweep::new(&c)
         .clustered_latencies([3])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budget(32)
         .run()
         .unwrap();
-    let density = |m: Model| {
+    let density = |m: ModelId| {
         report
             .outcomes
             .iter()
@@ -133,10 +148,10 @@ fn figure_9_dual_models_reduce_traffic_density() {
     };
     // Less spill code -> lower density of memory traffic (L3/R32 panel;
     // the paper's exception is L6/R32 where all models converge).
-    assert!(density(Model::Partitioned) <= density(Model::Unified) + 1e-9);
-    assert!(density(Model::Swapped) <= density(Model::Unified) + 1e-9);
+    assert!(density(ModelId::PARTITIONED) <= density(ModelId::UNIFIED) + 1e-9);
+    assert!(density(ModelId::SWAPPED) <= density(ModelId::UNIFIED) + 1e-9);
     // And nobody goes below the no-spill floor of the ideal model.
-    assert!(density(Model::Partitioned) >= density(Model::Ideal) - 1e-9);
+    assert!(density(ModelId::PARTITIONED) >= density(ModelId::IDEAL) - 1e-9);
 }
 
 #[test]
@@ -146,7 +161,7 @@ fn grid_sweep_amortizes_scheduling() {
     let c = corpus().take(30);
     let report = Sweep::new(&c)
         .clustered_latencies([3, 6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budgets([32, 64])
         .run()
         .unwrap();

@@ -173,7 +173,7 @@ fn executor_oracle_catches_undersized_file() {
 #[test]
 fn spill_failure_at_one_budget_does_not_poison_the_trajectory_cache() {
     use ncdrf::spill::{requirement_unified, SpillOptions, SpillTrajectory};
-    use ncdrf::{evaluate, Model, PipelineOptions, PipelineStage, Session};
+    use ncdrf::{evaluate, ModelId, PipelineOptions, PipelineStage, Session};
 
     let l = kernels::blas::axpby();
     let machine = Machine::clustered(6, 1);
@@ -217,16 +217,16 @@ fn spill_failure_at_one_budget_does_not_poison_the_trajectory_cache() {
     let session = Session::new(machine.clone()).options(opts);
 
     // Healthy prefix first; then the poisoned budget fails...
-    let before = session.evaluate(&l, Model::Unified, good).unwrap();
+    let before = session.evaluate(&l, ModelId::UNIFIED, good).unwrap();
     assert_eq!(
         before,
-        evaluate(&l, &machine, Model::Unified, good, &opts).unwrap()
+        evaluate(&l, &machine, ModelId::UNIFIED, good, &opts).unwrap()
     );
-    let err = session.evaluate(&l, Model::Unified, bad).unwrap_err();
+    let err = session.evaluate(&l, ModelId::UNIFIED, bad).unwrap_err();
     assert_eq!(err.loop_name, l.name());
     assert!(matches!(err.stage, PipelineStage::Spill(_)), "{err}");
     // ...exactly like the uncached pipeline fails.
-    let fresh_err = evaluate(&l, &machine, Model::Unified, bad, &opts).unwrap_err();
+    let fresh_err = evaluate(&l, &machine, ModelId::UNIFIED, bad, &opts).unwrap_err();
     assert_eq!(
         err, fresh_err,
         "the injected fault must be path-independent"
@@ -235,20 +235,23 @@ fn spill_failure_at_one_budget_does_not_poison_the_trajectory_cache() {
     // The committed prefix still serves its budgets, bit-identically,
     // and as a cache *hit* (nothing was recomputed, nothing discarded).
     let hits_before = session.cache_stats().traj_hits;
-    let after = session.evaluate(&l, Model::Unified, good).unwrap();
+    let after = session.evaluate(&l, ModelId::UNIFIED, good).unwrap();
     assert_eq!(after, before);
     assert_eq!(session.cache_stats().traj_hits, hits_before + 1);
 
     // Other models are untouched by the unified failure...
     let other = session
-        .evaluate(&l, Model::Partitioned, cps[0].regs)
+        .evaluate(&l, ModelId::PARTITIONED, cps[0].regs)
         .unwrap();
     assert_eq!(
         other,
-        evaluate(&l, &machine, Model::Partitioned, cps[0].regs, &opts).unwrap()
+        evaluate(&l, &machine, ModelId::PARTITIONED, cps[0].regs, &opts).unwrap()
     );
     // ...and the failure stays deterministic on retry.
-    assert_eq!(session.evaluate(&l, Model::Unified, bad).unwrap_err(), err);
+    assert_eq!(
+        session.evaluate(&l, ModelId::UNIFIED, bad).unwrap_err(),
+        err
+    );
 }
 
 /// The heal pipeline end to end, in process: a 4-way sharded run with
@@ -262,12 +265,14 @@ fn spill_failure_at_one_budget_does_not_poison_the_trajectory_cache() {
 #[test]
 fn injected_cell_failures_heal_to_the_sequential_reference() {
     use ncdrf::corpus::Corpus;
-    use ncdrf::{parse_sweep_shard, Model, Render, ReportFormat, ShardRole, Sweep, SweepShard};
+    use ncdrf::{
+        parse_sweep_shard, Render, ReportFormat, ShardRole, Sweep, SweepShard, PAPER_MODELS,
+    };
 
     let corpus = Corpus::small().take(8);
     let sweep = Sweep::new(&corpus)
         .clustered_latencies([3, 6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .points([16, 32])
         .budgets([32, 12]);
     let seq = sweep.run_sequential().unwrap();
@@ -358,7 +363,7 @@ fn injected_cell_failures_heal_to_the_sequential_reference() {
 #[test]
 fn reissue_at_a_smaller_budget_resumes_persisted_trajectories() {
     use ncdrf::corpus::Corpus;
-    use ncdrf::{parse_sweep_shard, Model, Render, ReportFormat, Session, Sweep, SweepShard};
+    use ncdrf::{parse_sweep_shard, ModelId, Render, ReportFormat, Session, Sweep, SweepShard};
 
     let corpus = Corpus::from_loops(
         "pressured",
@@ -372,7 +377,7 @@ fn reissue_at_a_smaller_budget_resumes_persisted_trajectories() {
         .iter()
         .map(|l| {
             Session::new(machine.clone())
-                .analyze(l, Model::Unified)
+                .analyze(l, ModelId::UNIFIED)
                 .unwrap()
                 .regs
         })
@@ -384,7 +389,7 @@ fn reissue_at_a_smaller_budget_resumes_persisted_trajectories() {
     // into the artifact (and through its JSON round trip).
     let first = Sweep::new(&corpus)
         .machine(machine.clone())
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(free - 1)
         .persist_trajectories(true);
     let artifact = first.shard(0, 1).unwrap();
@@ -399,7 +404,7 @@ fn reissue_at_a_smaller_budget_resumes_persisted_trajectories() {
     // the whole grid, seeding from the first artifact.
     let deeper = Sweep::new(&corpus)
         .machine(machine.clone())
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(4);
     let seq = deeper.run_sequential().unwrap();
     let every_cell: Vec<u64> = (0..corpus.len() as u64).collect();
@@ -428,7 +433,7 @@ fn reissue_at_a_smaller_budget_resumes_persisted_trajectories() {
     // record alone: zero spill steps, pure trajectory hits.
     let replay = Sweep::new(&corpus)
         .machine(machine)
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(free - 1);
     let served = replay.reissue(&every_cell, &[artifact]).unwrap();
     assert_eq!(

@@ -16,7 +16,10 @@
 //! and review the fixture diff like any other code change.
 
 use ncdrf::corpus::Corpus;
-use ncdrf::{default_points, Model, Render, ReportFormat, Sweep, SweepReport, TABLE1_POINTS};
+use ncdrf::{
+    default_points, ModelId, Render, ReportFormat, Sweep, SweepReport, PAPER_FINITE_MODELS,
+    PAPER_MODELS, TABLE1_POINTS,
+};
 use std::path::PathBuf;
 
 /// The corpus slice the fixtures pin. Small enough to keep artifacts
@@ -59,7 +62,7 @@ fn assert_golden(name: &str, rendered: &str) {
 fn fig67_report(corpus: &Corpus) -> SweepReport {
     Sweep::new(corpus)
         .clustered_latencies([3, 6])
-        .models(Model::finite())
+        .models(PAPER_FINITE_MODELS)
         .points(default_points())
         .run_sequential()
         .unwrap()
@@ -71,7 +74,7 @@ fn fig67_report(corpus: &Corpus) -> SweepReport {
 fn fig89_report(corpus: &Corpus) -> SweepReport {
     Sweep::new(corpus)
         .clustered_latencies([3, 6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budgets([64, 48, 32, 16])
         .run_sequential()
         .unwrap()
@@ -81,7 +84,7 @@ fn fig89_report(corpus: &Corpus) -> SweepReport {
 fn table1_report(corpus: &Corpus) -> SweepReport {
     Sweep::new(corpus)
         .pxly_configs([(1, 3), (2, 3), (1, 6), (2, 6)])
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .points(TABLE1_POINTS)
         .run_sequential()
         .unwrap()

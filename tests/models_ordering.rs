@@ -5,15 +5,15 @@
 
 use ncdrf::corpus::Corpus;
 use ncdrf::machine::Machine;
-use ncdrf::{Model, Session};
+use ncdrf::{ModelId, Session};
 
 #[test]
 fn partitioned_never_needs_more_than_unified() {
     for lat in [3, 6] {
         let session = Session::new(Machine::clustered(lat, 1));
         for l in Corpus::small().take(80).iter() {
-            let uni = session.analyze(l, Model::Unified).unwrap();
-            let part = session.analyze(l, Model::Partitioned).unwrap();
+            let uni = session.analyze(l, ModelId::UNIFIED).unwrap();
+            let part = session.analyze(l, ModelId::PARTITIONED).unwrap();
             assert!(
                 part.regs <= uni.regs,
                 "{} (L{lat}): partitioned {} > unified {}",
@@ -34,8 +34,8 @@ fn partitioning_improves_a_substantial_fraction() {
     let mut improved = 0;
     let mut total = 0;
     for l in corpus.iter() {
-        let uni = session.analyze(l, Model::Unified).unwrap();
-        let part = session.analyze(l, Model::Partitioned).unwrap();
+        let uni = session.analyze(l, ModelId::UNIFIED).unwrap();
+        let part = session.analyze(l, ModelId::PARTITIONED).unwrap();
         total += 1;
         improved += usize::from(part.regs < uni.regs);
     }
@@ -52,8 +52,8 @@ fn swapping_helps_in_aggregate() {
     let mut part_sum = 0u64;
     let mut swap_sum = 0u64;
     for l in corpus.iter() {
-        part_sum += session.analyze(l, Model::Partitioned).unwrap().regs as u64;
-        swap_sum += session.analyze(l, Model::Swapped).unwrap().regs as u64;
+        part_sum += session.analyze(l, ModelId::PARTITIONED).unwrap().regs as u64;
+        swap_sum += session.analyze(l, ModelId::SWAPPED).unwrap().regs as u64;
     }
     assert!(
         swap_sum <= part_sum,
@@ -75,7 +75,7 @@ fn latency_increases_register_pressure() {
         let session = Session::new(machine);
         corpus
             .iter()
-            .map(|l| session.analyze(l, Model::Unified).unwrap().regs as u64)
+            .map(|l| session.analyze(l, ModelId::UNIFIED).unwrap().regs as u64)
             .sum()
     };
     assert!(sum(Machine::clustered(6, 1)) > sum(Machine::clustered(3, 1)));
@@ -85,7 +85,7 @@ fn latency_increases_register_pressure() {
 fn dual_pressure_bounds_are_consistent() {
     let session = Session::new(Machine::clustered(3, 1));
     for l in Corpus::small().take(60).iter() {
-        let a = session.analyze(l, Model::Partitioned).unwrap();
+        let a = session.analyze(l, ModelId::PARTITIONED).unwrap();
         let p = a.pressure.unwrap();
         // Subfile totals dominate their parts and bound the allocation.
         assert!(p.left_total >= p.global.max(p.left));

@@ -7,7 +7,8 @@ use ncdrf::corpus::Corpus;
 use ncdrf::machine::Machine;
 use ncdrf::{
     parse_sweep_report, shard_tasks, BudgetOutcome, CacheStats, Cumulative, DistributionCurve,
-    Model, PartialSweep, PipelineError, Render, ReportFormat, Sweep, SweepReport, SweepShard,
+    ModelId, PartialSweep, PipelineError, Render, ReportFormat, Sweep, SweepReport, SweepShard,
+    PAPER_MODELS,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -38,7 +39,7 @@ fn synth_curve(state: &mut u64) -> DistributionCurve {
         |state: &mut u64| -> Vec<f64> { points.iter().map(|_| mix_f64(state)).collect() };
     DistributionCurve {
         config: format!("M{}", mix(state) % 10),
-        model: Model::all()[(mix(state) % 4) as usize].into(),
+        model: PAPER_MODELS[(mix(state) % 4) as usize],
         latency: (mix(state) % 9) as u32,
         static_dist: Cumulative {
             points: points.clone(),
@@ -54,7 +55,7 @@ fn synth_curve(state: &mut u64) -> DistributionCurve {
 fn synth_outcome(state: &mut u64) -> BudgetOutcome {
     BudgetOutcome {
         config: format!("M{}", mix(state) % 10),
-        model: Model::all()[(mix(state) % 4) as usize].into(),
+        model: PAPER_MODELS[(mix(state) % 4) as usize],
         latency: (mix(state) % 9) as u32,
         registers: (mix(state) % 128) as u32,
         // Deliberately beyond 2^53: exact only if the JSON backend never
@@ -101,7 +102,7 @@ fn shard_fixture() -> &'static (Vec<SweepShard>, PartialSweep) {
         let corpus = Corpus::small().take(6);
         let sweep = Sweep::new(&corpus)
             .machines([Machine::clustered(3, 1), Machine::clustered(6, 1)])
-            .models([Model::Unified, Model::Swapped])
+            .models([ModelId::UNIFIED, ModelId::SWAPPED])
             .points([16, 32])
             .budget(16);
         let shards: Vec<SweepShard> = (0..4).map(|i| sweep.shard(i, 4).unwrap()).collect();

@@ -199,12 +199,12 @@ proptest! {
         let session = ncdrf::Session::new(machine.clone());
         let before: Vec<_> = [48u32, 16, 6]
             .iter()
-            .map(|&b| session.evaluate(&l, ncdrf::Model::Unified, b).unwrap())
+            .map(|&b| session.evaluate(&l, ncdrf::ModelId::UNIFIED, b).unwrap())
             .collect();
         session.clear_cache();
         let after: Vec<_> = [48u32, 16, 6]
             .iter()
-            .map(|&b| session.evaluate(&l, ncdrf::Model::Unified, b).unwrap())
+            .map(|&b| session.evaluate(&l, ncdrf::ModelId::UNIFIED, b).unwrap())
             .collect();
         prop_assert_eq!(before, after);
     }

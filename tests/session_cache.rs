@@ -6,7 +6,7 @@
 use ncdrf::corpus::kernels;
 use ncdrf::machine::Machine;
 use ncdrf::sched::modulo_schedule;
-use ncdrf::{analyze, evaluate, Model, PipelineOptions, Session};
+use ncdrf::{analyze, evaluate, ModelId, PipelineOptions, Session, PAPER_MODELS};
 
 #[test]
 fn cached_analysis_is_bit_identical_across_all_kernels() {
@@ -15,7 +15,7 @@ fn cached_analysis_is_bit_identical_across_all_kernels() {
         let machine = Machine::clustered(lat, 1);
         let session = Session::new(machine.clone()).options(opts);
         for l in kernels::all() {
-            for model in Model::all() {
+            for model in PAPER_MODELS {
                 let cached = session.analyze(&l, model).unwrap();
                 let fresh = analyze(&l, &machine, model, &opts).unwrap();
                 assert_eq!(cached, fresh, "{} under {model:?} at L{lat}", l.name());
@@ -30,7 +30,7 @@ fn cached_evaluation_is_bit_identical_across_all_kernels() {
     let machine = Machine::clustered(6, 1);
     let session = Session::new(machine.clone()).options(opts);
     for l in kernels::all() {
-        for model in Model::all() {
+        for model in PAPER_MODELS {
             for budget in [16, 64] {
                 let cached = session.evaluate(&l, model, budget).unwrap();
                 let fresh = evaluate(&l, &machine, model, budget, &opts).unwrap();
@@ -51,7 +51,7 @@ fn cache_identity_holds_with_non_default_scheduler_options() {
     let machine = Machine::clustered(6, 1);
     let session = Session::new(machine.clone()).options(opts);
     for l in kernels::all().into_iter().take(15) {
-        for model in Model::all() {
+        for model in PAPER_MODELS {
             let cached = session.analyze(&l, model).unwrap();
             let fresh = analyze(&l, &machine, model, &opts).unwrap();
             assert_eq!(cached, fresh, "{} under {model:?}", l.name());
@@ -80,7 +80,7 @@ fn repeated_swapped_analyses_pin_the_counters() {
     let l = kernels::livermore::hydro();
 
     // First swapped analysis: one scheduling run, no reuse yet.
-    session.analyze(&l, Model::Swapped).unwrap();
+    session.analyze(&l, ModelId::SWAPPED).unwrap();
     assert_eq!(
         session.cache_stats(),
         CacheStats {
@@ -94,7 +94,7 @@ fn repeated_swapped_analyses_pin_the_counters() {
     // and must count as a hit (it saves scheduling AND the swap pass);
     // before the fix these were invisible and reuse was under-reported.
     for round in 1..=3u64 {
-        session.analyze(&l, Model::Swapped).unwrap();
+        session.analyze(&l, ModelId::SWAPPED).unwrap();
         assert_eq!(
             session.cache_stats(),
             CacheStats {
@@ -108,7 +108,7 @@ fn repeated_swapped_analyses_pin_the_counters() {
     // A swapped evaluation whose requirement fits the budget touches the
     // swapped cache once more — still one scheduling run total, and no
     // spill trajectory is ever built for a fitting budget.
-    session.evaluate(&l, Model::Swapped, 512).unwrap();
+    session.evaluate(&l, ModelId::SWAPPED, 512).unwrap();
     assert_eq!(
         session.cache_stats(),
         CacheStats {
@@ -130,12 +130,12 @@ fn trajectory_counters_are_pinned_for_a_descending_ladder() {
     let machine = Machine::clustered(6, 1);
     let session = Session::new(machine.clone());
     let l = kernels::blas::axpby();
-    let free = session.analyze(&l, Model::Unified).unwrap().regs;
+    let free = session.analyze(&l, ModelId::UNIFIED).unwrap().regs;
     assert_eq!(session.cache_stats().misses, 1);
 
     // Budgets straddling the descent: free-1 forces spilling, 4 forces
     // a deep descent, free-1 again is a pure checkpoint hit.
-    let top = session.evaluate(&l, Model::Unified, free - 1).unwrap();
+    let top = session.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
     let stats = session.cache_stats();
     assert_eq!(
         (stats.traj_hits, stats.traj_resumes),
@@ -144,8 +144,8 @@ fn trajectory_counters_are_pinned_for_a_descending_ladder() {
     );
     assert_eq!(stats.spill_steps, top.spilled as u64);
 
-    let deep = session.evaluate(&l, Model::Unified, 4).unwrap();
-    let repeat = session.evaluate(&l, Model::Unified, free - 1).unwrap();
+    let deep = session.evaluate(&l, ModelId::UNIFIED, 4).unwrap();
+    let repeat = session.evaluate(&l, ModelId::UNIFIED, free - 1).unwrap();
     assert_eq!(repeat, top);
     let stats = session.cache_stats();
     assert_eq!(
@@ -170,7 +170,7 @@ fn schedule_cache_hits_across_models_and_budgets() {
     let session = Session::new(machine);
     let loops = kernels::all();
     for l in &loops {
-        for model in Model::all() {
+        for model in PAPER_MODELS {
             session.analyze(l, model).unwrap();
         }
     }
@@ -183,7 +183,7 @@ fn schedule_cache_hits_across_models_and_budgets() {
     assert!(after_analysis.hits >= 2 * loops.len() as u64);
 
     for l in &loops {
-        for model in Model::all() {
+        for model in PAPER_MODELS {
             for budget in [32, 64] {
                 session.evaluate(l, model, budget).unwrap();
             }

@@ -7,13 +7,14 @@
 use ncdrf::corpus::{kernels, Corpus};
 use ncdrf::machine::{FuClass, FuGroup, Machine};
 use ncdrf::{
-    parse_sweep_shard, ConfigError, Model, PipelineStage, Render, ReportFormat, Sweep, SweepShard,
+    parse_sweep_shard, ConfigError, ModelId, PipelineStage, Render, ReportFormat, Sweep,
+    SweepShard, PAPER_MODELS,
 };
 
 fn grid_sweep(corpus: &Corpus) -> Sweep<'_> {
     Sweep::new(corpus)
         .clustered_latencies([3, 6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .points([8, 16, 32])
         .budgets([12, 32])
 }
@@ -99,7 +100,7 @@ fn invalid_shard_specs_are_named_config_errors() {
     let corpus = Corpus::small().take(4);
     let sweep = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(16);
     for (index, count) in [(0, 0), (3, 3), (7, 2)] {
         let err = sweep.shard(index, count).unwrap_err();
@@ -117,7 +118,7 @@ fn merge_rejects_overlapping_missing_and_incompatible_shards() {
     let corpus = Corpus::small().take(5);
     let sweep = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(16);
     let shards = shards_of(&sweep, 3);
 
@@ -137,7 +138,7 @@ fn merge_rejects_overlapping_missing_and_incompatible_shards() {
     // Shards of a different grid (different budget set).
     let other = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(32);
     let mixed = vec![
         shards[0].clone(),
@@ -190,7 +191,7 @@ fn split_machine_failures_and_stats_merge_without_double_counting() {
     );
     let sweep = Sweep::new(&corpus)
         .machines([no_mul, Machine::clustered(3, 1)])
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .points([16, 64])
         .budget(16);
 
@@ -227,7 +228,7 @@ fn shard_summaries_render_in_every_format() {
     let corpus = Corpus::small().take(4);
     let sweep = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(16);
     let shard = sweep.shard(1, 2).unwrap();
     let text = shard.render(ReportFormat::Text);
@@ -266,7 +267,7 @@ fn failures_survive_the_json_round_trip_verbatim() {
     let corpus = Corpus::from_loops("pair", vec![kernels::blas::vscale(), kernels::blas::vadd()]);
     let sweep = Sweep::new(&corpus)
         .machine(no_mul)
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(16);
     let whole = sweep.run_partial();
 
@@ -328,7 +329,7 @@ fn heal_artifacts_may_not_cover_healthy_cells() {
     let corpus = Corpus::small().take(5);
     let sweep = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(16);
     let shards = shards_of(&sweep, 2);
     assert!(SweepShard::unresolved(&shards).unwrap().is_empty());
@@ -371,7 +372,7 @@ fn reissue_validates_cells_and_seeds() {
     let corpus = Corpus::small().take(4);
     let sweep = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(16);
     let err = sweep.reissue(&[99], &[]).unwrap_err();
     assert_eq!(config_of(&err), ConfigError::UnknownCell { task: 99 });
@@ -381,14 +382,14 @@ fn reissue_validates_cells_and_seeds() {
     // (budget differences are fine — descents are budget-independent).
     let other_machines = Sweep::new(&corpus)
         .machine(Machine::clustered(6, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(16);
     let foreign = other_machines.shard(0, 1).unwrap();
     let err = sweep.reissue(&[0], &[foreign]).unwrap_err();
     assert_eq!(config_of(&err), ConfigError::IncompatibleShards);
     let other_budget = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models([Model::Unified])
+        .models([ModelId::UNIFIED])
         .budget(64);
     let budget_seed = other_budget.shard(0, 1).unwrap();
     assert!(sweep.reissue(&[0], &[budget_seed]).is_ok());

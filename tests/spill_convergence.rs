@@ -7,14 +7,14 @@ use ncdrf::ddg::Loop;
 use ncdrf::machine::Machine;
 use ncdrf::sched::{modulo_schedule_with, Priority, SchedContext, Schedule, SchedulerOptions};
 use ncdrf::spill::{requirement_unified, spill_until_fits, SpillOptions};
-use ncdrf::{Model, Session};
+use ncdrf::{ModelId, Session};
 
 #[test]
 fn spiller_fits_all_small_budgets() {
     let session = Session::new(Machine::clustered(6, 1));
     for l in Corpus::small().take(40).iter() {
         for budget in [16, 24, 32] {
-            let e = session.evaluate(l, Model::Unified, budget).unwrap();
+            let e = session.evaluate(l, ModelId::UNIFIED, budget).unwrap();
             // 16 registers sits above every loop's post-spill floor on
             // this corpus (the worst fully-spilled loop still keeps ~14
             // values in flight at latency 6); the paper's own budgets are
@@ -37,7 +37,7 @@ fn spilling_monotone_in_budget() {
     ] {
         let mut last_spills = usize::MAX;
         for budget in [6, 12, 24, 48] {
-            let e = session.evaluate(&l, Model::Unified, budget).unwrap();
+            let e = session.evaluate(&l, ModelId::UNIFIED, budget).unwrap();
             assert!(
                 e.spilled <= last_spills,
                 "{}: budget {budget} spilled {} > previous {}",
@@ -54,8 +54,8 @@ fn spilling_monotone_in_budget() {
 fn spill_traffic_shows_up_in_memory_ops() {
     let session = Session::new(Machine::clustered(6, 1));
     let l = kernels::livermore::state();
-    let free = session.evaluate(&l, Model::Unified, 256).unwrap();
-    let tight = session.evaluate(&l, Model::Unified, 8).unwrap();
+    let free = session.evaluate(&l, ModelId::UNIFIED, 256).unwrap();
+    let tight = session.evaluate(&l, ModelId::UNIFIED, 8).unwrap();
     assert_eq!(free.spilled, 0);
     if tight.spilled > 0 {
         assert!(tight.mem_ops > free.mem_ops);
@@ -71,7 +71,7 @@ fn dual_models_spill_less_than_unified() {
     // less spill code across the corpus.
     let session = Session::new(Machine::clustered(6, 1));
     let corpus = Corpus::small().take(60);
-    let spills = |model: Model| -> usize {
+    let spills = |model: ModelId| -> usize {
         session
             .evaluate_corpus(&corpus, model, 16)
             .unwrap()
@@ -79,8 +79,8 @@ fn dual_models_spill_less_than_unified() {
             .map(|e| e.spilled)
             .sum()
     };
-    let uni = spills(Model::Unified);
-    let part = spills(Model::Partitioned);
+    let uni = spills(ModelId::UNIFIED);
+    let part = spills(ModelId::PARTITIONED);
     assert!(
         part <= uni,
         "partitioned should spill no more than unified ({part} vs {uni})"
@@ -93,7 +93,7 @@ fn dual_models_spill_less_than_unified() {
 fn ideal_never_spills() {
     let session = Session::new(Machine::clustered(6, 1));
     for l in Corpus::small().take(20).iter() {
-        let e = session.evaluate(l, Model::Ideal, 1).unwrap();
+        let e = session.evaluate(l, ModelId::IDEAL, 1).unwrap();
         assert!(e.fits);
         assert_eq!(e.spilled, 0);
     }

@@ -5,7 +5,7 @@
 
 use ncdrf::corpus::{kernels, Corpus};
 use ncdrf::machine::{FuClass, FuGroup, Machine};
-use ncdrf::{Model, PipelineStage, Sweep};
+use ncdrf::{PipelineStage, Sweep, PAPER_FINITE_MODELS, PAPER_MODELS};
 
 /// The acceptance stress test: a multi-machine × multi-budget sweep over
 /// `Corpus::small()`, parallel vs sequential, bit-identical results and
@@ -16,7 +16,7 @@ fn stress_multi_machine_grid_is_bit_identical_and_schedules_once_per_pair() {
     let machines = 2u64;
     let sweep = Sweep::new(&corpus)
         .clustered_latencies([3, 6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budgets([24, 48])
         .workers(4);
 
@@ -31,7 +31,7 @@ fn stress_multi_machine_grid_is_bit_identical_and_schedules_once_per_pair() {
         machines * corpus.len() as u64,
         "each (machine, loop) pair is scheduled exactly once"
     );
-    assert_eq!(par.outcomes.len(), 2 * 2 * Model::all().len());
+    assert_eq!(par.outcomes.len(), 2 * 2 * PAPER_MODELS.len());
     // Order stability: outcomes are machine-major, budget-middle,
     // model-minor — exactly the documented report layout.
     assert_eq!(par.outcomes[0].config, "C2L3");
@@ -45,7 +45,7 @@ fn every_worker_count_produces_the_same_report() {
     let corpus = Corpus::small().take(12);
     let sweep = Sweep::new(&corpus)
         .clustered_latencies([3])
-        .models(Model::finite())
+        .models(PAPER_FINITE_MODELS)
         .points([16, 32, 64])
         .budget(16);
     let reference = sweep.run_sequential().unwrap();
@@ -81,7 +81,7 @@ fn one_unschedulable_pair_keeps_every_other_result() {
     );
     let partial = Sweep::new(&corpus)
         .machines([no_mul, Machine::clustered(3, 1)])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budgets([8, 32])
         .workers(4)
         .run_partial();
@@ -94,11 +94,11 @@ fn one_unschedulable_pair_keeps_every_other_result() {
     ));
 
     // Every (machine, budget, model) series is still present.
-    assert_eq!(partial.report.outcomes.len(), 2 * 2 * Model::all().len());
+    assert_eq!(partial.report.outcomes.len(), 2 * 2 * PAPER_MODELS.len());
     // The machine that lost no loops matches a clean single-machine run.
     let clean = Sweep::new(&corpus)
         .machine(Machine::clustered(3, 1))
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budgets([8, 32])
         .run_sequential()
         .unwrap();

@@ -8,7 +8,7 @@
 
 use ncdrf::corpus::Corpus;
 use ncdrf::machine::Machine;
-use ncdrf::{evaluate, Model, PipelineOptions, Session, Sweep, SweepShard};
+use ncdrf::{evaluate, ModelId, PipelineOptions, Session, Sweep, SweepShard, PAPER_MODELS};
 
 /// The fig8/9 budgets (64, 32) extended into a descending ladder so the
 /// differential grid exercises checkpoint hits *and* resumed descents.
@@ -26,7 +26,7 @@ fn fig89_grid_cells_are_bit_identical_seeded_vs_fresh() {
         let machine = Machine::clustered(lat, 1);
         let session = Session::new(machine.clone()).options(opts);
         for l in Corpus::small().take(20).iter() {
-            for model in Model::all() {
+            for model in PAPER_MODELS {
                 for budget in LADDER {
                     let cached = session.evaluate(l, model, budget).unwrap();
                     let fresh = evaluate(l, &machine, model, budget, &opts).unwrap();
@@ -57,7 +57,7 @@ fn budget_order_does_not_change_results() {
     let down = Session::new(machine.clone()).options(opts);
     let up = Session::new(machine).options(opts);
     for l in Corpus::small().take(12).iter() {
-        for model in Model::all() {
+        for model in PAPER_MODELS {
             let d: Vec<_> = LADDER
                 .iter()
                 .map(|&b| down.evaluate(l, model, b).unwrap())
@@ -83,7 +83,7 @@ fn ladder_sweep_is_deterministic_and_spills_less_than_from_scratch() {
     let corpus = Corpus::small().take(16);
     let sweep = Sweep::new(&corpus)
         .clustered_latencies([6])
-        .models(Model::all())
+        .models(PAPER_MODELS)
         .budgets(LADDER)
         .workers(4);
 
@@ -111,7 +111,7 @@ fn ladder_sweep_is_deterministic_and_spills_less_than_from_scratch() {
         .map(|&b| {
             Sweep::new(&corpus)
                 .clustered_latencies([6])
-                .models(Model::all())
+                .models(PAPER_MODELS)
                 .budget(b)
                 .run_sequential()
                 .unwrap()
@@ -199,8 +199,8 @@ fn swapped_model_continuation_matches_fresh_across_a_deep_ladder() {
     let session = Session::new(machine.clone()).options(opts);
     for l in Corpus::small().take(10).iter() {
         for budget in [32, 10, 6, 4] {
-            let cached = session.evaluate(l, Model::Swapped, budget).unwrap();
-            let fresh = evaluate(l, &machine, Model::Swapped, budget, &opts).unwrap();
+            let cached = session.evaluate(l, ModelId::SWAPPED, budget).unwrap();
+            let fresh = evaluate(l, &machine, ModelId::SWAPPED, budget, &opts).unwrap();
             assert_eq!(cached, fresh, "{} swapped @{budget}", l.name());
         }
     }
