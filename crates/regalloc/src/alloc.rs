@@ -2,7 +2,7 @@
 
 use crate::lifetime::{max_live, Lifetime};
 use crate::offsets_conflict;
-use crate::packer::OffsetPacker;
+use crate::packer::first_fit;
 use serde::{Deserialize, Serialize};
 
 /// The result of allocating a loop's values on a unified rotating register
@@ -18,7 +18,9 @@ pub struct UnifiedAlloc {
 
 /// Wands-Only / First-Fit allocation: lifetimes are processed in start-time
 /// order and each takes the lowest conflict-free rotating offset; the file
-/// size starts at MaxLive and grows until the packing succeeds.
+/// size starts at MaxLive and grows until the packing succeeds. Every
+/// value interferes with every other; the packing is the crate's one
+/// First-Fit kernel, shared with the dual and k-cluster allocators.
 ///
 /// Returns `regs == 0` for loops with no register values.
 pub fn allocate_unified(lifetimes: &[Lifetime], ii: u32) -> UnifiedAlloc {
@@ -48,63 +50,8 @@ pub enum FitPolicy {
 /// Returns `regs == 0` for loops with no register values.
 pub fn allocate_unified_with(lifetimes: &[Lifetime], ii: u32, fit: FitPolicy) -> UnifiedAlloc {
     assert!(ii > 0, "II must be positive");
-    let n = lifetimes.len();
-    if n == 0 || lifetimes.iter().all(Lifetime::is_empty) {
-        return UnifiedAlloc {
-            regs: 0,
-            offsets: vec![0; n],
-        };
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (lifetimes[i].start, i));
-
-    let mut packer = OffsetPacker::new();
-    let mut r = max_live(lifetimes, ii).max(1);
-    'grow: loop {
-        let mut offsets: Vec<Option<u32>> = vec![None; n];
-        for &v in &order {
-            if lifetimes[v].is_empty() {
-                offsets[v] = Some(0);
-                continue;
-            }
-            packer.begin(r);
-            let mut saturated = false;
-            for (u, off_u) in offsets.iter().enumerate() {
-                let Some(off_u) = off_u else { continue };
-                if !packer.forbid(&lifetimes[v], &lifetimes[u], ii, *off_u) {
-                    saturated = true;
-                    break;
-                }
-            }
-            let chosen = if saturated {
-                None
-            } else {
-                match fit {
-                    FitPolicy::FirstFit => packer.first_free(),
-                    FitPolicy::BestFit => {
-                        let forbidden = packer.forbidden_flags();
-                        let free = || (0..r).filter(|&c| !forbidden[c as usize]);
-                        let snug = free().find(|&c| {
-                            let below = (c as i64 - 1).rem_euclid(r as i64) as usize;
-                            forbidden[below]
-                        });
-                        snug.or_else(|| free().next())
-                    }
-                }
-            };
-            match chosen {
-                Some(c) => offsets[v] = Some(c),
-                None => {
-                    r += 1;
-                    continue 'grow;
-                }
-            }
-        }
-        return UnifiedAlloc {
-            regs: r,
-            offsets: offsets.into_iter().map(|o| o.unwrap()).collect(),
-        };
-    }
+    let (regs, offsets) = first_fit(lifetimes, ii, max_live(lifetimes, ii), fit, |_, _| true);
+    UnifiedAlloc { regs, offsets }
 }
 
 /// Independently re-checks an allocation: no pair of lifetimes may conflict

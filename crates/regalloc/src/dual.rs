@@ -1,8 +1,9 @@
 //! Value classification and allocation for the non-consistent dual file.
 
-use crate::alloc::UnifiedAlloc;
+use crate::alloc::{FitPolicy, UnifiedAlloc};
 use crate::lifetime::{max_live_subset, Lifetime};
 use crate::offsets_conflict;
+use crate::packer::first_fit;
 use ncdrf_ddg::Loop;
 use ncdrf_machine::{ClusterId, Machine};
 use ncdrf_sched::Schedule;
@@ -133,7 +134,8 @@ pub struct DualAlloc {
 /// First-Fit allocation on the dual file: globals must be conflict-free in
 /// *both* subfiles at the same offset; locals only in their own subfile.
 /// The subfile size starts at the pressure lower bound and grows until the
-/// packing succeeds.
+/// packing succeeds. Two values interfere when they share a subfile; the
+/// packing is the same First-Fit kernel as [`allocate_unified`](crate::allocate_unified).
 ///
 /// # Panics
 ///
@@ -141,61 +143,27 @@ pub struct DualAlloc {
 pub fn allocate_dual(lifetimes: &[Lifetime], classes: &[ValueClass], ii: u32) -> DualAlloc {
     assert!(ii > 0, "II must be positive");
     assert_eq!(lifetimes.len(), classes.len());
-    let n = lifetimes.len();
     let pressure = DualPressure::new(lifetimes, classes, ii);
-    if n == 0 || lifetimes.iter().all(Lifetime::is_empty) {
-        return DualAlloc {
-            regs: 0,
-            offsets: vec![0; n],
-            classes: classes.to_vec(),
-            pressure,
-        };
+    let (regs, offsets) = first_fit(
+        lifetimes,
+        ii,
+        pressure.requirement_bound(),
+        FitPolicy::FirstFit,
+        |a, b| share_subfile(classes[a], classes[b]),
+    );
+    DualAlloc {
+        regs,
+        offsets,
+        classes: classes.to_vec(),
+        pressure,
     }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (lifetimes[i].start, i));
+}
 
-    let files = [ClusterId::LEFT, ClusterId::RIGHT];
-    let mut packer = crate::packer::OffsetPacker::new();
-    let mut r = pressure.requirement_bound().max(1);
-    'grow: loop {
-        let mut offsets: Vec<Option<u32>> = vec![None; n];
-        for &v in &order {
-            if lifetimes[v].is_empty() {
-                offsets[v] = Some(0);
-                continue;
-            }
-            packer.begin(r);
-            let mut saturated = false;
-            for (u, off_u) in offsets.iter().enumerate() {
-                let Some(off_u) = off_u else { continue };
-                // u and v interfere only if they share some subfile.
-                let share = files
-                    .iter()
-                    .any(|&f| classes[u].occupies(f) && classes[v].occupies(f));
-                if !share {
-                    continue;
-                }
-                if !packer.forbid(&lifetimes[v], &lifetimes[u], ii, *off_u) {
-                    saturated = true;
-                    break;
-                }
-            }
-            let placed = if saturated { None } else { packer.first_free() };
-            match placed {
-                Some(cand) => offsets[v] = Some(cand),
-                None => {
-                    r += 1;
-                    continue 'grow;
-                }
-            }
-        }
-        return DualAlloc {
-            regs: r,
-            offsets: offsets.into_iter().map(|o| o.unwrap()).collect(),
-            classes: classes.to_vec(),
-            pressure,
-        };
-    }
+/// Whether values of the two classes share a subfile, i.e. can interfere.
+pub(crate) fn share_subfile(a: ValueClass, b: ValueClass) -> bool {
+    [ClusterId::LEFT, ClusterId::RIGHT]
+        .iter()
+        .any(|&f| a.occupies(f) && b.occupies(f))
 }
 
 /// Independently re-checks a dual allocation: any two lifetimes sharing a
@@ -209,13 +177,9 @@ pub fn verify_dual(
     if alloc.regs == 0 {
         return Ok(());
     }
-    let files = [ClusterId::LEFT, ClusterId::RIGHT];
     for a in 0..lifetimes.len() {
         for b in (a + 1)..lifetimes.len() {
-            let share = files
-                .iter()
-                .any(|&f| alloc.classes[a].occupies(f) && alloc.classes[b].occupies(f));
-            if !share {
+            if !share_subfile(alloc.classes[a], alloc.classes[b]) {
                 continue;
             }
             if offsets_conflict(

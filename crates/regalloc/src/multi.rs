@@ -10,8 +10,10 @@
 //! a value must be conflict-free in every subfile it occupies (all copies
 //! share one rotating offset, as in the 2-cluster case).
 
+use crate::alloc::FitPolicy;
 use crate::lifetime::{max_live_subset, Lifetime};
 use crate::offsets_conflict;
+use crate::packer::first_fit;
 use ncdrf_ddg::Loop;
 use ncdrf_machine::{ClusterId, Machine};
 use ncdrf_sched::Schedule;
@@ -125,7 +127,10 @@ pub struct MultiAlloc {
 
 /// First-Fit packing on a k-cluster non-consistent file: two values
 /// interfere iff their cluster sets intersect; every copy of a value uses
-/// the same rotating offset in each subfile that holds it.
+/// the same rotating offset in each subfile that holds it. The subfile
+/// size starts at the largest per-subfile pressure and grows until the
+/// packing succeeds, in the same First-Fit kernel as
+/// [`allocate_unified`](crate::allocate_unified).
 ///
 /// # Panics
 ///
@@ -138,60 +143,16 @@ pub fn allocate_multi(
 ) -> MultiAlloc {
     assert!(ii > 0, "II must be positive");
     assert_eq!(lifetimes.len(), sets.len());
-    let n = lifetimes.len();
     let pressure = multi_pressure(lifetimes, sets, ii, clusters);
-    if n == 0 || lifetimes.iter().all(Lifetime::is_empty) {
-        return MultiAlloc {
-            regs: 0,
-            offsets: vec![0; n],
-            sets: sets.to_vec(),
-            pressure,
-        };
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (lifetimes[i].start, i));
-
-    let mut r = pressure.iter().copied().max().unwrap_or(0).max(1);
-    'grow: loop {
-        let mut offsets: Vec<Option<u32>> = vec![None; n];
-        for &v in &order {
-            if lifetimes[v].is_empty() {
-                offsets[v] = Some(0);
-                continue;
-            }
-            let mut placed = false;
-            'offsets: for cand in 0..r {
-                for (u, off_u) in offsets.iter().enumerate() {
-                    let Some(off_u) = off_u else { continue };
-                    if lifetimes[u].is_empty() || !sets[u].intersects(sets[v]) {
-                        continue;
-                    }
-                    if offsets_conflict(
-                        &lifetimes[v],
-                        &lifetimes[u],
-                        ii,
-                        cand as i64,
-                        *off_u as i64,
-                        r as i64,
-                    ) {
-                        continue 'offsets;
-                    }
-                }
-                offsets[v] = Some(cand);
-                placed = true;
-                break;
-            }
-            if !placed {
-                r += 1;
-                continue 'grow;
-            }
-        }
-        return MultiAlloc {
-            regs: r,
-            offsets: offsets.into_iter().map(|o| o.unwrap()).collect(),
-            sets: sets.to_vec(),
-            pressure,
-        };
+    let r0 = pressure.iter().copied().max().unwrap_or(0);
+    let (regs, offsets) = first_fit(lifetimes, ii, r0, FitPolicy::FirstFit, |a, b| {
+        sets[a].intersects(sets[b])
+    });
+    MultiAlloc {
+        regs,
+        offsets,
+        sets: sets.to_vec(),
+        pressure,
     }
 }
 
