@@ -61,7 +61,6 @@ const WALL_CLOCK_ALLOW: &[&str] = &[
     "crates/farm/src/clock.rs",
     // Benchmarks and profiling harnesses measure real elapsed time.
     "crates/bench/",
-    "crates/experiments/src/bin/profile_stages.rs",
     "crates/experiments/src/bin/cache_scan.rs",
     // The e2e helper polls a real daemon with a real deadline.
     "tests/farm_e2e.rs",

@@ -7,17 +7,21 @@
 //! [`crate::Session`], which schedules each loop once and derives every
 //! model's result from the cached base schedule.
 
-use crate::model::{ModelId, RequirementCtx};
+use crate::model::{ModelId, ModelSpec, RequirementCtx};
 use ncdrf_ddg::Loop;
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{
-    allocate_dual, allocate_unified, classify, lifetimes, max_live, DualPressure,
+    allocate_dual, allocate_unified, classify, lifetimes, max_live, DualPressure, Lifetime,
 };
 use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError};
-use ncdrf_spill::{spill_until_fits, SpillError, SpillOptions, SpillResult};
+use ncdrf_spill::{
+    spill_until_fits, ClassKey, ClassRequirement, Requirement, SpillError, SpillOptions,
+    SpillResult,
+};
 use ncdrf_swap::{swap_pass_with, SwapOptions};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Options threaded through the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -327,19 +331,102 @@ pub fn requirement(
     if spec.swaps() {
         swap_pass_with(l, machine, sched, opts.swap)?;
     }
+    let (lifetimes, raw) = allocate_class(l, machine, sched, spec.is_dual())?;
+    Ok(effective(&*spec, l, sched.ii(), raw, &lifetimes))
+}
+
+/// The class part of a requirement after any swap pass: the lifetimes of
+/// `sched` and the raw unified or dual allocation.
+fn allocate_class(
+    l: &Loop,
+    machine: &Machine,
+    sched: &Schedule,
+    dual: bool,
+) -> Result<(Vec<Lifetime>, u32), MachineError> {
     let lts = lifetimes(l, machine, sched)?;
-    let raw = if spec.is_dual() {
+    let raw = if dual {
         let classes = classify(l, machine, sched, &lts);
         allocate_dual(&lts, &classes, sched.ii()).regs
     } else {
         allocate_unified(&lts, sched.ii()).regs
     };
-    let ctx = RequirementCtx {
-        l,
-        ii: sched.ii(),
-        lifetimes: &lts,
-    };
-    Ok(spec.effective_requirement(raw, &ctx))
+    Ok((lts, raw))
+}
+
+/// The per-model hook: the model's effective requirement from a raw one.
+fn effective(spec: &dyn ModelSpec, l: &Loop, ii: u32, raw: u32, lifetimes: &[Lifetime]) -> u32 {
+    spec.effective_requirement(raw, &RequirementCtx { l, ii, lifetimes })
+}
+
+/// The requirement of one model, split for the spill descent: the class
+/// part (swap pass, lifetimes, unified or dual allocation) is memoised
+/// per descent state and shared by every model of the same class, and
+/// the model's [`ModelSpec::effective_requirement`] hook runs on top.
+/// Equal to [`requirement`] on every schedule.
+pub(crate) struct ModelRequirement {
+    spec: Arc<dyn ModelSpec>,
+    swap: SwapOptions,
+}
+
+impl ModelRequirement {
+    pub(crate) fn new(model: ModelId, opts: &PipelineOptions) -> ModelRequirement {
+        ModelRequirement {
+            spec: model.spec(),
+            swap: opts.swap,
+        }
+    }
+}
+
+impl Requirement for ModelRequirement {
+    /// One class per (swaps, dual) pair; the ideal model computes
+    /// nothing worth sharing. Within a session every model runs with the
+    /// same swap options, so the key need not carry them.
+    fn class(&self) -> Option<ClassKey> {
+        let spec = &self.spec;
+        (!spec.is_ideal())
+            .then(|| ClassKey(u32::from(spec.swaps()) << 1 | u32::from(spec.is_dual())))
+    }
+
+    fn allocate(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+    ) -> Result<ClassRequirement, MachineError> {
+        if self.spec.is_ideal() {
+            return Ok(ClassRequirement {
+                sched: Arc::clone(sched),
+                lifetimes: Vec::new(),
+                raw: 0,
+            });
+        }
+        let sched = if self.spec.swaps() {
+            let mut swapped = Schedule::clone(sched);
+            swap_pass_with(l, machine, &mut swapped, self.swap)?;
+            Arc::new(swapped)
+        } else {
+            Arc::clone(sched)
+        };
+        let (lifetimes, raw) = allocate_class(l, machine, &sched, self.spec.is_dual())?;
+        Ok(ClassRequirement {
+            sched,
+            lifetimes,
+            raw,
+        })
+    }
+
+    fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
+        if self.spec.is_ideal() {
+            return 0;
+        }
+        effective(
+            &*self.spec,
+            l,
+            class.sched.ii(),
+            class.raw,
+            &class.lifetimes,
+        )
+    }
 }
 
 /// Schedules `l` and computes the `model` register requirement with

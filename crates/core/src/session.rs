@@ -25,23 +25,35 @@
 //! # }
 //! ```
 //!
+//! Budgeted evaluations that need spill code walk one spill trajectory
+//! per `(loop, model)`, and the trajectories of one loop share that
+//! loop's [`DescentTree`]: each spill state (rewritten loop and fresh
+//! schedule), each II-escalation rung schedule and each allocation
+//! class's requirement on them is computed once per loop, whichever
+//! model reaches it first. Each trajectory keeps only its scalars, its
+//! own stopping point and its post-requirement schedules, and the
+//! counters in [`CacheStats`] stay per model. A [`crate::Sweep`] releases
+//! a loop's shared states when its cell ends; a session driven directly
+//! keeps them until [`Session::clear_cache`].
+//!
 //! Sessions are `Sync`: corpus-level sweeps run loops in parallel against
 //! one shared cache (see [`Session::analyze_corpus`]).
 
 use crate::certify::CellCertifier;
-use crate::model::{ModelId, RequirementCtx};
+use crate::model::ModelId;
 use crate::pipeline::{
-    eval_from_spill, requirement, LoopAnalysis, LoopEval, PipelineError, PipelineOptions,
+    eval_from_spill, LoopAnalysis, LoopEval, ModelRequirement, PipelineError, PipelineOptions,
     PipelineStage,
 };
 use ncdrf_corpus::Corpus;
 use ncdrf_ddg::Loop;
 use ncdrf_exec::Pool;
-use ncdrf_machine::{Machine, MachineError};
-use ncdrf_regalloc::{allocate_dual, allocate_unified, classify, lifetimes, max_live, Lifetime};
+use ncdrf_machine::Machine;
+use ncdrf_regalloc::{classify, lifetimes, max_live, DualPressure, Lifetime};
 use ncdrf_sched::{modulo_schedule_with, Schedule};
-use ncdrf_spill::{SpillTrajectory, TrajectorySnapshot};
-use ncdrf_swap::swap_pass_with;
+use ncdrf_spill::{
+    ClassRequirement, DescentStats, DescentTree, Requirement, SpillTrajectory, TrajectorySnapshot,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,6 +91,17 @@ pub struct BaseSchedule {
     pub lifetimes: Vec<Lifetime>,
 }
 
+/// A loop's cached artifacts: the base schedule with its lifetimes, and
+/// the descent tree every model's spill trajectory of the loop walks. The
+/// tree's root is the unspilled loop on the base schedule; its class memo
+/// holds each allocation class's base requirement (and, for the swap
+/// class, the post-swap schedule).
+#[derive(Debug, Clone)]
+struct LoopCache {
+    base: Arc<BaseSchedule>,
+    tree: Arc<DescentTree>,
+}
+
 /// Hit/miss counters of a session's schedule and spill-trajectory
 /// caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,19 +112,20 @@ pub struct CacheStats {
     /// Base requests that ran the scheduler.
     pub misses: u64,
     /// Budgeted evaluations served **entirely** from an existing spill
-    /// trajectory's checkpoints — no spill step was recomputed and the
-    /// II-escalation fallback did not answer (an escalated evaluation
-    /// recomputes at least its served rung, so it is never a hit).
+    /// trajectory's checkpoints — the trajectory took no spill step and
+    /// the II-escalation fallback did not answer (an escalated
+    /// evaluation goes through its ladder, so it is never a hit).
     pub traj_hits: u64,
     /// Budgeted evaluations that *resumed* an existing trajectory:
     /// extension started from the deepest prior checkpoint instead of
     /// respilling from zero.
     pub traj_resumes: u64,
     /// Spill steps (victim selection + rewrite + reschedule +
-    /// allocation) actually computed. Without trajectory reuse a
-    /// multi-budget sweep pays this once **per budget**; with it, once
-    /// per `(loop, model)` — the `sweep_parallel` bench counter-asserts
-    /// the saving.
+    /// allocation) the trajectories took, counted per model: a step
+    /// whose state the loop's descent tree already held counts too.
+    /// Without trajectory reuse a multi-budget sweep pays this once
+    /// **per budget**; with it, once per `(loop, model)` — the
+    /// `sweep_parallel` bench counter-asserts the saving.
     pub spill_steps: u64,
 }
 
@@ -142,17 +166,14 @@ impl std::fmt::Display for CacheStats {
 pub struct Session {
     machine: Machine,
     opts: PipelineOptions,
-    cache: Mutex<HashMap<String, Arc<BaseSchedule>>>,
-    /// Post-swap variants of cached base schedules, filled lazily the
-    /// first time a loop is examined under [`ModelId::SWAPPED`].
-    swapped: Mutex<HashMap<String, Arc<BaseSchedule>>>,
-    /// Per-(loop, model) register requirements of the cached schedules.
-    /// Budget-independent, so a multi-budget sweep allocates once.
-    reqs: Mutex<HashMap<(String, ModelId), u32>>,
-    /// Per-(loop, model) spill trajectories: the §5.4 descent computed
-    /// once, checkpointed, and resumed by every budget that needs it
-    /// (see [`Session::evaluate`]). The two-level locking lets distinct
-    /// `(loop, model)` pairs extend their trajectories concurrently.
+    /// Per-loop base schedules and descent trees.
+    cache: Mutex<HashMap<String, LoopCache>>,
+    /// Per-(loop, model) spill trajectories: the §5.4 descent taken
+    /// once per model, checkpointed, and resumed by every budget that
+    /// needs it (see [`Session::evaluate`]). The models of one loop walk
+    /// the loop's shared descent tree. The two-level locking lets
+    /// distinct `(loop, model)` pairs extend their trajectories
+    /// concurrently.
     trajectories: TrajectoryCache,
     /// Imported (persisted) trajectory snapshots, keyed like the live
     /// cache. Served directly while a recorded checkpoint answers the
@@ -178,8 +199,6 @@ impl Session {
             machine,
             opts: PipelineOptions::default(),
             cache: Mutex::new(HashMap::new()),
-            swapped: Mutex::new(HashMap::new()),
-            reqs: Mutex::new(HashMap::new()),
             trajectories: Mutex::new(HashMap::new()),
             imported: Mutex::new(HashMap::new()),
             certifier: None,
@@ -237,14 +256,33 @@ impl Session {
         }
     }
 
-    /// Drops every cached schedule **and** every cached spill trajectory
-    /// (live and imported; counters are kept).
+    /// Drops every cached schedule, every descent tree **and** every
+    /// cached spill trajectory (live and imported; counters are kept).
     pub fn clear_cache(&self) {
         self.cache.lock().clear();
-        self.swapped.lock().clear();
-        self.reqs.lock().clear();
         self.trajectories.lock().clear();
         self.imported.lock().clear();
+    }
+
+    /// What the loops' descent trees computed and reused so far, summed
+    /// over every cached loop.
+    pub fn descent_stats(&self) -> DescentStats {
+        let mut stats = DescentStats::default();
+        for entry in self.cache.lock().values() {
+            stats.absorb(entry.tree.stats());
+        }
+        stats
+    }
+
+    /// Ends state sharing for `l`'s cell: releases its descent tree's
+    /// index and memos (see [`DescentTree::release`]). Trajectories keep
+    /// the states they retain; the base schedule and the root's class
+    /// memo stay cached.
+    pub(crate) fn release(&self, l: &Loop) {
+        let entry = self.cache.lock().get(l.name()).cloned();
+        if let Some(entry) = entry {
+            entry.tree.release();
+        }
     }
 
     /// Serializes the session's spill-trajectory cache: every live
@@ -317,6 +355,12 @@ impl Session {
     ///
     /// Propagates scheduling failures, naming the loop.
     pub fn base(&self, l: &Loop) -> Result<Arc<BaseSchedule>, PipelineError> {
+        Ok(self.cached(l)?.base)
+    }
+
+    /// The cached artifacts of `l`, scheduling it on a miss; counts one
+    /// cache hit or miss.
+    fn cached(&self, l: &Loop) -> Result<LoopCache, PipelineError> {
         if let Some(hit) = self.cache.lock().get(l.name()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
@@ -325,88 +369,54 @@ impl Session {
         let sched = modulo_schedule_with(l, &self.machine, self.opts.spill.scheduler)
             .map_err(|e| Self::fail(l, e))?;
         let lts = lifetimes(l, &self.machine, &sched).map_err(|e| Self::fail(l, e))?;
-        let base = Arc::new(BaseSchedule {
-            sched,
-            lifetimes: lts,
-        });
+        let tree = DescentTree::new(l.to_owned(), sched.to_owned(), self.opts.spill.scheduler);
+        let entry = LoopCache {
+            base: Arc::new(BaseSchedule {
+                sched,
+                lifetimes: lts,
+            }),
+            tree: Arc::new(tree),
+        };
         Ok(self
             .cache
-            .lock()
-            .entry(l.name().to_owned())
-            .or_insert(base)
-            .clone())
-    }
-
-    /// The cached post-swap schedule of `l`: the base schedule cloned and
-    /// run through the greedy swap pass once, with its lifetimes. Every
-    /// [`ModelId::SWAPPED`] analysis/evaluation shares this single run (the
-    /// pass is deterministic and idempotent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling and machine failures, naming the loop.
-    pub fn swapped_base(&self, l: &Loop) -> Result<Arc<BaseSchedule>, PipelineError> {
-        if let Some(hit) = self.swapped.lock().get(l.name()) {
-            // A swapped-cache hit is saved work (scheduling *and* the swap
-            // pass), so it counts toward `CacheStats::hits` like a base
-            // hit; omitting it under-reported reuse for `ModelId::SWAPPED`.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
-        }
-        let base = self.base(l)?;
-        let mut sched = base.sched.clone();
-        swap_pass_with(l, &self.machine, &mut sched, self.opts.swap)
-            .map_err(|e| Self::fail(l, e))?;
-        let lts = lifetimes(l, &self.machine, &sched).map_err(|e| Self::fail(l, e))?;
-        let entry = Arc::new(BaseSchedule {
-            sched,
-            lifetimes: lts,
-        });
-        Ok(self
-            .swapped
             .lock()
             .entry(l.name().to_owned())
             .or_insert(entry)
             .clone())
     }
 
-    /// The model's schedule (base or post-swap) and its register
-    /// requirement, both cached. The requirement is budget-independent,
-    /// so multi-budget sweeps allocate once per `(loop, model)`.
-    fn cached_requirement(
+    /// `model`'s requirement on the cached base schedule of `l`: the
+    /// class part from the descent tree's root memo (allocated on a
+    /// miss), then the model's hook. The class result carries the
+    /// model's schedule — the post-swap one for swapping models — and
+    /// its lifetimes.
+    ///
+    /// Counts one cache hit or miss: a memoised swapping class is a hit
+    /// of its own (it skips the scheduler *and* the swap pass); every
+    /// other request counts its base-schedule lookup.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scheduling and machine failures, naming the loop.
+    fn base_requirement(
         &self,
         l: &Loop,
         model: ModelId,
-    ) -> Result<(Arc<BaseSchedule>, u32), PipelineError> {
-        let spec = model.spec();
-        let base = if spec.swaps() {
-            self.swapped_base(l)?
-        } else {
-            self.base(l)?
-        };
-        if spec.is_ideal() {
-            return Ok((base, 0));
+    ) -> Result<(Arc<ClassRequirement>, u32), PipelineError> {
+        let mut req = ModelRequirement::new(model, &self.opts);
+        if model.spec().swaps() {
+            let peek = self.cache.lock().get(l.name()).cloned();
+            let memo = peek.and_then(|entry| entry.tree.memoised_base_class(req.class()?));
+            if let Some(class) = memo {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                let regs = req.effective(l, &class);
+                return Ok((class, regs));
+            }
         }
-        if let Some(&regs) = self.reqs.lock().get(&(l.name().to_owned(), model)) {
-            return Ok((base, regs));
-        }
-        let (sched, lts) = (&base.sched, &base.lifetimes);
-        let raw = if spec.is_dual() {
-            let classes = classify(l, &self.machine, sched, lts);
-            allocate_dual(lts, &classes, sched.ii()).regs
-        } else {
-            allocate_unified(lts, sched.ii()).regs
-        };
-        // Same transform, same inputs as `pipeline::requirement` — the
-        // cached and uncached paths must stay bit-identical.
-        let ctx = RequirementCtx {
-            l,
-            ii: sched.ii(),
-            lifetimes: lts,
-        };
-        let regs = spec.effective_requirement(raw, &ctx);
-        self.reqs.lock().insert((l.name().to_owned(), model), regs);
-        Ok((base, regs))
+        self.cached(l)?
+            .tree
+            .base_requirement(&self.machine, &mut req)
+            .map_err(|e| Self::fail(l, e))
     }
 
     /// Analyses `l` under `model` with unlimited registers, reusing the
@@ -417,33 +427,29 @@ impl Session {
     /// Propagates scheduling and machine failures, naming the loop.
     pub fn analyze(&self, l: &Loop, model: ModelId) -> Result<LoopAnalysis, PipelineError> {
         let spec = model.spec();
-        let base = if spec.swaps() {
-            self.swapped_base(l)?
-        } else {
-            self.base(l)?
-        };
-        let (sched, lts) = (&base.sched, &base.lifetimes);
-        let (raw, pressure) = if spec.is_ideal() {
-            (0, None)
-        } else if spec.is_dual() {
+        if spec.is_ideal() {
+            let base = self.base(l)?;
+            return self.analysis(l, model, 0, &base.sched, &base.lifetimes, None);
+        }
+        let (class, regs) = self.base_requirement(l, model)?;
+        let (sched, lts) = (&*class.sched, &class.lifetimes);
+        let pressure = spec.is_dual().then(|| {
             let classes = classify(l, &self.machine, sched, lts);
-            let alloc = allocate_dual(lts, &classes, sched.ii());
-            (alloc.regs, Some(alloc.pressure))
-        } else {
-            (allocate_unified(lts, sched.ii()).regs, None)
-        };
-        let regs = if spec.is_ideal() {
-            0
-        } else {
-            let ctx = RequirementCtx {
-                l,
-                ii: sched.ii(),
-                lifetimes: lts,
-            };
-            let regs = spec.effective_requirement(raw, &ctx);
-            self.reqs.lock().insert((l.name().to_owned(), model), regs);
-            regs
-        };
+            DualPressure::new(lts, &classes, sched.ii())
+        });
+        self.analysis(l, model, regs, sched, lts, pressure)
+    }
+
+    /// The certified [`LoopAnalysis`] of `l` under `model` on `sched`.
+    fn analysis(
+        &self,
+        l: &Loop,
+        model: ModelId,
+        regs: u32,
+        sched: &Schedule,
+        lts: &[Lifetime],
+        pressure: Option<DualPressure>,
+    ) -> Result<LoopAnalysis, PipelineError> {
         let analysis = LoopAnalysis {
             name: l.name().to_owned(),
             model,
@@ -500,10 +506,11 @@ impl Session {
     }
 
     /// The cached spill trajectory of `(l, model)`, creating (and
-    /// caching) it on first use. Creation seeds checkpoint 0 from the
-    /// cached base schedule — the same seeding the old per-budget
-    /// `spill_until_fits_seeded` call used — and the returned flag says
-    /// whether this call created the entry (for hit/resume accounting).
+    /// caching) it on first use at the root of the loop's descent tree —
+    /// the unspilled loop on the cached base schedule, the same seeding
+    /// the per-budget `spill_until_fits_seeded` call uses — and the
+    /// returned flag says whether this call created the entry (for
+    /// hit/resume accounting).
     ///
     /// # Errors
     ///
@@ -521,16 +528,11 @@ impl Session {
         // Construct outside the map lock so distinct loops build
         // concurrently; a racing duplicate is bit-identical (the whole
         // pipeline is deterministic), so first-insert-wins is sound.
-        let seed = self.base(l)?;
-        let opts = self.opts;
-        let mut req = move |l: &Loop, m: &Machine, s: &mut Schedule| -> Result<u32, MachineError> {
-            requirement(l, m, s, model, &opts)
-        };
-        let traj = SpillTrajectory::from_base(
-            l,
+        let tree = self.cached(l)?.tree;
+        let traj = SpillTrajectory::in_tree(
+            &tree,
             &self.machine,
-            seed.sched.clone(),
-            &mut req,
+            &mut ModelRequirement::new(model, &self.opts),
             self.opts.spill,
         )
         .map_err(|e| Self::fail(l, e))?;
@@ -557,43 +559,27 @@ impl Session {
         snap: &TrajectorySnapshot,
     ) -> Result<Arc<Mutex<SpillTrajectory>>, PipelineError> {
         let key = (l.name().to_owned(), model);
-        let seed = self.base(l)?;
-        let opts = self.opts;
-        let mut req = move |l: &Loop, m: &Machine, s: &mut Schedule| -> Result<u32, MachineError> {
-            requirement(l, m, s, model, &opts)
-        };
+        let tree = self.cached(l)?.tree;
+        let mut req = ModelRequirement::new(model, &self.opts);
         // With a certifier attached, every restored checkpoint is
         // re-validated during the replay; a violation aborts the
         // materialisation like any snapshot mismatch, naming the
         // checkpoint and the violated rule.
-        let traj = match &self.certifier {
-            None => SpillTrajectory::replay(
-                l,
-                &self.machine,
-                seed.sched.clone(),
-                snap,
-                &mut req,
-                self.opts.spill,
-            ),
-            Some(certifier) => {
-                let machine = &self.machine;
-                let mut checker =
-                    |step: usize, cl: &Loop, sched: &Schedule, regs: u32| -> Result<(), String> {
-                        certifier
-                            .certify_checkpoint(step, cl, machine, sched, model, regs)
-                            .map_err(|v| v.to_string())
-                    };
-                SpillTrajectory::replay_with_checker(
-                    l,
-                    &self.machine,
-                    seed.sched.clone(),
-                    snap,
-                    &mut req,
-                    self.opts.spill,
-                    Some(&mut checker),
-                )
-            }
-        }
+        let (machine, certifier) = (&self.machine, self.certifier.as_deref());
+        let mut checker = |step: usize, cl: &Loop, sched: &Schedule, regs: u32| {
+            certifier.map_or(Ok(()), |c| {
+                c.certify_checkpoint(step, cl, machine, sched, model, regs)
+                    .map_err(|v| v.to_string())
+            })
+        };
+        let traj = SpillTrajectory::replay_in_tree(
+            &tree,
+            machine,
+            snap,
+            &mut req,
+            self.opts.spill,
+            Some(&mut checker),
+        )
         .map_err(|e| Self::fail(l, e))?;
         let entry = Arc::new(Mutex::new(traj));
         let entry = self
@@ -687,7 +673,7 @@ impl Session {
             let eval = no_spill_eval(&base.sched, 0);
             return self.certified(l, l, &base.sched, &[], 0, 0, eval);
         }
-        let (req_base, regs) = self.cached_requirement(l, model)?;
+        let (req_base, regs) = self.base_requirement(l, model)?;
         if regs <= budget {
             let eval = no_spill_eval(&req_base.sched, regs);
             return self.certified(l, l, &req_base.sched, &[], 0, 0, eval);
@@ -776,10 +762,7 @@ impl Session {
                 None => self.trajectory(l, model)?,
             },
         };
-        let opts = self.opts;
-        let mut req = move |l: &Loop, m: &Machine, s: &mut Schedule| -> Result<u32, MachineError> {
-            requirement(l, m, s, model, &opts)
-        };
+        let mut req = ModelRequirement::new(model, &self.opts);
         let (r, resume) = traj
             .lock()
             .evaluate(&self.machine, budget, &mut req)
@@ -790,11 +773,11 @@ impl Session {
             if resume.steps_computed > 0 {
                 self.traj_resumes.fetch_add(1, Ordering::Relaxed);
             } else if !resume.escalated {
-                // An escalated call recomputes its served rung of the
-                // trajectory's escalation ladder (and extends the ladder
-                // when no recorded rung fits) even when it added no
-                // checkpoints; counting it as a hit would misreport
-                // repeated below-floor budgets as free.
+                // An escalated call is served by the trajectory's
+                // escalation ladder (and extends the ladder when no
+                // recorded rung fits) even when it added no checkpoints;
+                // counting it as a hit would misreport repeated
+                // below-floor budgets as free.
                 self.traj_hits.fetch_add(1, Ordering::Relaxed);
             }
         }

@@ -935,9 +935,24 @@ fn descending_budget_order(budgets: &[u32]) -> Vec<usize> {
 /// Evaluates one `(machine, loop)` pair: all model analyses (when the
 /// sweep samples distribution points) and all `(budget, model)`
 /// evaluations, sharing the session's schedule and spill-trajectory
-/// caches. Budgets are *evaluated* in descending order (see
-/// [`descending_budget_order`]) and *reported* in request order.
+/// caches and the loop's descent tree. Budgets are *evaluated* in
+/// descending order (see [`descending_budget_order`]) and *reported* in
+/// request order. The cell ends state sharing for its loop, so a sweep
+/// holds the shared states of one cell per worker at a time.
 fn eval_cell(
+    session: &Session,
+    l: &Loop,
+    models: &[ModelId],
+    budgets: &[u32],
+    want_points: bool,
+) -> Result<LoopCell, PipelineError> {
+    let cell = eval_cell_shared(session, l, models, budgets, want_points);
+    session.release(l);
+    cell
+}
+
+/// [`eval_cell`] without the release.
+fn eval_cell_shared(
     session: &Session,
     l: &Loop,
     models: &[ModelId],
@@ -1158,6 +1173,29 @@ mod tests {
 
     fn tiny() -> Corpus {
         Corpus::small().take(10)
+    }
+
+    /// Bounded retention: once a grid has run, no loop's descent tree
+    /// indexes a state, so the shared states still alive are exactly the
+    /// ones trajectories retain (their record-minima frontier and
+    /// terminal checkpoints; see `ncdrf_spill`'s release test for the
+    /// reference counts).
+    #[test]
+    fn finished_cells_release_their_descent_trees() {
+        let corpus = tiny();
+        let sweep = Sweep::new(&corpus)
+            .clustered_latencies([3, 6])
+            .models([ModelId::UNIFIED, ModelId::PORT_LIMITED, ModelId::COMPRESSED])
+            .budgets([16, 8]);
+        let (sessions, cells) = sweep.run_grid(false);
+        assert!(cells.iter().flatten().all(Result::is_ok));
+        let mut computed = 0;
+        for session in &sessions {
+            let stats = session.descent_stats();
+            assert_eq!(stats.indexed, 0, "{stats:?}");
+            computed += stats.states_computed;
+        }
+        assert!(computed > 0, "the grid must spill");
     }
 
     /// Pins the certify wiring itself: a certify-mode sweep must invoke

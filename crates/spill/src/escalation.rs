@@ -4,21 +4,26 @@
 //! When spilling alone cannot fit a budget, the loop is re-scheduled at
 //! increasing II until the requirement drops under the budget (it
 //! eventually does — at II equal to the sequential length at most a
-//! handful of values overlap). The scan runs on the *terminal* loop of an
-//! exhausted descent, which no budget changes, so every rung `(II, regs)`
-//! is the same for every budget: only where the scan stops differs.
+//! handful of values overlap). The scan runs on the *terminal* state of
+//! an exhausted descent, which no budget changes, so every rung `(II,
+//! regs)` is the same for every budget: only where the scan stops
+//! differs.
 //!
-//! An [`EscalationLadder`] records those rungs as scalars the first time
-//! a budget reaches them. A later budget is served by the first recorded
-//! rung that fits — only that rung's schedule and requirement are
-//! recomputed, both deterministic — and the ladder is extended lazily
-//! when none does. Results are bit-identical to a full scan from the base
-//! II at every budget, in any order.
+//! An [`EscalationLadder`] records a trajectory's rungs as scalars the
+//! first time a budget reaches them. A later budget is served by the
+//! first recorded rung that fits, and the ladder is extended lazily when
+//! none does. The rung schedules themselves live in the terminal state's
+//! rung table of the [`DescentTree`], so every model whose descent ends
+//! in that state schedules each rung once, and a memoised requirement
+//! class allocates each rung once. Results are bit-identical to a full
+//! scan from the base II at every budget, in any order.
 
-use crate::{RequirementFn, SpillError, SpillResult};
+use crate::descent::{DescentState, DescentTree};
+use crate::{Requirement, SpillError, SpillResult};
 use ncdrf_ddg::Loop;
 use ncdrf_machine::Machine;
-use ncdrf_sched::{SchedContext, Schedule, SchedulerOptions};
+use ncdrf_sched::{SchedContext, Schedule};
+use std::sync::Arc;
 
 /// What the exhausted descent contributes to an escalated result: the
 /// spill record of its terminal checkpoint and the rounds it ran.
@@ -29,11 +34,25 @@ pub(crate) struct SpillTally {
     pub(crate) rounds: usize,
 }
 
-/// The II-escalation rungs of one terminal loop. Scalars only: the
-/// schedule of a served rung is recomputed, never stored.
+/// The last II the escalation scan of `l` tries when its base schedule
+/// has II `base_ii`: the loop's sequential length, and always above the
+/// base.
+pub(crate) fn scan_end(l: &Loop, machine: &Machine, base_ii: u32) -> u32 {
+    let seq_len: u32 = l
+        .ops()
+        .iter()
+        .map(|op| machine.latency(op.kind()).unwrap_or(1) + 1)
+        .sum::<u32>()
+        + 1;
+    seq_len.max(base_ii + 1)
+}
+
+/// One trajectory's II-escalation rungs of its terminal state. Scalars
+/// only: the schedules are in the state's rung table.
 #[derive(Debug, Clone)]
 pub(crate) struct EscalationLadder {
-    /// II of the terminal loop's base schedule; the scan starts above it.
+    /// II of the terminal state's fresh schedule; the scan starts above
+    /// it.
     base_ii: u32,
     /// The last II the scan tries.
     end_ii: u32,
@@ -43,37 +62,27 @@ pub(crate) struct EscalationLadder {
     rungs: Vec<(u32, u32)>,
 }
 
+/// A served rung: its II, post-requirement schedule and requirement.
+type Rung = (u32, Arc<Schedule>, u32);
+
 impl EscalationLadder {
-    /// Starts the ladder of `l`: schedules its base to find where the
-    /// scan begins, and bounds the scan by the loop's sequential length.
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError::Schedule`] when the base schedule fails.
-    pub(crate) fn new(
-        l: &Loop,
-        machine: &Machine,
-        opts: SchedulerOptions,
-    ) -> Result<EscalationLadder, SpillError> {
-        let base_ii = SchedContext::new().schedule(l, machine, opts)?.ii();
-        let seq_len: u32 = l
-            .ops()
-            .iter()
-            .map(|op| machine.latency(op.kind()).unwrap_or(1) + 1)
-            .sum::<u32>()
-            + 1;
-        Ok(EscalationLadder {
+    /// Starts the ladder of `state`, bounding the scan by the loop's
+    /// sequential length.
+    pub(crate) fn new(state: &DescentState, machine: &Machine) -> EscalationLadder {
+        let base_ii = state.fresh.sched.ii();
+        EscalationLadder {
             base_ii,
-            end_ii: seq_len.max(base_ii + 1),
+            end_ii: scan_end(&state.l, machine, base_ii),
             next_ii: base_ii + 1,
             rungs: Vec::new(),
-        })
+        }
     }
 
-    /// The result of escalating `l` (the loop this ladder was built on)
-    /// for `budget`: the first rung that fits, or — when none does — the
-    /// last rung that scheduled (the base schedule if none did), marked
-    /// unfit. `rounds` adds one round per II tried up to the served rung.
+    /// The result of escalating `state` (the state this ladder was built
+    /// on) for `budget`: the first rung that fits, or — when none does —
+    /// the last rung that scheduled (the fresh schedule if none did),
+    /// marked unfit. `rounds` adds one round per II tried up to the
+    /// served rung.
     ///
     /// # Errors
     ///
@@ -82,11 +91,11 @@ impl EscalationLadder {
     /// rung.
     pub(crate) fn serve(
         &mut self,
-        l: &Loop,
+        tree: &DescentTree,
+        state: &DescentState,
         machine: &Machine,
         budget: u32,
-        requirement: &mut RequirementFn<'_>,
-        opts: SchedulerOptions,
+        requirement: &mut dyn Requirement,
         tally: SpillTally,
     ) -> Result<SpillResult, SpillError> {
         let mut ctx = SchedContext::new();
@@ -96,13 +105,13 @@ impl EscalationLadder {
             .find(|&&(_, regs)| regs <= budget)
             .map(|&(ii, _)| ii);
         let rung = match cached {
-            Some(ii) => Some(self.recompute(&mut ctx, l, machine, ii, requirement, opts)?),
-            None => match self.extend(&mut ctx, l, machine, budget, requirement, opts)? {
+            Some(ii) => Some(self.recompute(&mut ctx, tree, state, machine, ii, requirement)?),
+            None => match self.extend(&mut ctx, tree, state, machine, budget, requirement)? {
                 extended @ Some(_) => extended,
                 None => self
                     .rungs
                     .last()
-                    .map(|&(ii, _)| self.recompute(&mut ctx, l, machine, ii, requirement, opts))
+                    .map(|&(ii, _)| self.recompute(&mut ctx, tree, state, machine, ii, requirement))
                     .transpose()?,
             },
         };
@@ -111,14 +120,14 @@ impl EscalationLadder {
             Some((ii, sched, regs)) if regs <= budget => (sched, regs, tried(ii)),
             Some((_, sched, regs)) => (sched, regs, tried(self.end_ii)),
             None => {
-                let mut sched = ctx.schedule(l, machine, opts)?;
-                let regs = requirement(l, machine, &mut sched)?;
-                (sched, regs, tried(self.end_ii))
+                let (class, regs) =
+                    tree.requirement(&state.fresh, &state.l, machine, requirement)?;
+                (Arc::clone(&class.sched), regs, tried(self.end_ii))
             }
         };
         Ok(SpillResult {
-            l: l.to_owned(),
-            sched,
+            l: state.l.to_owned(),
+            sched: Schedule::to_owned(&sched),
             regs,
             fits: regs <= budget,
             spilled: tally.spilled,
@@ -135,19 +144,19 @@ impl EscalationLadder {
     fn extend(
         &mut self,
         ctx: &mut SchedContext,
-        l: &Loop,
+        tree: &DescentTree,
+        state: &DescentState,
         machine: &Machine,
         budget: u32,
-        requirement: &mut RequirementFn<'_>,
-        opts: SchedulerOptions,
-    ) -> Result<Option<(u32, Schedule, u32)>, SpillError> {
+        requirement: &mut dyn Requirement,
+    ) -> Result<Option<Rung>, SpillError> {
         let mut last = None;
         while self.next_ii <= self.end_ii {
             let ii = self.next_ii;
-            if let Some(mut sched) = ctx.schedule_at_ii(l, machine, ii, opts)? {
-                let regs = requirement(l, machine, &mut sched)?;
+            if let Some(rung) = tree.rung(state, ii, machine, ctx)? {
+                let (class, regs) = tree.requirement(&rung, &state.l, machine, requirement)?;
                 self.rungs.push((ii, regs));
-                last = Some((ii, sched, regs));
+                last = Some((ii, Arc::clone(&class.sched), regs));
             }
             self.next_ii = ii + 1;
             if last.as_ref().is_some_and(|&(_, _, regs)| regs <= budget) {
@@ -157,25 +166,24 @@ impl EscalationLadder {
         Ok(last)
     }
 
-    /// Recomputes the schedule and requirement of the recorded rung at
-    /// `ii`.
+    /// The schedule and requirement of the recorded rung at `ii`.
     fn recompute(
         &self,
         ctx: &mut SchedContext,
-        l: &Loop,
+        tree: &DescentTree,
+        state: &DescentState,
         machine: &Machine,
         ii: u32,
-        requirement: &mut RequirementFn<'_>,
-        opts: SchedulerOptions,
-    ) -> Result<(u32, Schedule, u32), SpillError> {
-        let mut sched = ctx
-            .schedule_at_ii(l, machine, ii, opts)?
+        requirement: &mut dyn Requirement,
+    ) -> Result<Rung, SpillError> {
+        let rung = tree
+            .rung(state, ii, machine, ctx)?
             .expect("a recorded rung schedules again at the same II");
-        let regs = requirement(l, machine, &mut sched)?;
+        let (class, regs) = tree.requirement(&rung, &state.l, machine, requirement)?;
         debug_assert!(
             self.rungs.contains(&(ii, regs)),
             "rung at II {ii} recomputed to {regs} registers"
         );
-        Ok((ii, sched, regs))
+        Ok((ii, Arc::clone(&class.sched), regs))
     }
 }

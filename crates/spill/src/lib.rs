@@ -28,6 +28,12 @@
 //! involve classification and optionally the swapping pass; the `ncdrf`
 //! facade provides those).
 //!
+//! [`SpillTrajectory`] runs the same loop resumably, one budget after
+//! another, and walks a [`DescentTree`] that the trajectories of several
+//! register models of one loop can share: victim choice, rewrite and
+//! reschedule do not read the model, so each spill state, escalation
+//! rung and memoised [`Requirement`] class is computed once per loop.
+//!
 //! # Example
 //!
 //! ```
@@ -55,11 +61,13 @@
 
 #![warn(missing_docs)]
 
+mod descent;
 mod escalation;
 mod rewrite;
 mod spiller;
 mod trajectory;
 
+pub use descent::{ClassKey, ClassRequirement, DescentStats, DescentTree, Requirement};
 pub use rewrite::{spill_value, RewriteStats};
 pub use spiller::{
     requirement_unified, spill_until_fits, spill_until_fits_seeded, RequirementFn, SpillError,

@@ -40,6 +40,20 @@ pub fn spill_value(
     l: &Loop,
     victim: OpId,
 ) -> Result<(Loop, Vec<String>, RewriteStats), BuildError> {
+    let (next, reloads, stats) = rewrite(l, victim)?;
+    let names = reloads
+        .iter()
+        .map(|&r| next.op(r).name().to_owned())
+        .collect();
+    Ok((next, names, stats))
+}
+
+/// [`spill_value`] with the reloads returned by id: the typed form the
+/// descent uses to exclude them from victim selection.
+pub(crate) fn rewrite(
+    l: &Loop,
+    victim: OpId,
+) -> Result<(Loop, Vec<OpId>, RewriteStats), BuildError> {
     let vop = l.op(victim);
     assert!(
         vop.kind().produces_value(),
@@ -93,8 +107,7 @@ pub fn spill_value(
 
     // The spill store, fed by the victim's value in the same iteration.
     let spill_store = b.store(format!("SS.{}", vop.name()), slot, 0, victim.now());
-    let mut reload_names = vec![];
-    let mut loads_added = 0;
+    let mut reloads = vec![];
 
     // Patch consumers: each op that read the victim gets reload(s).
     for (id, op) in l.iter_ops() {
@@ -115,8 +128,7 @@ pub fn spill_value(
                     // The reload of iteration i reads spill[i - dist],
                     // written `dist` iterations earlier.
                     b.mem_dep(spill_store, r, dist);
-                    reload_names.push(name);
-                    loads_added += 1;
+                    reloads.push(r);
                     reload_for_dist.push((dist, r));
                     r
                 }
@@ -136,9 +148,9 @@ pub fn spill_value(
 
     let stats = RewriteStats {
         stores_added: 1,
-        loads_added,
+        loads_added: reloads.len(),
     };
-    Ok((b.finish(l.weight())?, reload_names, stats))
+    Ok((b.finish(l.weight())?, reloads, stats))
 }
 
 #[cfg(test)]

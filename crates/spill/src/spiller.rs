@@ -1,13 +1,12 @@
 //! The iterative spill-until-fits driver of the paper's §5.4.
 
-use crate::escalation::{EscalationLadder, SpillTally};
-use crate::rewrite::spill_value;
+use crate::escalation::scan_end;
+use crate::rewrite::rewrite;
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{lifetimes, lifetimes_into, Lifetime};
-use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError, SchedulerOptions};
+use ncdrf_sched::{modulo_schedule_with, SchedContext, Schedule, ScheduleError, SchedulerOptions};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// The sanctioned narrow into the spiller's `u32` candidate-index
@@ -233,7 +232,7 @@ fn run_spill_loop(
     // and the victim-selection scratch lives in a reused arena.
     let mut current: Option<Loop> = None;
     let mut scratch = VictimScratch::default();
-    let mut excluded: HashSet<String> = HashSet::new();
+    let mut excluded = Exclusion::default();
     let mut spilled = Vec::new();
     let mut spill_stores = 0usize;
     let mut spill_loads = 0usize;
@@ -276,24 +275,7 @@ fn run_spill_loop(
         };
 
         let Some(victim) = victim else {
-            // Nothing left to spill. Optionally trade II for pressure, on
-            // a one-shot ladder.
-            if opts.escalate_ii {
-                return EscalationLadder::new(cur, machine, opts.scheduler)?.serve(
-                    cur,
-                    machine,
-                    budget,
-                    requirement,
-                    opts.scheduler,
-                    SpillTally {
-                        spilled,
-                        spill_stores,
-                        spill_loads,
-                        rounds,
-                    },
-                );
-            }
-            return Ok(SpillResult {
+            let mut result = SpillResult {
                 l: take_current(current, l),
                 sched,
                 regs,
@@ -302,14 +284,18 @@ fn run_spill_loop(
                 spill_stores,
                 spill_loads,
                 rounds,
-            });
+            };
+            // Nothing left to spill. Optionally trade II for pressure.
+            if opts.escalate_ii {
+                escalate(&mut result, machine, budget, requirement, opts.scheduler)?;
+            }
+            return Ok(result);
         };
 
         let victim_name = cur.op(victim).name().to_owned();
-        let (next, reload_names, stats) =
-            spill_value(cur, victim).map_err(|e| SpillError::Rewrite(e.to_string()))?;
-        excluded.insert(cur.op(victim).name().to_owned());
-        excluded.extend(reload_names);
+        let (next, reloads, stats) =
+            rewrite(cur, victim).map_err(|e| SpillError::Rewrite(e.to_string()))?;
+        excluded.spilled(victim, &reloads);
         spilled.push(victim_name);
         spill_stores += stats.stores_added;
         spill_loads += stats.loads_added;
@@ -317,11 +303,83 @@ fn run_spill_loop(
     }
 }
 
+/// The fresh driver's II-escalation fallback: re-schedules the exhausted
+/// loop at every II above its base II, up to [`scan_end`], and stops at
+/// the first that fits `budget`. When none does, the last II that
+/// scheduled answers (the base schedule if none did), marked unfit.
+/// Each II tried counts one round. It shares no code with the
+/// trajectories' rung ladder, so the differential suites that compare
+/// trajectories with this driver compare two implementations.
+fn escalate(
+    result: &mut SpillResult,
+    machine: &Machine,
+    budget: u32,
+    requirement: &mut RequirementFn<'_>,
+    opts: SchedulerOptions,
+) -> Result<(), SpillError> {
+    let l = &result.l;
+    let mut ctx = SchedContext::new();
+    let base_ii = ctx.schedule(l, machine, opts)?.ii();
+    let end_ii = scan_end(l, machine, base_ii);
+    let mut last = None;
+    for ii in base_ii + 1..=end_ii {
+        if let Some(mut sched) = ctx.schedule_at_ii(l, machine, ii, opts)? {
+            let regs = requirement(l, machine, &mut sched)?;
+            last = Some((ii, sched, regs));
+            if regs <= budget {
+                break;
+            }
+        }
+    }
+    let (tried, sched, regs) = match last {
+        Some((ii, sched, regs)) if regs <= budget => (ii, sched, regs),
+        Some((_, sched, regs)) => (end_ii, sched, regs),
+        None => {
+            let mut sched = ctx.schedule(l, machine, opts)?;
+            let regs = requirement(l, machine, &mut sched)?;
+            (end_ii, sched, regs)
+        }
+    };
+    result.rounds += (tried - base_ii) as usize;
+    result.fits = regs <= budget;
+    result.sched = sched;
+    result.regs = regs;
+    Ok(())
+}
+
 /// The owned loop a cold exit of the spill loop hands back: the spilled
 /// state when any spill happened, an owned copy of the caller's loop
 /// otherwise.
 fn take_current(current: Option<Loop>, l: &Loop) -> Loop {
     current.unwrap_or_else(|| l.to_owned())
+}
+
+/// The values excluded from victim selection, indexed by [`OpId`]: every
+/// spilled victim and the reloads its rewrite introduced. Ids are stable
+/// along a descent (the rewrite keeps the original ids and appends spill
+/// code), so one set serves every later state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Exclusion(Vec<bool>);
+
+impl Exclusion {
+    pub(crate) fn contains(&self, op: OpId) -> bool {
+        self.0.get(op.index()).copied().unwrap_or(false)
+    }
+
+    fn insert(&mut self, op: OpId) {
+        if op.index() >= self.0.len() {
+            self.0.resize(op.index() + 1, false);
+        }
+        self.0[op.index()] = true;
+    }
+
+    /// Excludes a spilled victim and its reloads.
+    pub(crate) fn spilled(&mut self, victim: OpId, reloads: &[OpId]) {
+        self.insert(victim);
+        for &r in reloads {
+            self.insert(r);
+        }
+    }
 }
 
 /// Reusable arena for [`select_victim`]: lifetime and consumer buffers
@@ -340,7 +398,7 @@ pub(crate) fn select_victim(
     l: &Loop,
     machine: &Machine,
     sched: &Schedule,
-    excluded: &HashSet<String>,
+    excluded: &Exclusion,
     policy: SpillPolicy,
     rng: &mut Xorshift64,
     scratch: &mut VictimScratch,
@@ -350,8 +408,7 @@ pub(crate) fn select_victim(
     let (lts, consumers) = (&scratch.lts, &scratch.consumers);
     scratch.candidates.clear();
     for (i, lt) in lts.iter().enumerate() {
-        let op = l.op(lt.op);
-        if !excluded.contains(op.name()) && !lt.is_empty() && spillable(l, lt.op) {
+        if !excluded.contains(lt.op) && !lt.is_empty() && spillable(l, lt.op) {
             scratch.candidates.push(idx32(i));
         }
     }

@@ -20,6 +20,14 @@
 //! `trajectory_identity` differential suite and `proptest_spill`
 //! property tests pin this, including via the `vliw` execution oracle.
 //!
+//! The states themselves belong to a [`DescentTree`], not to the
+//! trajectory: the path also depends on the requirement only through
+//! the schedule victims are picked from, so the trajectories of several
+//! register models of one loop walk one tree, and each state, rung
+//! schedule and memoised class requirement is computed once for all of
+//! them (the `shared_descent` differential suite pins that sharing
+//! changes no result).
+//!
 //! ```
 //! use ncdrf_ddg::{LoopBuilder, Weight};
 //! use ncdrf_machine::Machine;
@@ -51,14 +59,14 @@
 //! # }
 //! ```
 
+use crate::descent::{DescentState, DescentTree};
 use crate::escalation::{EscalationLadder, SpillTally};
-use crate::rewrite::spill_value;
-use crate::spiller::{select_victim, VictimScratch, Xorshift64};
-use crate::{RequirementFn, SpillError, SpillOptions, SpillResult};
-use ncdrf_ddg::Loop;
+use crate::spiller::{select_victim, Exclusion, VictimScratch, Xorshift64};
+use crate::{Requirement, SpillError, SpillOptions, SpillResult};
+use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::Machine;
-use ncdrf_sched::{modulo_schedule_with, Schedule};
-use std::collections::HashSet;
+use ncdrf_sched::Schedule;
+use std::sync::Arc;
 
 /// Per-checkpoint certification hook for
 /// [`SpillTrajectory::replay_with_checker`]: sees the step index (0 is
@@ -67,19 +75,27 @@ use std::collections::HashSet;
 pub type CheckpointChecker<'a> =
     &'a mut dyn FnMut(usize, &Loop, &Schedule, u32) -> Result<(), String>;
 
-/// The heavy state of a checkpoint: the rewritten loop and its schedule.
-/// Retained only on the **record-minima frontier** (see
-/// [`SpillCheckpoint::loop_state`]); every other checkpoint keeps just
-/// its scalars.
-#[derive(Debug, Clone, PartialEq)]
-struct CheckpointState {
-    /// The (rewritten) loop at this point of the descent.
-    l: Loop,
-    /// Its schedule, **after** the requirement function ran (the swapped
-    /// model's requirement applies the swap pass as a side effect, and
-    /// victim selection reads this post-requirement schedule — exactly
-    /// as each round of the fresh driver does).
-    sched: Schedule,
+/// The heavy state of a checkpoint: the descent state (shared with every
+/// trajectory of the same tree that reached it) and this trajectory's
+/// own post-requirement schedule. Retained only on the **record-minima
+/// frontier** (see [`SpillCheckpoint::loop_state`]); every other
+/// checkpoint keeps just its scalars.
+#[derive(Debug, Clone)]
+pub(crate) struct CheckpointState {
+    /// The state at this point of the descent.
+    pub(crate) state: Arc<DescentState>,
+    /// Its schedule, **after** the requirement ran (the swapped model's
+    /// requirement applies the swap pass, and victim selection reads this
+    /// post-requirement schedule — exactly as each round of the fresh
+    /// driver does). The state's fresh schedule itself when the
+    /// requirement does not rewrite it.
+    sched: Arc<Schedule>,
+}
+
+impl PartialEq for CheckpointState {
+    fn eq(&self, other: &Self) -> bool {
+        self.state.l == other.state.l && self.sched == other.sched
+    }
 }
 
 /// One committed step of a spill trajectory: the scalar record of the
@@ -98,7 +114,7 @@ struct CheckpointState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpillCheckpoint {
     /// Rewritten loop + schedule, on the frontier; pruned elsewhere.
-    state: Option<CheckpointState>,
+    pub(crate) state: Option<CheckpointState>,
     /// Register requirement at this checkpoint.
     pub regs: u32,
     /// Initiation interval of this checkpoint's (post-requirement)
@@ -121,18 +137,52 @@ impl SpillCheckpoint {
     /// can serve — checkpoint 0 included) and the terminal checkpoint.
     /// `None` for interior checkpoints the scan can never serve.
     pub fn loop_state(&self) -> Option<&Loop> {
-        self.state.as_ref().map(|s| &s.l)
+        self.state.as_ref().map(|s| &s.state.l)
     }
 
     /// The checkpoint's (post-requirement) schedule, under the same
     /// retention rule as [`SpillCheckpoint::loop_state`].
     pub fn schedule(&self) -> Option<&Schedule> {
-        self.state.as_ref().map(|s| &s.sched)
+        self.state.as_ref().map(|s| &*s.sched)
     }
 
     /// Whether this checkpoint retains its loop/schedule state.
     pub fn is_frontier(&self) -> bool {
         self.state.is_some()
+    }
+
+    /// The checkpoint `requirement` yields on `state`, reached from
+    /// `prev` (`None` at the root) by spilling `victim`.
+    fn reached(
+        tree: &DescentTree,
+        state: Arc<DescentState>,
+        prev: Option<&SpillCheckpoint>,
+        victim: Option<String>,
+        machine: &Machine,
+        requirement: &mut dyn Requirement,
+    ) -> Result<SpillCheckpoint, SpillError> {
+        let (class, regs) = tree.requirement(&state.fresh, &state.l, machine, requirement)?;
+        let (stores, loads) = prev.map_or((0, 0), |p| (p.spill_stores, p.spill_loads));
+        Ok(SpillCheckpoint {
+            regs,
+            ii: class.sched.ii(),
+            mem_ops: state.l.memory_ops(),
+            victim,
+            spill_stores: stores + state.stats.stores_added,
+            spill_loads: loads + state.stats.loads_added,
+            state: Some(CheckpointState {
+                sched: Arc::clone(&class.sched),
+                state,
+            }),
+        })
+    }
+
+    /// The retained state; only the frontier and terminal checkpoints
+    /// are ever asked.
+    fn retained(&self) -> &CheckpointState {
+        self.state
+            .as_ref()
+            .expect("the frontier and terminal checkpoints retain their state")
     }
 }
 
@@ -224,14 +274,15 @@ impl TrajectorySnapshot {
 /// What a [`SpillTrajectory::evaluate`] call cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResumeStats {
-    /// Spill steps (graph rewrite + reschedule + requirement) computed
-    /// by this call. Zero means no step was recomputed.
+    /// Spill steps this call appended to the trajectory. Zero means the
+    /// trajectory did not move. The count is logical: a step whose state
+    /// the [`DescentTree`] already held (another model's trajectory
+    /// computed it) still counts here.
     pub steps_computed: usize,
     /// Whether the II-escalation fallback answered: the exhausted
     /// descent could not fit this budget, so the call was served from the
     /// trajectory's escalation ladder. The ladder's rungs are
-    /// budget-independent and recorded once, but a served rung's schedule
-    /// and requirement are recomputed, and the ladder is extended when no
+    /// budget-independent and recorded once, and it is extended when no
     /// recorded rung fits. Such a call is *not* a pure checkpoint hit
     /// even when `steps_computed` is zero.
     pub escalated: bool,
@@ -239,20 +290,25 @@ pub struct ResumeStats {
 
 /// A checkpointed, resumable run of the paper's §5.4 spill loop.
 ///
-/// Construct once per `(loop, machine, requirement-model, options)` with
-/// [`SpillTrajectory::from_base`], then [`evaluate`](Self::evaluate) any
-/// number of budgets in any order; every step of the descent is computed
-/// at most once. Results are bit-identical to a fresh
+/// A trajectory walks a [`DescentTree`]: [`SpillTrajectory::from_base`]
+/// gives it a private one, [`SpillTrajectory::in_tree`] lets the
+/// trajectories of several register models of one loop share theirs.
+/// [`evaluate`](Self::evaluate) any number of budgets in any order; every
+/// step of the descent is taken at most once per trajectory, and at most
+/// once per tree. Results are bit-identical to a fresh
 /// [`crate::spill_until_fits_seeded`] per budget.
 #[derive(Debug, Clone)]
 pub struct SpillTrajectory {
     opts: SpillOptions,
+    /// The states this trajectory walks, shared with every other
+    /// trajectory of the same tree.
+    tree: Arc<DescentTree>,
     /// Checkpoint `k` is the state after `k` spills; checkpoint 0 always
     /// exists (the unspilled loop on the seeded base schedule).
     checkpoints: Vec<SpillCheckpoint>,
-    /// Names excluded from victim selection so far (spilled values and
+    /// Values excluded from victim selection so far (spilled values and
     /// the reloads they introduced), exactly as the fresh driver tracks.
-    excluded: HashSet<String>,
+    excluded: Exclusion,
     /// PRNG state for [`crate::SpillPolicy::Random`], advanced once per
     /// committed victim selection so a resumed run draws the same stream
     /// a fresh run would.
@@ -260,49 +316,57 @@ pub struct SpillTrajectory {
     /// No further victim exists (or `max_spills` was reached): the
     /// descent cannot be extended, only escalated.
     exhausted: bool,
-    /// The II-escalation rungs of the terminal loop, created by the first
-    /// escalated evaluation and shared by every later one (the terminal
-    /// loop no longer changes once the descent is exhausted).
+    /// The II-escalation rungs of the terminal state, created by the
+    /// first escalated evaluation and shared by every later one (the
+    /// terminal state no longer changes once the descent is exhausted).
     ladder: Option<EscalationLadder>,
     /// Victim-selection arena, reused across extension steps.
     scratch: VictimScratch,
 }
 
 impl SpillTrajectory {
-    /// Starts a trajectory from an already-computed base schedule of the
-    /// unmodified loop (see [`crate::spill_until_fits_seeded`] for the
-    /// seeding contract: `base` must be a schedule of `l` on `machine`
-    /// under `opts.scheduler`).
+    /// Starts a trajectory, on a private [`DescentTree`], from an
+    /// already-computed base schedule of the unmodified loop (see
+    /// [`crate::spill_until_fits_seeded`] for the seeding contract:
+    /// `base` must be a schedule of `l` on `machine` under
+    /// `opts.scheduler`).
     ///
     /// # Errors
     ///
-    /// Returns [`SpillError::Machine`] when the requirement function
-    /// fails on the base schedule.
+    /// Returns [`SpillError::Machine`] when the requirement fails on the
+    /// base schedule.
     pub fn from_base(
         l: &Loop,
         machine: &Machine,
         base: Schedule,
-        requirement: &mut RequirementFn<'_>,
+        requirement: &mut dyn Requirement,
         opts: SpillOptions,
     ) -> Result<SpillTrajectory, SpillError> {
-        let mut sched = base;
-        let regs = requirement(l, machine, &mut sched)?;
-        let ii = sched.ii();
+        let tree = Arc::new(DescentTree::new(l.to_owned(), base, opts.scheduler));
+        SpillTrajectory::in_tree(&tree, machine, requirement, opts)
+    }
+
+    /// Starts a trajectory at the root of a shared `tree`. `machine` and
+    /// `opts.scheduler` must be the ones the tree was built for.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpillError::Machine`] when the requirement fails on the
+    /// base schedule.
+    pub fn in_tree(
+        tree: &Arc<DescentTree>,
+        machine: &Machine,
+        requirement: &mut dyn Requirement,
+        opts: SpillOptions,
+    ) -> Result<SpillTrajectory, SpillError> {
+        debug_assert_eq!(tree.scheduler(), opts.scheduler);
+        let root = Arc::clone(tree.root());
+        let base = SpillCheckpoint::reached(tree, root, None, None, machine, requirement)?;
         Ok(SpillTrajectory {
             opts,
-            checkpoints: vec![SpillCheckpoint {
-                regs,
-                ii,
-                mem_ops: l.memory_ops(),
-                victim: None,
-                spill_stores: 0,
-                spill_loads: 0,
-                state: Some(CheckpointState {
-                    l: l.clone(),
-                    sched,
-                }),
-            }],
-            excluded: HashSet::new(),
+            tree: Arc::clone(tree),
+            checkpoints: vec![base],
+            excluded: Exclusion::default(),
             rng: Xorshift64::for_policy(opts.policy),
             exhausted: false,
             ladder: None,
@@ -336,14 +400,15 @@ impl SpillTrajectory {
         }
     }
 
-    /// Rebuilds a live trajectory from a persisted snapshot by
-    /// *replaying* the recorded victims: each step re-runs the rewrite,
-    /// reschedule and requirement — but not victim selection — and is
-    /// verified against the recorded requirement/II/memory-op scalars,
-    /// so a stale or foreign snapshot fails loudly instead of silently
-    /// diverging. The restored trajectory is bit-identical to the one
-    /// the snapshot was taken from and can be extended to deeper budgets
-    /// exactly where the recorded descent left off.
+    /// Rebuilds a live trajectory, on a private [`DescentTree`], from a
+    /// persisted snapshot by *replaying* the recorded victims: each step
+    /// re-runs the rewrite, reschedule and requirement — but not victim
+    /// selection — and is verified against the recorded
+    /// requirement/II/memory-op scalars, so a stale or foreign snapshot
+    /// fails loudly instead of silently diverging. The restored
+    /// trajectory is bit-identical to the one the snapshot was taken from
+    /// and can be extended to deeper budgets exactly where the recorded
+    /// descent left off.
     ///
     /// `l`, `base` and `opts` follow the [`SpillTrajectory::from_base`]
     /// seeding contract and must match what the snapshot was recorded
@@ -361,7 +426,7 @@ impl SpillTrajectory {
         machine: &Machine,
         base: Schedule,
         snapshot: &TrajectorySnapshot,
-        requirement: &mut RequirementFn<'_>,
+        requirement: &mut dyn Requirement,
         opts: SpillOptions,
     ) -> Result<SpillTrajectory, SpillError> {
         SpillTrajectory::replay_with_checker(l, machine, base, snapshot, requirement, opts, None)
@@ -386,11 +451,29 @@ impl SpillTrajectory {
         machine: &Machine,
         base: Schedule,
         snapshot: &TrajectorySnapshot,
-        requirement: &mut RequirementFn<'_>,
+        requirement: &mut dyn Requirement,
+        opts: SpillOptions,
+        checker: Option<CheckpointChecker<'_>>,
+    ) -> Result<SpillTrajectory, SpillError> {
+        let tree = Arc::new(DescentTree::new(l.to_owned(), base, opts.scheduler));
+        SpillTrajectory::replay_in_tree(&tree, machine, snapshot, requirement, opts, checker)
+    }
+
+    /// [`SpillTrajectory::replay_with_checker`] on a shared `tree`:
+    /// replayed steps reuse every state the tree already holds.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`SpillTrajectory::replay_with_checker`] returns.
+    pub fn replay_in_tree(
+        tree: &Arc<DescentTree>,
+        machine: &Machine,
+        snapshot: &TrajectorySnapshot,
+        requirement: &mut dyn Requirement,
         opts: SpillOptions,
         mut checker: Option<CheckpointChecker<'_>>,
     ) -> Result<SpillTrajectory, SpillError> {
-        let mut traj = SpillTrajectory::from_base(l, machine, base, requirement, opts)?;
+        let mut traj = SpillTrajectory::in_tree(tree, machine, requirement, opts)?;
         let base_cp = &traj.checkpoints[0];
         if base_cp.regs != snapshot.base_regs {
             return Err(SpillError::Snapshot(format!(
@@ -399,71 +482,54 @@ impl SpillTrajectory {
             )));
         }
         if let Some(c) = checker.as_mut() {
-            let state = base_cp
-                .state
-                .as_ref()
-                .expect("the terminal checkpoint retains its state");
-            c(0, &state.l, &state.sched, base_cp.regs).map_err(SpillError::Snapshot)?;
+            let at = base_cp.retained();
+            c(0, &at.state.l, &at.sched, base_cp.regs).map_err(SpillError::Snapshot)?;
         }
         for (i, step) in snapshot.steps.iter().enumerate() {
-            let (checkpoint, reload_names) = {
-                let last = traj.checkpoints.last().expect("checkpoint 0 exists");
-                let last_state = last
-                    .state
-                    .as_ref()
-                    .expect("the terminal checkpoint retains its state");
-                let victim = last_state
-                    .l
-                    .iter_ops()
-                    .find(|(_, op)| op.name() == step.victim)
-                    .map(|(id, _)| id)
-                    .ok_or_else(|| {
-                        SpillError::Snapshot(format!(
-                            "step {}: no value named `{}` to respill",
-                            i + 1,
-                            step.victim
-                        ))
-                    })?;
-                let (next, reload_names, stats) = spill_value(&last_state.l, victim)
-                    .map_err(|e| SpillError::Rewrite(e.to_string()))?;
-                let mut sched = modulo_schedule_with(&next, machine, opts.scheduler)?;
-                let regs = requirement(&next, machine, &mut sched)?;
-                if regs != step.regs || sched.ii() != step.ii || next.memory_ops() != step.mem_ops {
-                    return Err(SpillError::Snapshot(format!(
-                        "step {} replays to regs {} / II {} / {} mem ops, the snapshot \
-                         recorded {} / {} / {}",
+            let last = traj.checkpoints.last().expect("checkpoint 0 exists");
+            let parent = Arc::clone(&last.retained().state);
+            let victim = parent
+                .l
+                .iter_ops()
+                .find(|(_, op)| op.name() == step.victim)
+                .map(|(id, _)| id)
+                .ok_or_else(|| {
+                    SpillError::Snapshot(format!(
+                        "step {}: no value named `{}` to respill",
                         i + 1,
-                        regs,
-                        sched.ii(),
-                        next.memory_ops(),
-                        step.regs,
-                        step.ii,
-                        step.mem_ops
-                    )));
-                }
-                if let Some(c) = checker.as_mut() {
-                    c(i + 1, &next, &sched, regs).map_err(SpillError::Snapshot)?;
-                }
-                (
-                    SpillCheckpoint {
-                        regs,
-                        ii: sched.ii(),
-                        mem_ops: next.memory_ops(),
-                        victim: Some(step.victim.clone()),
-                        spill_stores: last.spill_stores + stats.stores_added,
-                        spill_loads: last.spill_loads + stats.loads_added,
-                        state: Some(CheckpointState { l: next, sched }),
-                    },
-                    reload_names,
-                )
-            };
-            traj.excluded.insert(step.victim.clone());
-            traj.excluded.extend(reload_names);
-            traj.checkpoints.push(checkpoint);
-            // Replay prunes exactly as the original descent did (the
-            // rule depends only on the requirement prefix), so the
-            // restored trajectory is bit-identical, retention included.
-            traj.prune_interior();
+                        step.victim
+                    ))
+                })?;
+            let next = traj.tree.child(&parent, victim, machine)?;
+            let checkpoint = SpillCheckpoint::reached(
+                &traj.tree,
+                next,
+                Some(last),
+                Some(step.victim.clone()),
+                machine,
+                requirement,
+            )?;
+            if checkpoint.regs != step.regs
+                || checkpoint.ii != step.ii
+                || checkpoint.mem_ops != step.mem_ops
+            {
+                return Err(SpillError::Snapshot(format!(
+                    "step {} replays to regs {} / II {} / {} mem ops, the snapshot \
+                     recorded {} / {} / {}",
+                    i + 1,
+                    checkpoint.regs,
+                    checkpoint.ii,
+                    checkpoint.mem_ops,
+                    step.regs,
+                    step.ii,
+                    step.mem_ops
+                )));
+            }
+            if let Some(c) = checker.as_mut() {
+                let at = checkpoint.retained();
+                c(i + 1, &at.state.l, &at.sched, checkpoint.regs).map_err(SpillError::Snapshot)?;
+            }
+            traj.commit(victim, checkpoint);
         }
         // The PRNG advanced once per committed selection in the recorded
         // run; the replay skipped selection, so restore the stream
@@ -478,7 +544,7 @@ impl SpillTrajectory {
         &self.checkpoints
     }
 
-    /// Number of spill steps computed so far.
+    /// Number of spill steps taken so far.
     pub fn steps(&self) -> usize {
         self.checkpoints.len() - 1
     }
@@ -525,13 +591,10 @@ impl SpillTrajectory {
     /// which retain their state (see [`SpillCheckpoint::loop_state`]).
     fn result_at(&self, k: usize, budget: u32) -> SpillResult {
         let cp = &self.checkpoints[k];
-        let state = cp
-            .state
-            .as_ref()
-            .expect("served checkpoints are on the record-minima frontier and retain state");
+        let at = cp.retained();
         SpillResult {
-            l: state.l.clone(),
-            sched: state.sched.clone(),
+            l: at.state.l.to_owned(),
+            sched: Schedule::to_owned(&at.sched),
             regs: cp.regs,
             fits: cp.regs <= budget,
             spilled: self.spilled_names(k),
@@ -541,9 +604,19 @@ impl SpillTrajectory {
         }
     }
 
-    /// Computes one more spill step, committing it only if the whole
-    /// step (victim selection, rewrite, reschedule, requirement)
-    /// succeeds. Returns `Ok(false)` when the descent is exhausted.
+    /// Appends a checkpoint reached by spilling `victim`: excludes the
+    /// victim and its reloads from later selection and prunes the
+    /// checkpoint that stopped being terminal.
+    fn commit(&mut self, victim: OpId, checkpoint: SpillCheckpoint) {
+        self.excluded
+            .spilled(victim, &checkpoint.retained().state.reloads);
+        self.checkpoints.push(checkpoint);
+        self.prune_interior();
+    }
+
+    /// Takes one more spill step, committing it only if the whole step
+    /// (victim selection, rewrite, reschedule, requirement) succeeds.
+    /// Returns `Ok(false)` when the descent is exhausted.
     ///
     /// A failing step leaves the trajectory exactly as it was — the
     /// committed prefix stays valid for budgets it already serves, and a
@@ -552,7 +625,7 @@ impl SpillTrajectory {
     fn advance(
         &mut self,
         machine: &Machine,
-        requirement: &mut RequirementFn<'_>,
+        requirement: &mut dyn Requirement,
     ) -> Result<bool, SpillError> {
         if self.exhausted {
             return Ok(false);
@@ -561,52 +634,35 @@ impl SpillTrajectory {
             self.exhausted = true;
             return Ok(false);
         }
-        // Work on copies of the mutable cursor state; commit at the end.
+        // Work on a copy of the PRNG; commit at the end.
         let mut rng = self.rng;
-        let step = {
-            let last = self.checkpoints.last().expect("checkpoint 0 exists");
-            let last_state = last
-                .state
-                .as_ref()
-                .expect("the terminal checkpoint retains its state");
-            let victim = select_victim(
-                &last_state.l,
-                machine,
-                &last_state.sched,
-                &self.excluded,
-                self.opts.policy,
-                &mut rng,
-                &mut self.scratch,
-            )?;
-            let Some(victim) = victim else {
-                self.exhausted = true;
-                return Ok(false);
-            };
-            let victim_name = last_state.l.op(victim).name().to_owned();
-            let (next, reload_names, stats) = spill_value(&last_state.l, victim)
-                .map_err(|e| SpillError::Rewrite(e.to_string()))?;
-            let mut sched = modulo_schedule_with(&next, machine, self.opts.scheduler)?;
-            let regs = requirement(&next, machine, &mut sched)?;
-            (
-                SpillCheckpoint {
-                    regs,
-                    ii: sched.ii(),
-                    mem_ops: next.memory_ops(),
-                    victim: Some(last_state.l.op(victim).name().to_owned()),
-                    spill_stores: last.spill_stores + stats.stores_added,
-                    spill_loads: last.spill_loads + stats.loads_added,
-                    state: Some(CheckpointState { l: next, sched }),
-                },
-                victim_name,
-                reload_names,
-            )
+        let last = self.checkpoints.last().expect("checkpoint 0 exists");
+        let at = last.retained();
+        let victim = select_victim(
+            &at.state.l,
+            machine,
+            &at.sched,
+            &self.excluded,
+            self.opts.policy,
+            &mut rng,
+            &mut self.scratch,
+        )?;
+        let Some(victim) = victim else {
+            self.exhausted = true;
+            return Ok(false);
         };
-        let (checkpoint, victim_name, reload_names) = step;
+        let name = at.state.l.op(victim).name().to_owned();
+        let next = self.tree.child(&at.state, victim, machine)?;
+        let checkpoint = SpillCheckpoint::reached(
+            &self.tree,
+            next,
+            Some(last),
+            Some(name),
+            machine,
+            requirement,
+        )?;
         self.rng = rng;
-        self.excluded.insert(victim_name);
-        self.excluded.extend(reload_names);
-        self.checkpoints.push(checkpoint);
-        self.prune_interior();
+        self.commit(victim, checkpoint);
         Ok(true)
     }
 
@@ -640,8 +696,8 @@ impl SpillTrajectory {
     ///
     /// The returned [`SpillResult`] is bit-identical to
     /// [`crate::spill_until_fits_seeded`] with the same base schedule,
-    /// requirement function and options; [`ResumeStats`] reports how many
-    /// steps this call actually computed.
+    /// requirement and options; [`ResumeStats`] reports how many steps
+    /// this call appended.
     ///
     /// # Errors
     ///
@@ -652,7 +708,7 @@ impl SpillTrajectory {
         &mut self,
         machine: &Machine,
         budget: u32,
-        requirement: &mut RequirementFn<'_>,
+        requirement: &mut dyn Requirement,
     ) -> Result<(SpillResult, ResumeStats), SpillError> {
         let mut stats = ResumeStats::default();
         loop {
@@ -665,7 +721,7 @@ impl SpillTrajectory {
             stats.steps_computed += 1;
         }
         // Exhausted and nothing fits: the fresh driver's fallback, served
-        // from the terminal loop's escalation ladder (budget-independent
+        // from the terminal state's escalation ladder (budget-independent
         // rungs, recorded once and extended lazily).
         let terminal = self.checkpoints.len() - 1;
         if self.opts.escalate_ii {
@@ -677,16 +733,11 @@ impl SpillTrajectory {
                 spill_loads: last.spill_loads,
                 rounds: terminal + 1,
             };
-            let l = &last
-                .state
-                .as_ref()
-                .expect("the terminal checkpoint retains its state")
-                .l;
-            let ladder = match &mut self.ladder {
-                Some(ladder) => ladder,
-                empty => empty.insert(EscalationLadder::new(l, machine, self.opts.scheduler)?),
-            };
-            let r = ladder.serve(l, machine, budget, requirement, self.opts.scheduler, tally)?;
+            let state = &last.retained().state;
+            let ladder = self
+                .ladder
+                .get_or_insert_with(|| EscalationLadder::new(state, machine));
+            let r = ladder.serve(&self.tree, state, machine, budget, requirement, tally)?;
             return Ok((r, stats));
         }
         Ok((self.result_at(terminal, budget), stats))
