@@ -33,8 +33,10 @@
 //! model reaches it first. Each trajectory keeps only its scalars, its
 //! own stopping point and its post-requirement schedules, and the
 //! counters in [`CacheStats`] stay per model. A [`crate::Sweep`] releases
-//! a loop's shared states when its cell ends; a session driven directly
-//! keeps them until [`Session::clear_cache`].
+//! a loop's shared states when its cell ends. A session driven directly
+//! keeps the shared states of its four most recently spilled loops
+//! only, so what it retains stays bounded in whatever order it visits
+//! loops and models.
 //!
 //! Sessions are `Sync`: corpus-level sweeps run loops in parallel against
 //! one shared cache (see [`Session::analyze_corpus`]).
@@ -55,9 +57,20 @@ use ncdrf_spill::{
     ClassRequirement, DescentStats, DescentTree, Requirement, SpillTrajectory, TrajectorySnapshot,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// How many loops' descent trees a session driven directly keeps open
+/// for sharing between the models of a loop. A [`Session::evaluate`]
+/// call that spills opens its loop's tree; opening one more releases the
+/// least recently opened (see [`DescentTree::release`]). Only sharing is
+/// lost — results and [`CacheStats`] do not change. Four covers a
+/// driver that visits loops one at a time on up to four threads; a
+/// driver that visits the whole corpus per model could only share by
+/// keeping every loop's states, which is what this bound prevents.
+/// [`crate::Sweep`] cells release their own loop and bypass the bound.
+const OPEN_TREES: usize = 4;
 
 /// Per-(loop, model) spill trajectories, individually locked so distinct
 /// pairs extend concurrently while same-pair evaluations serialise.
@@ -168,6 +181,9 @@ pub struct Session {
     opts: PipelineOptions,
     /// Per-loop base schedules and descent trees.
     cache: Mutex<HashMap<String, LoopCache>>,
+    /// The open descent trees, least recently opened first; at most
+    /// [`OPEN_TREES`].
+    open: Mutex<VecDeque<Arc<DescentTree>>>,
     /// Per-(loop, model) spill trajectories: the §5.4 descent taken
     /// once per model, checkpointed, and resumed by every budget that
     /// needs it (see [`Session::evaluate`]). The models of one loop walk
@@ -199,6 +215,7 @@ impl Session {
             machine,
             opts: PipelineOptions::default(),
             cache: Mutex::new(HashMap::new()),
+            open: Mutex::new(VecDeque::new()),
             trajectories: Mutex::new(HashMap::new()),
             imported: Mutex::new(HashMap::new()),
             certifier: None,
@@ -260,6 +277,7 @@ impl Session {
     /// cached spill trajectory (live and imported; counters are kept).
     pub fn clear_cache(&self) {
         self.cache.lock().clear();
+        self.open.lock().clear();
         self.trajectories.lock().clear();
         self.imported.lock().clear();
     }
@@ -282,6 +300,28 @@ impl Session {
         let entry = self.cache.lock().get(l.name()).cloned();
         if let Some(entry) = entry {
             entry.tree.release();
+        }
+    }
+
+    /// Marks `l`'s descent tree as the most recently opened, releasing
+    /// the least recently opened one beyond [`OPEN_TREES`].
+    fn open_tree(&self, l: &Loop) {
+        let Some(tree) = self.cache.lock().get(l.name()).map(|e| Arc::clone(&e.tree)) else {
+            return;
+        };
+        let mut open = self.open.lock();
+        if let Some(i) = open.iter().position(|t| Arc::ptr_eq(t, &tree)) {
+            open.remove(i);
+        }
+        open.push_back(tree);
+        let closed = if open.len() > OPEN_TREES {
+            open.pop_front()
+        } else {
+            None
+        };
+        drop(open);
+        if let Some(tree) = closed {
+            tree.release();
         }
     }
 
@@ -369,7 +409,12 @@ impl Session {
         let sched = modulo_schedule_with(l, &self.machine, self.opts.spill.scheduler)
             .map_err(|e| Self::fail(l, e))?;
         let lts = lifetimes(l, &self.machine, &sched).map_err(|e| Self::fail(l, e))?;
-        let tree = DescentTree::new(l.to_owned(), sched.to_owned(), self.opts.spill.scheduler);
+        let tree = DescentTree::new(
+            l.to_owned(),
+            sched.to_owned(),
+            self.machine.clone(),
+            self.opts.spill.scheduler,
+        );
         let entry = LoopCache {
             base: Arc::new(BaseSchedule {
                 sched,
@@ -415,7 +460,7 @@ impl Session {
         }
         self.cached(l)?
             .tree
-            .base_requirement(&self.machine, &mut req)
+            .base_requirement(&mut req)
             .map_err(|e| Self::fail(l, e))
     }
 
@@ -531,7 +576,6 @@ impl Session {
         let tree = self.cached(l)?.tree;
         let traj = SpillTrajectory::in_tree(
             &tree,
-            &self.machine,
             &mut ModelRequirement::new(model, &self.opts),
             self.opts.spill,
         )
@@ -574,7 +618,6 @@ impl Session {
         };
         let traj = SpillTrajectory::replay_in_tree(
             &tree,
-            machine,
             snap,
             &mut req,
             self.opts.spill,
@@ -651,6 +694,29 @@ impl Session {
         model: ModelId,
         budget: u32,
     ) -> Result<LoopEval, PipelineError> {
+        self.evaluate_with(l, model, budget, true)
+    }
+
+    /// [`Session::evaluate`] for a [`crate::Sweep`] cell, which releases
+    /// its loop's descent tree itself when it ends: the tree is not
+    /// counted against [`OPEN_TREES`].
+    pub(crate) fn evaluate_in_cell(
+        &self,
+        l: &Loop,
+        model: ModelId,
+        budget: u32,
+    ) -> Result<LoopEval, PipelineError> {
+        self.evaluate_with(l, model, budget, false)
+    }
+
+    /// [`Session::evaluate`], opening the loop's descent tree when `open`.
+    fn evaluate_with(
+        &self,
+        l: &Loop,
+        model: ModelId,
+        budget: u32,
+        open: bool,
+    ) -> Result<LoopEval, PipelineError> {
         let no_spill_eval = |sched: &Schedule, regs: u32| LoopEval {
             name: l.name().to_owned(),
             model,
@@ -687,6 +753,9 @@ impl Session {
         // run's shard artifact) serves budgets its recorded checkpoints
         // fit without recomputing anything, and is replayed into a live
         // trajectory the first time a budget needs the descent resumed.
+        if open {
+            self.open_tree(l);
+        }
         let key = (l.name().to_owned(), model);
         let live = self.trajectories.lock().get(&key).cloned();
         // Bound lookups (guards dropped immediately): `materialize`
@@ -1131,6 +1200,39 @@ mod tests {
         session.clear_cache();
         session.analyze(&l, ModelId::UNIFIED).unwrap();
         assert_eq!(session.cache_stats().misses, 2);
+    }
+
+    /// Driven model by model over a corpus, a session keeps the shared
+    /// states of at most `OPEN_TREES` loops, and every result equals the
+    /// one a session of that model alone gives.
+    #[test]
+    fn directly_driven_sessions_keep_a_bounded_number_of_trees_open() {
+        let machine = Machine::clustered(3, 1);
+        let corpus = Corpus::small().take(60);
+        let models = [ModelId::UNIFIED, ModelId::PORT_LIMITED, ModelId::COMPRESSED];
+        let session = Session::new(machine.clone());
+        let open = |s: &Session| {
+            let cache = s.cache.lock();
+            let trees = cache.values().map(|e| e.tree.stats());
+            trees.filter(|t| t.indexed > 0).count()
+        };
+        for model in models {
+            let alone = Session::new(machine.clone());
+            for budget in [16, 8] {
+                for l in corpus.iter() {
+                    let e = session.evaluate(l, model, budget).unwrap();
+                    assert_eq!(e, alone.evaluate(l, model, budget).unwrap());
+                    assert!(open(&session) <= OPEN_TREES);
+                }
+            }
+        }
+        let cache = session.cache.lock();
+        let spilled = cache
+            .values()
+            .filter(|e| e.tree.stats().states_computed > 0);
+        assert!(spilled.count() > OPEN_TREES, "the slice must spill");
+        drop(cache);
+        assert!(session.open.lock().len() <= OPEN_TREES);
     }
 
     #[test]

@@ -932,13 +932,23 @@ fn descending_budget_order(budgets: &[u32]) -> Vec<usize> {
     order
 }
 
+/// Releases a loop's descent tree when dropped (see `Session::release`).
+struct ReleaseOnDrop<'a>(&'a Session, &'a Loop);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release(self.1);
+    }
+}
+
 /// Evaluates one `(machine, loop)` pair: all model analyses (when the
 /// sweep samples distribution points) and all `(budget, model)`
 /// evaluations, sharing the session's schedule and spill-trajectory
 /// caches and the loop's descent tree. Budgets are *evaluated* in
 /// descending order (see [`descending_budget_order`]) and *reported* in
-/// request order. The cell ends state sharing for its loop, so a sweep
-/// holds the shared states of one cell per worker at a time.
+/// request order. The cell ends state sharing for its loop — also when
+/// it fails or panics — so a sweep holds the shared states of one cell
+/// per worker at a time.
 fn eval_cell(
     session: &Session,
     l: &Loop,
@@ -946,19 +956,7 @@ fn eval_cell(
     budgets: &[u32],
     want_points: bool,
 ) -> Result<LoopCell, PipelineError> {
-    let cell = eval_cell_shared(session, l, models, budgets, want_points);
-    session.release(l);
-    cell
-}
-
-/// [`eval_cell`] without the release.
-fn eval_cell_shared(
-    session: &Session,
-    l: &Loop,
-    models: &[ModelId],
-    budgets: &[u32],
-    want_points: bool,
-) -> Result<LoopCell, PipelineError> {
+    let _release = ReleaseOnDrop(session, l);
     let analyses = if want_points {
         models
             .iter()
@@ -970,14 +968,14 @@ fn eval_cell_shared(
     let mut evals: Vec<Option<BudgetCell>> = budgets.iter().map(|_| None).collect();
     for bi in descending_budget_order(budgets) {
         let budget = budgets[bi];
-        let ideal = session.evaluate(l, ModelId::IDEAL, budget)?;
+        let ideal = session.evaluate_in_cell(l, ModelId::IDEAL, budget)?;
         let rows = models
             .iter()
             .map(|&m| {
                 if m == ModelId::IDEAL {
                     Ok(ideal.clone())
                 } else {
-                    session.evaluate(l, m, budget)
+                    session.evaluate_in_cell(l, m, budget)
                 }
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -1196,6 +1194,67 @@ mod tests {
             computed += stats.states_computed;
         }
         assert!(computed > 0, "the grid must spill");
+    }
+
+    /// The release also runs when a cell panics: a certifier that panics
+    /// on the first spilled evaluation leaves no state indexed.
+    #[test]
+    fn panicking_cells_release_their_descent_trees() {
+        use crate::certify::CertifyViolation;
+        use ncdrf_ddg::Loop;
+        use ncdrf_sched::Schedule;
+
+        #[derive(Debug)]
+        struct PanicsOnSpill;
+        impl CellCertifier for PanicsOnSpill {
+            fn certify_analysis(
+                &self,
+                _: &Loop,
+                _: &Machine,
+                _: &Schedule,
+                _: &crate::LoopAnalysis,
+            ) -> Result<(), CertifyViolation> {
+                Ok(())
+            }
+            fn certify_eval(
+                &self,
+                _: &Loop,
+                _: &Machine,
+                _: &Loop,
+                _: &Schedule,
+                spilled: &[String],
+                _: usize,
+                _: usize,
+                _: &crate::LoopEval,
+            ) -> Result<(), CertifyViolation> {
+                assert!(spilled.is_empty(), "a spilled evaluation");
+                Ok(())
+            }
+            fn certify_checkpoint(
+                &self,
+                _: usize,
+                _: &Loop,
+                _: &Machine,
+                _: &Schedule,
+                _: crate::ModelId,
+                _: u32,
+            ) -> Result<(), CertifyViolation> {
+                Ok(())
+            }
+        }
+
+        let corpus = tiny();
+        let sweep = Sweep::new(&corpus)
+            .clustered_latencies([3])
+            .models([ModelId::UNIFIED, ModelId::PORT_LIMITED])
+            .budgets([8])
+            .certify(Arc::new(PanicsOnSpill));
+        let (sessions, cells) = sweep.run_grid(false);
+        let panicked = cells.iter().flatten().filter(|c| c.is_err()).count();
+        assert!(panicked > 0, "some cell must spill");
+        let stats = sessions[0].descent_stats();
+        assert!(stats.states_computed > 0, "{stats:?}");
+        assert_eq!(stats.indexed, 0, "{stats:?}");
     }
 
     /// Pins the certify wiring itself: a certify-mode sweep must invoke

@@ -21,10 +21,12 @@
 //! recomputed on each call and never memoised.
 //!
 //! States are keyed by their parent's tree-local id, never by a loop
-//! name, so two loops that share a name cannot share states. A tree
-//! serves one machine and one set of scheduler options.
+//! name, so two loops that share a name cannot share states. A tree owns
+//! the machine and the scheduler options its states are built with, so
+//! no caller can hand a trajectory of the tree a different pair.
 //! [`DescentTree::release`] drops the index and every memo except the
-//! root's class memo; trajectories keep the states they retain (their
+//! root's class memo — on indexed states and on the states trajectories
+//! still retain alike; trajectories keep the states they retain (their
 //! record-minima frontier and terminal checkpoint) alive on their own.
 
 use crate::rewrite::{rewrite, RewriteStats};
@@ -34,8 +36,8 @@ use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::Lifetime;
 use ncdrf_sched::{modulo_schedule_with, SchedContext, Schedule, SchedulerOptions};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// The memo key of an allocation class. Two requirements that report the
 /// same key must compute the same [`ClassRequirement`] on every loop and
@@ -162,6 +164,23 @@ pub(crate) struct DescentState {
     /// II-escalation rungs by II: the rung's schedule, or `None` when
     /// the loop does not schedule at that II.
     rungs: Mutex<BTreeMap<u32, Option<Arc<Scheduled>>>>,
+    /// Whether the tree's memo list holds this state (it holds every
+    /// state with a rung or a class memo).
+    listed: AtomicBool,
+}
+
+impl DescentState {
+    fn new(id: u64, l: Loop, fresh: Schedule, reloads: Vec<OpId>, stats: RewriteStats) -> Self {
+        DescentState {
+            id,
+            l,
+            fresh: Scheduled::new(fresh),
+            reloads,
+            stats,
+            rungs: Mutex::default(),
+            listed: AtomicBool::new(false),
+        }
+    }
 }
 
 /// Computed-versus-reused counts of a [`DescentTree`].
@@ -227,36 +246,48 @@ fn bump(c: &AtomicU64) {
 /// of a state is deterministic).
 #[derive(Debug)]
 pub struct DescentTree {
+    machine: Machine,
     scheduler: SchedulerOptions,
     root: Arc<DescentState>,
     index: Mutex<Index>,
+    /// Every state holding a rung or class memo, indexed or not, so
+    /// [`DescentTree::release`] reaches the memos of states only a
+    /// trajectory still holds.
+    memoised: Mutex<Vec<Weak<DescentState>>>,
     counters: Counters,
 }
 
 impl DescentTree {
     /// A tree rooted at the unspilled `l` with its base schedule. `base`
-    /// must be a schedule of `l` produced with `scheduler` (the seeding
-    /// contract of [`crate::spill_until_fits_seeded`]).
-    pub fn new(l: Loop, base: Schedule, scheduler: SchedulerOptions) -> DescentTree {
+    /// must be a schedule of `l` on `machine` produced with `scheduler`
+    /// (the seeding contract of [`crate::spill_until_fits_seeded`]).
+    pub fn new(
+        l: Loop,
+        base: Schedule,
+        machine: Machine,
+        scheduler: SchedulerOptions,
+    ) -> DescentTree {
+        let stats = RewriteStats {
+            stores_added: 0,
+            loads_added: 0,
+        };
         DescentTree {
+            machine,
             scheduler,
-            root: Arc::new(DescentState {
-                id: 0,
-                l,
-                fresh: Scheduled::new(base),
-                reloads: Vec::new(),
-                stats: RewriteStats {
-                    stores_added: 0,
-                    loads_added: 0,
-                },
-                rungs: Mutex::default(),
-            }),
+            root: Arc::new(DescentState::new(0, l, base, Vec::new(), stats)),
             index: Mutex::new(Index {
                 next_id: 1,
                 children: HashMap::new(),
             }),
+            memoised: Mutex::default(),
             counters: Counters::default(),
         }
+    }
+
+    /// The machine every state of this tree is scheduled and allocated
+    /// on.
+    pub(crate) fn machine(&self) -> &Machine {
+        &self.machine
     }
 
     /// The scheduler options every state of this tree is scheduled with.
@@ -271,10 +302,9 @@ impl DescentTree {
     /// The class part's [`MachineError`].
     pub fn base_requirement(
         &self,
-        machine: &Machine,
         requirement: &mut dyn Requirement,
     ) -> Result<(Arc<ClassRequirement>, u32), MachineError> {
-        self.requirement(&self.root.fresh, &self.root.l, machine, requirement)
+        self.requirement(&self.root, &self.root.fresh, requirement)
     }
 
     /// The root's memoised result for `key`, without computing it.
@@ -283,15 +313,35 @@ impl DescentTree {
     }
 
     /// Ends sharing for now: drops the index and every memo except the
-    /// root's class memo. States a trajectory retains stay alive through
-    /// the trajectory; anything computed later is indexed again.
+    /// root's class memo, on indexed and retained states alike. States a
+    /// trajectory retains stay alive through the trajectory; anything
+    /// computed later is indexed and memoised again.
     pub fn release(&self) {
         let children = std::mem::take(&mut lock(&self.index).children);
-        for state in children.values() {
-            lock(&state.fresh.classes).clear();
+        let memoised = std::mem::take(&mut *lock(&self.memoised));
+        for state in memoised.iter().filter_map(Weak::upgrade) {
+            // Unlisted before clearing: a memo inserted meanwhile lists
+            // its state again (see `memoise`).
+            state.listed.store(false, Ordering::SeqCst);
             lock(&state.rungs).clear();
+            if !Arc::ptr_eq(&state, &self.root) {
+                lock(&state.fresh.classes).clear();
+            }
         }
-        lock(&self.root.rungs).clear();
+        drop(children);
+    }
+
+    /// Lists `state` as holding a memo; called after every insert.
+    fn memoise(&self, state: &Arc<DescentState>) {
+        if !state.listed.swap(true, Ordering::SeqCst) {
+            let mut list = lock(&self.memoised);
+            // Forget dropped states before the list grows, so it stays
+            // within twice the memoised states alive.
+            if list.len() == list.capacity() {
+                list.retain(|w| w.strong_count() > 0);
+            }
+            list.push(Arc::downgrade(state));
+        }
     }
 
     /// What this tree computed and reused so far.
@@ -320,7 +370,6 @@ impl DescentTree {
         &self,
         parent: &DescentState,
         victim: OpId,
-        machine: &Machine,
     ) -> Result<Arc<DescentState>, SpillError> {
         let key = (parent.id, victim);
         if let Some(hit) = lock(&self.index).children.get(&key) {
@@ -329,33 +378,28 @@ impl DescentTree {
         }
         let (l, reloads, stats) =
             rewrite(&parent.l, victim).map_err(|e| SpillError::Rewrite(e.to_string()))?;
-        let fresh = Scheduled::new(modulo_schedule_with(&l, machine, self.scheduler)?);
+        let fresh = modulo_schedule_with(&l, &self.machine, self.scheduler)?;
         bump(&self.counters.states_computed);
         let mut index = lock(&self.index);
         let id = index.next_id;
         index.next_id += 1;
-        let state = index.children.entry(key).or_insert_with(|| {
-            Arc::new(DescentState {
-                id,
-                l,
-                fresh,
-                reloads,
-                stats,
-                rungs: Mutex::default(),
-            })
-        });
+        let state = index
+            .children
+            .entry(key)
+            .or_insert_with(|| Arc::new(DescentState::new(id, l, fresh, reloads, stats)));
         Ok(Arc::clone(state))
     }
 
-    /// `requirement` on `at` (a schedule of `l`): the class part from the
-    /// memo when the requirement has a class, then the model hook.
+    /// `requirement` on `at` (the fresh schedule or a rung of `state`):
+    /// the class part from the memo when the requirement has a class,
+    /// then the model hook.
     pub(crate) fn requirement(
         &self,
+        state: &Arc<DescentState>,
         at: &Scheduled,
-        l: &Loop,
-        machine: &Machine,
         requirement: &mut dyn Requirement,
     ) -> Result<(Arc<ClassRequirement>, u32), MachineError> {
+        let l = &state.l;
         let key = requirement.class();
         let memoised = key.and_then(|k| at.memoised(k));
         let class = match memoised {
@@ -364,7 +408,7 @@ impl DescentTree {
                 class
             }
             None => {
-                let class = Arc::new(requirement.allocate(l, machine, &at.sched)?);
+                let class = Arc::new(requirement.allocate(l, &self.machine, &at.sched)?);
                 bump(&self.counters.classes_computed);
                 match key {
                     Some(k) => {
@@ -373,6 +417,8 @@ impl DescentTree {
                             Some((_, raced)) => Arc::clone(raced),
                             None => {
                                 classes.push((k, Arc::clone(&class)));
+                                drop(classes);
+                                self.memoise(state);
                                 class
                             }
                         }
@@ -390,9 +436,8 @@ impl DescentTree {
     /// schedules in.
     pub(crate) fn rung(
         &self,
-        state: &DescentState,
+        state: &Arc<DescentState>,
         ii: u32,
-        machine: &Machine,
         ctx: &mut SchedContext,
     ) -> Result<Option<Arc<Scheduled>>, MachineError> {
         if let Some(hit) = lock(&state.rungs).get(&ii) {
@@ -400,10 +445,12 @@ impl DescentTree {
             return Ok(hit.clone());
         }
         let rung = ctx
-            .schedule_at_ii(&state.l, machine, ii, self.scheduler)?
+            .schedule_at_ii(&state.l, &self.machine, ii, self.scheduler)?
             .map(|s| Arc::new(Scheduled::new(s)));
         bump(&self.counters.rungs_computed);
-        Ok(lock(&state.rungs).entry(ii).or_insert(rung).clone())
+        let rung = lock(&state.rungs).entry(ii).or_insert(rung).clone();
+        self.memoise(state);
+        Ok(rung)
     }
 }
 
@@ -458,7 +505,7 @@ mod tests {
     fn tree(l: &Loop, machine: &Machine) -> Arc<DescentTree> {
         let opts = SchedulerOptions::default();
         let base = modulo_schedule_with(l, machine, opts).unwrap();
-        Arc::new(DescentTree::new(l.to_owned(), base, opts))
+        Arc::new(DescentTree::new(l.to_owned(), base, machine.clone(), opts))
     }
 
     /// Every budget, deep enough to exhaust and escalate.
@@ -471,7 +518,7 @@ mod tests {
         let opts = SpillOptions::default();
         let mut hooks = [Scaled(1, 1), Scaled(3, 4), Scaled(5, 4)];
         for hook in &mut hooks {
-            let mut shared = SpillTrajectory::in_tree(&t, &machine, hook, opts).unwrap();
+            let mut shared = SpillTrajectory::in_tree(&t, hook, opts).unwrap();
             let mut alone = SpillTrajectory::from_base(
                 &l,
                 &machine,
@@ -502,7 +549,7 @@ mod tests {
         let mut trajs: Vec<SpillTrajectory> = [Scaled(1, 1), Scaled(3, 4)]
             .into_iter()
             .map(|mut hook| {
-                let mut traj = SpillTrajectory::in_tree(&t, &machine, &mut hook, opts).unwrap();
+                let mut traj = SpillTrajectory::in_tree(&t, &mut hook, opts).unwrap();
                 for budget in LADDER {
                     traj.evaluate(&machine, budget, &mut hook).unwrap();
                 }
@@ -510,15 +557,42 @@ mod tests {
             })
             .collect();
         let mut closure = requirement_unified;
-        let mut plain = SpillTrajectory::in_tree(&t, &machine, &mut closure, opts).unwrap();
+        let mut plain = SpillTrajectory::in_tree(&t, &mut closure, opts).unwrap();
         plain.evaluate(&machine, 1, &mut closure).unwrap();
         trajs.push(plain);
         assert!(t.stats().indexed > 0);
 
         t.release();
+        assert_released(&t, &trajs);
+        // Released trajectories still serve and extend bit-identically,
+        // memoising on the states they retain; a second release clears
+        // those memos although no index reaches the states.
+        let mut hook = Scaled(1, 1);
+        for budget in LADDER {
+            let mut fresh = SpillTrajectory::from_base(
+                &l,
+                &machine,
+                modulo_schedule_with(&l, &machine, opts.scheduler).unwrap(),
+                &mut hook,
+                opts,
+            )
+            .unwrap();
+            assert_eq!(
+                trajs[0].evaluate(&machine, budget, &mut hook).unwrap().0,
+                fresh.evaluate(&machine, budget, &mut hook).unwrap().0
+            );
+        }
+        assert!(!lock(&t.memoised).is_empty());
+        t.release();
+        assert_released(&t, &trajs);
+    }
+
+    /// After a release the index is empty, and every state still alive
+    /// is held by exactly the checkpoints that retain it (and the tree,
+    /// for the root), with no memo but the root's class memo.
+    fn assert_released(t: &DescentTree, trajs: &[SpillTrajectory]) {
         assert_eq!(t.stats().indexed, 0);
-        // Every state still alive is held by exactly the checkpoints that
-        // retain it (and the tree, for the root) — nothing else.
+        assert!(lock(&t.memoised).is_empty());
         let mut alive: Vec<(&Arc<DescentState>, usize)> = Vec::new();
         for cp in trajs.iter().flat_map(|t| t.checkpoints()) {
             let Some(state) = cp.state.as_ref().map(|s| &s.state) else {
@@ -535,22 +609,6 @@ mod tests {
             assert!(lock(&state.rungs).is_empty());
             assert_eq!(lock(&state.fresh.classes).is_empty(), !root);
         }
-        // Released trajectories still serve and extend bit-identically.
-        let mut hook = Scaled(1, 1);
-        for budget in LADDER {
-            let mut fresh = SpillTrajectory::from_base(
-                &l,
-                &machine,
-                modulo_schedule_with(&l, &machine, opts.scheduler).unwrap(),
-                &mut hook,
-                opts,
-            )
-            .unwrap();
-            assert_eq!(
-                trajs[0].evaluate(&machine, budget, &mut hook).unwrap().0,
-                fresh.evaluate(&machine, budget, &mut hook).unwrap().0
-            );
-        }
     }
 
     #[test]
@@ -559,18 +617,16 @@ mod tests {
         let l = pressured();
         let t = tree(&l, &machine);
         let victim = l.find_op("L1").unwrap();
-        let a = t.child(t.root(), victim, &machine).unwrap();
-        let b = t.child(t.root(), victim, &machine).unwrap();
+        let a = t.child(t.root(), victim).unwrap();
+        let b = t.child(t.root(), victim).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         // Every state carries the loop's name; only the parent tells the
         // same victim apart: spilling M1 after L1 and after A1 reaches
         // two different states.
-        let c = t
-            .child(t.root(), l.find_op("A1").unwrap(), &machine)
-            .unwrap();
+        let c = t.child(t.root(), l.find_op("A1").unwrap()).unwrap();
         let m1 = l.find_op("M1").unwrap();
-        let x = t.child(&a, m1, &machine).unwrap();
-        let y = t.child(&c, m1, &machine).unwrap();
+        let x = t.child(&a, m1).unwrap();
+        let y = t.child(&c, m1).unwrap();
         assert!(!Arc::ptr_eq(&x, &y) && x.l.name() == y.l.name());
         assert_ne!(x.l, y.l);
         let s = t.stats();

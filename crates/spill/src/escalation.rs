@@ -16,12 +16,12 @@
 //! rung table of the [`DescentTree`], so every model whose descent ends
 //! in that state schedules each rung once, and a memoised requirement
 //! class allocates each rung once. Results are bit-identical to a full
-//! scan from the base II at every budget, in any order.
+//! scan from the base II at every budget, in any order. The fresh driver
+//! [`crate::spill_until_fits`] serves its one budget from a one-shot
+//! ladder on a tree rooted at its exhausted loop.
 
 use crate::descent::{DescentState, DescentTree};
 use crate::{Requirement, SpillError, SpillResult};
-use ncdrf_ddg::Loop;
-use ncdrf_machine::Machine;
 use ncdrf_sched::{SchedContext, Schedule};
 use std::sync::Arc;
 
@@ -32,19 +32,6 @@ pub(crate) struct SpillTally {
     pub(crate) spill_stores: usize,
     pub(crate) spill_loads: usize,
     pub(crate) rounds: usize,
-}
-
-/// The last II the escalation scan of `l` tries when its base schedule
-/// has II `base_ii`: the loop's sequential length, and always above the
-/// base.
-pub(crate) fn scan_end(l: &Loop, machine: &Machine, base_ii: u32) -> u32 {
-    let seq_len: u32 = l
-        .ops()
-        .iter()
-        .map(|op| machine.latency(op.kind()).unwrap_or(1) + 1)
-        .sum::<u32>()
-        + 1;
-    seq_len.max(base_ii + 1)
 }
 
 /// One trajectory's II-escalation rungs of its terminal state. Scalars
@@ -66,13 +53,20 @@ pub(crate) struct EscalationLadder {
 type Rung = (u32, Arc<Schedule>, u32);
 
 impl EscalationLadder {
-    /// Starts the ladder of `state`, bounding the scan by the loop's
-    /// sequential length.
-    pub(crate) fn new(state: &DescentState, machine: &Machine) -> EscalationLadder {
+    /// Starts the ladder of `state`, a state of `tree`, bounding the
+    /// scan by the loop's sequential length.
+    pub(crate) fn new(tree: &DescentTree, state: &DescentState) -> EscalationLadder {
         let base_ii = state.fresh.sched.ii();
+        let seq_len: u32 = state
+            .l
+            .ops()
+            .iter()
+            .map(|op| tree.machine().latency(op.kind()).unwrap_or(1) + 1)
+            .sum::<u32>()
+            + 1;
         EscalationLadder {
             base_ii,
-            end_ii: scan_end(&state.l, machine, base_ii),
+            end_ii: seq_len.max(base_ii + 1),
             next_ii: base_ii + 1,
             rungs: Vec::new(),
         }
@@ -92,8 +86,7 @@ impl EscalationLadder {
     pub(crate) fn serve(
         &mut self,
         tree: &DescentTree,
-        state: &DescentState,
-        machine: &Machine,
+        state: &Arc<DescentState>,
         budget: u32,
         requirement: &mut dyn Requirement,
         tally: SpillTally,
@@ -105,13 +98,13 @@ impl EscalationLadder {
             .find(|&&(_, regs)| regs <= budget)
             .map(|&(ii, _)| ii);
         let rung = match cached {
-            Some(ii) => Some(self.recompute(&mut ctx, tree, state, machine, ii, requirement)?),
-            None => match self.extend(&mut ctx, tree, state, machine, budget, requirement)? {
+            Some(ii) => Some(self.recompute(&mut ctx, tree, state, ii, requirement)?),
+            None => match self.extend(&mut ctx, tree, state, budget, requirement)? {
                 extended @ Some(_) => extended,
                 None => self
                     .rungs
                     .last()
-                    .map(|&(ii, _)| self.recompute(&mut ctx, tree, state, machine, ii, requirement))
+                    .map(|&(ii, _)| self.recompute(&mut ctx, tree, state, ii, requirement))
                     .transpose()?,
             },
         };
@@ -120,8 +113,7 @@ impl EscalationLadder {
             Some((ii, sched, regs)) if regs <= budget => (sched, regs, tried(ii)),
             Some((_, sched, regs)) => (sched, regs, tried(self.end_ii)),
             None => {
-                let (class, regs) =
-                    tree.requirement(&state.fresh, &state.l, machine, requirement)?;
+                let (class, regs) = tree.requirement(state, &state.fresh, requirement)?;
                 (Arc::clone(&class.sched), regs, tried(self.end_ii))
             }
         };
@@ -145,16 +137,15 @@ impl EscalationLadder {
         &mut self,
         ctx: &mut SchedContext,
         tree: &DescentTree,
-        state: &DescentState,
-        machine: &Machine,
+        state: &Arc<DescentState>,
         budget: u32,
         requirement: &mut dyn Requirement,
     ) -> Result<Option<Rung>, SpillError> {
         let mut last = None;
         while self.next_ii <= self.end_ii {
             let ii = self.next_ii;
-            if let Some(rung) = tree.rung(state, ii, machine, ctx)? {
-                let (class, regs) = tree.requirement(&rung, &state.l, machine, requirement)?;
+            if let Some(rung) = tree.rung(state, ii, ctx)? {
+                let (class, regs) = tree.requirement(state, &rung, requirement)?;
                 self.rungs.push((ii, regs));
                 last = Some((ii, Arc::clone(&class.sched), regs));
             }
@@ -171,15 +162,14 @@ impl EscalationLadder {
         &self,
         ctx: &mut SchedContext,
         tree: &DescentTree,
-        state: &DescentState,
-        machine: &Machine,
+        state: &Arc<DescentState>,
         ii: u32,
         requirement: &mut dyn Requirement,
     ) -> Result<Rung, SpillError> {
         let rung = tree
-            .rung(state, ii, machine, ctx)?
+            .rung(state, ii, ctx)?
             .expect("a recorded rung schedules again at the same II");
-        let (class, regs) = tree.requirement(&rung, &state.l, machine, requirement)?;
+        let (class, regs) = tree.requirement(state, &rung, requirement)?;
         debug_assert!(
             self.rungs.contains(&(ii, regs)),
             "rung at II {ii} recomputed to {regs} registers"

@@ -1,11 +1,12 @@
 //! The iterative spill-until-fits driver of the paper's §5.4.
 
-use crate::escalation::scan_end;
+use crate::descent::DescentTree;
+use crate::escalation::{EscalationLadder, SpillTally};
 use crate::rewrite::rewrite;
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{lifetimes, lifetimes_into, Lifetime};
-use ncdrf_sched::{modulo_schedule_with, SchedContext, Schedule, ScheduleError, SchedulerOptions};
+use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError, SchedulerOptions};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -275,7 +276,27 @@ fn run_spill_loop(
         };
 
         let Some(victim) = victim else {
-            let mut result = SpillResult {
+            // Nothing left to spill. Optionally trade II for pressure, on
+            // a one-shot ladder rooted at the exhausted loop.
+            if opts.escalate_ii {
+                let cur = take_current(current, l);
+                let fresh = modulo_schedule_with(&cur, machine, opts.scheduler)?;
+                let tree = DescentTree::new(cur, fresh, machine.to_owned(), opts.scheduler);
+                let root = tree.root();
+                return EscalationLadder::new(&tree, root).serve(
+                    &tree,
+                    root,
+                    budget,
+                    &mut &mut *requirement,
+                    SpillTally {
+                        spilled,
+                        spill_stores,
+                        spill_loads,
+                        rounds,
+                    },
+                );
+            }
+            return Ok(SpillResult {
                 l: take_current(current, l),
                 sched,
                 regs,
@@ -284,12 +305,7 @@ fn run_spill_loop(
                 spill_stores,
                 spill_loads,
                 rounds,
-            };
-            // Nothing left to spill. Optionally trade II for pressure.
-            if opts.escalate_ii {
-                escalate(&mut result, machine, budget, requirement, opts.scheduler)?;
-            }
-            return Ok(result);
+            });
         };
 
         let victim_name = cur.op(victim).name().to_owned();
@@ -301,50 +317,6 @@ fn run_spill_loop(
         spill_loads += stats.loads_added;
         current = Some(next);
     }
-}
-
-/// The fresh driver's II-escalation fallback: re-schedules the exhausted
-/// loop at every II above its base II, up to [`scan_end`], and stops at
-/// the first that fits `budget`. When none does, the last II that
-/// scheduled answers (the base schedule if none did), marked unfit.
-/// Each II tried counts one round. It shares no code with the
-/// trajectories' rung ladder, so the differential suites that compare
-/// trajectories with this driver compare two implementations.
-fn escalate(
-    result: &mut SpillResult,
-    machine: &Machine,
-    budget: u32,
-    requirement: &mut RequirementFn<'_>,
-    opts: SchedulerOptions,
-) -> Result<(), SpillError> {
-    let l = &result.l;
-    let mut ctx = SchedContext::new();
-    let base_ii = ctx.schedule(l, machine, opts)?.ii();
-    let end_ii = scan_end(l, machine, base_ii);
-    let mut last = None;
-    for ii in base_ii + 1..=end_ii {
-        if let Some(mut sched) = ctx.schedule_at_ii(l, machine, ii, opts)? {
-            let regs = requirement(l, machine, &mut sched)?;
-            last = Some((ii, sched, regs));
-            if regs <= budget {
-                break;
-            }
-        }
-    }
-    let (tried, sched, regs) = match last {
-        Some((ii, sched, regs)) if regs <= budget => (ii, sched, regs),
-        Some((_, sched, regs)) => (end_ii, sched, regs),
-        None => {
-            let mut sched = ctx.schedule(l, machine, opts)?;
-            let regs = requirement(l, machine, &mut sched)?;
-            (end_ii, sched, regs)
-        }
-    };
-    result.rounds += (tried - base_ii) as usize;
-    result.fits = regs <= budget;
-    result.sched = sched;
-    result.regs = regs;
-    Ok(())
 }
 
 /// The owned loop a cold exit of the spill loop hands back: the spilled

@@ -158,10 +158,9 @@ impl SpillCheckpoint {
         state: Arc<DescentState>,
         prev: Option<&SpillCheckpoint>,
         victim: Option<String>,
-        machine: &Machine,
         requirement: &mut dyn Requirement,
     ) -> Result<SpillCheckpoint, SpillError> {
-        let (class, regs) = tree.requirement(&state.fresh, &state.l, machine, requirement)?;
+        let (class, regs) = tree.requirement(&state, &state.fresh, requirement)?;
         let (stores, loads) = prev.map_or((0, 0), |p| (p.spill_stores, p.spill_loads));
         Ok(SpillCheckpoint {
             regs,
@@ -342,26 +341,33 @@ impl SpillTrajectory {
         requirement: &mut dyn Requirement,
         opts: SpillOptions,
     ) -> Result<SpillTrajectory, SpillError> {
-        let tree = Arc::new(DescentTree::new(l.to_owned(), base, opts.scheduler));
-        SpillTrajectory::in_tree(&tree, machine, requirement, opts)
+        let tree = DescentTree::new(l.to_owned(), base, machine.clone(), opts.scheduler);
+        SpillTrajectory::in_tree(&Arc::new(tree), requirement, opts)
     }
 
-    /// Starts a trajectory at the root of a shared `tree`. `machine` and
-    /// `opts.scheduler` must be the ones the tree was built for.
+    /// Starts a trajectory at the root of a shared `tree`, on the tree's
+    /// machine.
     ///
     /// # Errors
     ///
     /// Returns [`SpillError::Machine`] when the requirement fails on the
     /// base schedule.
+    ///
+    /// # Panics
+    ///
+    /// When `opts.scheduler` is not the tree's scheduler options.
     pub fn in_tree(
         tree: &Arc<DescentTree>,
-        machine: &Machine,
         requirement: &mut dyn Requirement,
         opts: SpillOptions,
     ) -> Result<SpillTrajectory, SpillError> {
-        debug_assert_eq!(tree.scheduler(), opts.scheduler);
+        assert_eq!(
+            tree.scheduler(),
+            opts.scheduler,
+            "a trajectory schedules with its tree's scheduler options"
+        );
         let root = Arc::clone(tree.root());
-        let base = SpillCheckpoint::reached(tree, root, None, None, machine, requirement)?;
+        let base = SpillCheckpoint::reached(tree, root, None, None, requirement)?;
         Ok(SpillTrajectory {
             opts,
             tree: Arc::clone(tree),
@@ -455,25 +461,29 @@ impl SpillTrajectory {
         opts: SpillOptions,
         checker: Option<CheckpointChecker<'_>>,
     ) -> Result<SpillTrajectory, SpillError> {
-        let tree = Arc::new(DescentTree::new(l.to_owned(), base, opts.scheduler));
-        SpillTrajectory::replay_in_tree(&tree, machine, snapshot, requirement, opts, checker)
+        let tree = DescentTree::new(l.to_owned(), base, machine.clone(), opts.scheduler);
+        SpillTrajectory::replay_in_tree(&Arc::new(tree), snapshot, requirement, opts, checker)
     }
 
-    /// [`SpillTrajectory::replay_with_checker`] on a shared `tree`:
-    /// replayed steps reuse every state the tree already holds.
+    /// [`SpillTrajectory::replay_with_checker`] on a shared `tree`, on
+    /// the tree's machine: replayed steps reuse every state the tree
+    /// already holds.
     ///
     /// # Errors
     ///
     /// Everything [`SpillTrajectory::replay_with_checker`] returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`SpillTrajectory::in_tree`].
     pub fn replay_in_tree(
         tree: &Arc<DescentTree>,
-        machine: &Machine,
         snapshot: &TrajectorySnapshot,
         requirement: &mut dyn Requirement,
         opts: SpillOptions,
         mut checker: Option<CheckpointChecker<'_>>,
     ) -> Result<SpillTrajectory, SpillError> {
-        let mut traj = SpillTrajectory::in_tree(tree, machine, requirement, opts)?;
+        let mut traj = SpillTrajectory::in_tree(tree, requirement, opts)?;
         let base_cp = &traj.checkpoints[0];
         if base_cp.regs != snapshot.base_regs {
             return Err(SpillError::Snapshot(format!(
@@ -500,13 +510,12 @@ impl SpillTrajectory {
                         step.victim
                     ))
                 })?;
-            let next = traj.tree.child(&parent, victim, machine)?;
+            let next = traj.tree.child(&parent, victim)?;
             let checkpoint = SpillCheckpoint::reached(
                 &traj.tree,
                 next,
                 Some(last),
                 Some(step.victim.clone()),
-                machine,
                 requirement,
             )?;
             if checkpoint.regs != step.regs
@@ -622,11 +631,7 @@ impl SpillTrajectory {
     /// committed prefix stays valid for budgets it already serves, and a
     /// retry deterministically repeats (and re-fails) the same step,
     /// matching what a fresh run at the same budget would do.
-    fn advance(
-        &mut self,
-        machine: &Machine,
-        requirement: &mut dyn Requirement,
-    ) -> Result<bool, SpillError> {
+    fn advance(&mut self, requirement: &mut dyn Requirement) -> Result<bool, SpillError> {
         if self.exhausted {
             return Ok(false);
         }
@@ -640,7 +645,7 @@ impl SpillTrajectory {
         let at = last.retained();
         let victim = select_victim(
             &at.state.l,
-            machine,
+            self.tree.machine(),
             &at.sched,
             &self.excluded,
             self.opts.policy,
@@ -652,15 +657,9 @@ impl SpillTrajectory {
             return Ok(false);
         };
         let name = at.state.l.op(victim).name().to_owned();
-        let next = self.tree.child(&at.state, victim, machine)?;
-        let checkpoint = SpillCheckpoint::reached(
-            &self.tree,
-            next,
-            Some(last),
-            Some(name),
-            machine,
-            requirement,
-        )?;
+        let next = self.tree.child(&at.state, victim)?;
+        let checkpoint =
+            SpillCheckpoint::reached(&self.tree, next, Some(last), Some(name), requirement)?;
         self.rng = rng;
         self.commit(victim, checkpoint);
         Ok(true)
@@ -704,18 +703,28 @@ impl SpillTrajectory {
     /// Exactly the errors the fresh driver would produce at this budget.
     /// A failed extension does not invalidate the committed prefix:
     /// other budgets (and other models' trajectories) are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// When `machine` is not the machine of the trajectory's
+    /// [`DescentTree`] (the one [`SpillTrajectory::from_base`] was given).
     pub fn evaluate(
         &mut self,
         machine: &Machine,
         budget: u32,
         requirement: &mut dyn Requirement,
     ) -> Result<(SpillResult, ResumeStats), SpillError> {
+        let own = self.tree.machine();
+        assert!(
+            std::ptr::eq(machine, own) || machine == own,
+            "a trajectory evaluates on its tree's machine"
+        );
         let mut stats = ResumeStats::default();
         loop {
             if let Some(k) = self.first_fit(budget) {
                 return Ok((self.result_at(k, budget), stats));
             }
-            if !self.advance(machine, requirement)? {
+            if !self.advance(requirement)? {
                 break;
             }
             stats.steps_computed += 1;
@@ -736,8 +745,8 @@ impl SpillTrajectory {
             let state = &last.retained().state;
             let ladder = self
                 .ladder
-                .get_or_insert_with(|| EscalationLadder::new(state, machine));
-            let r = ladder.serve(&self.tree, state, machine, budget, requirement, tally)?;
+                .get_or_insert_with(|| EscalationLadder::new(&self.tree, state));
+            let r = ladder.serve(&self.tree, state, budget, requirement, tally)?;
             return Ok((r, stats));
         }
         Ok((self.result_at(terminal, budget), stats))
@@ -769,6 +778,28 @@ mod tests {
     fn traj(l: &Loop, machine: &Machine, opts: SpillOptions) -> SpillTrajectory {
         let base = modulo_schedule(l, machine).unwrap();
         SpillTrajectory::from_base(l, machine, base, &mut requirement_unified, opts).unwrap()
+    }
+
+    /// A trajectory runs on its tree's machine and scheduler options; a
+    /// caller cannot hand it others.
+    #[test]
+    #[should_panic(expected = "a trajectory evaluates on its tree's machine")]
+    fn evaluating_on_another_machine_panics() {
+        let l = pressured();
+        let mut t = traj(&l, &Machine::clustered(6, 1), SpillOptions::default());
+        let _ = t.evaluate(&Machine::clustered(3, 1), 8, &mut requirement_unified);
+    }
+
+    #[test]
+    #[should_panic(expected = "a trajectory schedules with its tree's scheduler options")]
+    fn joining_a_tree_with_other_scheduler_options_panics() {
+        let (l, machine) = (pressured(), Machine::clustered(6, 1));
+        let opts = SpillOptions::default();
+        let base = modulo_schedule(&l, &machine).unwrap();
+        let tree = DescentTree::new(l, base, machine, opts.scheduler);
+        let mut other = opts;
+        other.scheduler.budget_ratio += 1;
+        let _ = SpillTrajectory::in_tree(&Arc::new(tree), &mut requirement_unified, other);
     }
 
     #[test]

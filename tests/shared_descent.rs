@@ -275,11 +275,12 @@ fn diverging_policies_on_one_tree_match_private_trees() {
         for l in Corpus::small().take(12).iter() {
             let opts = SpillOptions::default();
             let base = modulo_schedule_with(l, &machine, opts.scheduler).unwrap();
-            let tree = Arc::new(DescentTree::new(l.clone(), base.clone(), opts.scheduler));
+            let tree = DescentTree::new(l.clone(), base.clone(), machine.clone(), opts.scheduler);
+            let tree = Arc::new(tree);
             for policy in policies {
                 let opts = SpillOptions { policy, ..opts };
                 let req = &mut requirement_unified;
-                let mut shared = SpillTrajectory::in_tree(&tree, &machine, req, opts).unwrap();
+                let mut shared = SpillTrajectory::in_tree(&tree, req, opts).unwrap();
                 let mut alone =
                     SpillTrajectory::from_base(l, &machine, base.clone(), req, opts).unwrap();
                 for budget in DESCENDING {
