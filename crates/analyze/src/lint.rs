@@ -24,7 +24,7 @@
 //!   a named const, never a bare integer literal.
 //! * **model-name-literal** — model wire names (`"unified"`, …) may be
 //!   spelled out only in the model registry (which owns them) and the
-//!   wire parser (whose frozen v3 table must spell the legacy names);
+//!   report module (whose budget cell keys its ideal row `"ideal"`);
 //!   everywhere else goes through `ModelId` constants or
 //!   `ModelRegistry::resolve`, so adding a model never means hunting
 //!   stringly-typed call sites.
@@ -93,8 +93,8 @@ const MODEL_NAMES: &[&str] = &[
 ];
 
 /// Where model-name literals are sanctioned: the registry itself (it
-/// defines the names), the wire parser (its frozen v3 name table must
-/// spell the legacy names out so old artifacts can never drift), and
+/// defines the names), the report module (its only such literal is the
+/// budget cell's `"ideal"` member key, written and read back there), and
 /// this file's own watch table.
 const MODEL_NAME_ALLOW: &[&str] = &[
     "crates/core/src/model.rs",

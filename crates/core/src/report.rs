@@ -446,24 +446,14 @@ impl Render for PartialSweep {
 /// Artifact type tag of a serialized [`SweepShard`].
 const SHARD_KIND: &str = "ncdrf-sweep-shard";
 /// Artifact format version; bump on layout changes so stale artifacts
-/// fail loudly instead of merging garbage. v3 added the artifact role
-/// (shard vs heal), per-cell cache counters, and optional per-cell
-/// spill-trajectory snapshots. v4 resolves model names through the
-/// [`ModelRegistry`], so artifacts may carry registered non-paper
-/// models; the layout is unchanged, and v3 artifacts (whose model
-/// vocabulary is the four paper names) still parse — see
-/// [`ModelNaming`].
+/// fail loudly instead of merging garbage. This build reads only the
+/// version it writes: v4, whose model names resolve through the
+/// [`ModelRegistry`].
 const SHARD_VERSION: u128 = 4;
 
-/// Oldest shard format version this build still reads. v3 artifacts are
-/// restricted to the four paper models (the only names that existed
-/// before the registry).
-const SHARD_VERSION_MIN: u128 = 3;
-
 /// Artifact type tag of a serialized [`SweepReport`] / [`PartialSweep`].
-/// Report JSON predates versioning, so the parsers accept tag-less
-/// legacy documents (see [`parse_sweep_report`]); tagged documents must
-/// carry a supported version.
+/// The parsers refuse documents without this tag or with another
+/// version.
 const REPORT_KIND: &str = "ncdrf-sweep-report";
 /// Tag of the [`PartialSweep`] envelope.
 const PARTIAL_KIND: &str = "ncdrf-partial-sweep";
@@ -752,19 +742,6 @@ fn u64_member(v: &Value, key: &str) -> Parsed<u64> {
         .map_err(|_| ReportParseError::new(format!("`{key}` is out of range")))
 }
 
-/// A `u64` member that defaults to zero when the key is absent — for
-/// counters added to the (unversioned) report JSON after artifacts were
-/// already in the wild: a pre-trajectory report parses with zeroed
-/// trajectory counters instead of a bare missing-member error. (Shard
-/// artifacts are versioned and fail loudly instead; see
-/// [`SHARD_VERSION`].)
-fn u64_member_or_zero(v: &Value, key: &str) -> Parsed<u64> {
-    if v.get(key).is_none() {
-        return Ok(0);
-    }
-    u64_member(v, key)
-}
-
 fn u32_member(v: &Value, key: &str) -> Parsed<u32> {
     u128_member(v, key)?
         .try_into()
@@ -836,41 +813,9 @@ fn string_array_member(v: &Value, key: &str) -> Parsed<Vec<String>> {
         .collect()
 }
 
-/// How model names in a parsed document resolve to registry IDs.
-///
-/// v3 shard artifacts predate the registry: their model vocabulary is
-/// exactly the four paper names, frozen here so a v3 artifact naming a
-/// later-registered model (impossible for a genuine v3 emitter) fails
-/// loudly instead of silently acquiring new semantics. Everything else
-/// — v4 artifacts, report JSON, standalone grid signatures — resolves
-/// through the live [`ModelRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ModelNaming {
-    /// The fixed four-name map of pre-registry (v3) shard artifacts.
-    LegacyV3,
-    /// Any model registered in this process.
-    Registry,
-}
-
-impl ModelNaming {
-    fn resolve(self, name: &str) -> Option<ModelId> {
-        match self {
-            ModelNaming::LegacyV3 => match name {
-                "ideal" => Some(ModelId::IDEAL),
-                "unified" => Some(ModelId::UNIFIED),
-                "partitioned" => Some(ModelId::PARTITIONED),
-                "swapped" => Some(ModelId::SWAPPED),
-                _ => None,
-            },
-            ModelNaming::Registry => ModelRegistry::resolve(name),
-        }
-    }
-}
-
-fn model_member(v: &Value, key: &str, naming: ModelNaming) -> Parsed<ModelId> {
+fn model_member(v: &Value, key: &str) -> Parsed<ModelId> {
     let name = str_member(v, key)?;
-    naming
-        .resolve(&name)
+    ModelRegistry::resolve(&name)
         .ok_or_else(|| ReportParseError::new(format!("`{key}` names no model: `{name}`")))
 }
 
@@ -878,7 +823,7 @@ fn curve_from(v: &Value) -> Parsed<DistributionCurve> {
     let points = u32_array_member(v, "points")?;
     Ok(DistributionCurve {
         config: str_member(v, "config")?,
-        model: model_member(v, "model", ModelNaming::Registry)?,
+        model: model_member(v, "model")?,
         latency: u32_member(v, "latency")?,
         static_dist: Cumulative {
             points: points.clone(),
@@ -894,7 +839,7 @@ fn curve_from(v: &Value) -> Parsed<DistributionCurve> {
 fn outcome_from(v: &Value) -> Parsed<BudgetOutcome> {
     Ok(BudgetOutcome {
         config: str_member(v, "config")?,
-        model: model_member(v, "model", ModelNaming::Registry)?,
+        model: model_member(v, "model")?,
         latency: u32_member(v, "latency")?,
         registers: u32_member(v, "registers")?,
         cycles: u128_member(v, "cycles")?,
@@ -918,23 +863,18 @@ fn sweep_report_from(v: &Value) -> Parsed<SweepReport> {
         scheduling: CacheStats {
             hits: u64_member(v, "cache_hits")?,
             misses: u64_member(v, "scheduling_runs")?,
-            spill_steps: u64_member_or_zero(v, "spill_steps")?,
-            traj_hits: u64_member_or_zero(v, "trajectory_hits")?,
-            traj_resumes: u64_member_or_zero(v, "trajectory_resumes")?,
+            spill_steps: u64_member(v, "spill_steps")?,
+            traj_hits: u64_member(v, "trajectory_hits")?,
+            traj_resumes: u64_member(v, "trajectory_resumes")?,
         },
     })
 }
 
-/// Validates a report-family document's `kind`/`version` tags. Report
-/// JSON predates versioning, so a document with **no** `kind` is
-/// accepted as legacy (its absent trajectory counters back-parse as
-/// zero, see [`u64_member_or_zero`]); a tagged document must carry the
-/// expected kind and a version this build reads, so a future layout
-/// change fails loudly instead of parsing garbage.
+/// Validates a report-family document's `kind`/`version` tags: a
+/// document must carry the expected kind and the version this build
+/// writes, so an untagged or future layout fails loudly instead of
+/// parsing garbage.
 fn check_report_envelope(v: &Value, expected_kind: &str) -> Parsed<()> {
-    if v.get("kind").is_none() {
-        return Ok(()); // legacy, pre-versioning document
-    }
     let kind = str_member(v, "kind")?;
     if kind != expected_kind {
         return Err(ReportParseError::new(format!(
@@ -963,8 +903,8 @@ fn check_report_envelope(v: &Value, expected_kind: &str) -> Parsed<()> {
 /// as `null` and parses back to `+∞`, so even those reports round-trip
 /// to equality.
 ///
-/// Reports are versioned ([`REPORT_KIND`]); untagged legacy documents
-/// still parse, with the counters they predate zeroed.
+/// Reports are tagged with a kind and version; untagged documents and
+/// other versions are refused.
 ///
 /// # Errors
 ///
@@ -1006,7 +946,7 @@ pub fn parse_partial_sweep(json: &str) -> Parsed<PartialSweep> {
     })
 }
 
-fn analysis_from(v: &Value, naming: ModelNaming) -> Parsed<LoopAnalysis> {
+fn analysis_from(v: &Value) -> Parsed<LoopAnalysis> {
     let pressure = member(v, "pressure")?;
     let pressure = if pressure.is_null() {
         None
@@ -1021,7 +961,7 @@ fn analysis_from(v: &Value, naming: ModelNaming) -> Parsed<LoopAnalysis> {
     };
     Ok(LoopAnalysis {
         name: str_member(v, "name")?,
-        model: model_member(v, "model", naming)?,
+        model: model_member(v, "model")?,
         ii: u32_member(v, "ii")?,
         regs: u32_member(v, "regs")?,
         max_live: u32_member(v, "max_live")?,
@@ -1030,10 +970,10 @@ fn analysis_from(v: &Value, naming: ModelNaming) -> Parsed<LoopAnalysis> {
     })
 }
 
-fn eval_from(v: &Value, naming: ModelNaming) -> Parsed<LoopEval> {
+fn eval_from(v: &Value) -> Parsed<LoopEval> {
     Ok(LoopEval {
         name: str_member(v, "name")?,
-        model: model_member(v, "model", naming)?,
+        model: model_member(v, "model")?,
         budget: u32_member(v, "budget")?,
         ii: u32_member(v, "ii")?,
         regs: u32_member(v, "regs")?,
@@ -1055,9 +995,9 @@ fn cache_stats_from(v: &Value) -> Parsed<CacheStats> {
     })
 }
 
-fn trajectory_from(v: &Value, naming: ModelNaming) -> Parsed<CellTrajectory> {
+fn trajectory_from(v: &Value) -> Parsed<CellTrajectory> {
     Ok(CellTrajectory {
-        model: model_member(v, "model", naming)?,
+        model: model_member(v, "model")?,
         snapshot: TrajectorySnapshot {
             base_regs: u32_member(v, "base_regs")?,
             base_ii: u32_member(v, "base_ii")?,
@@ -1081,7 +1021,7 @@ fn trajectory_from(v: &Value, naming: ModelNaming) -> Parsed<CellTrajectory> {
     })
 }
 
-fn shard_cell_from(v: &Value, naming: ModelNaming) -> Parsed<ShardCell> {
+fn shard_cell_from(v: &Value) -> Parsed<ShardCell> {
     let loop_name = str_member(v, "loop")?;
     let outcome = if let Some(err) = v.get("error") {
         let message = err
@@ -1095,16 +1035,16 @@ fn shard_cell_from(v: &Value, naming: ModelNaming) -> Parsed<ShardCell> {
         Ok(LoopCell {
             analyses: array_member(v, "analyses")?
                 .iter()
-                .map(|a| analysis_from(a, naming))
+                .map(analysis_from)
                 .collect::<Parsed<_>>()?,
             evals: array_member(v, "evals")?
                 .iter()
                 .map(|b| {
                     Ok(BudgetCell {
-                        ideal: eval_from(member(b, "ideal")?, naming)?,
+                        ideal: eval_from(member(b, "ideal")?)?,
                         rows: array_member(b, "rows")?
                             .iter()
-                            .map(|r| eval_from(r, naming))
+                            .map(eval_from)
                             .collect::<Parsed<_>>()?,
                     })
                 })
@@ -1116,7 +1056,7 @@ fn shard_cell_from(v: &Value, naming: ModelNaming) -> Parsed<ShardCell> {
     } else {
         array_member(v, "trajectories")?
             .iter()
-            .map(|t| trajectory_from(t, naming))
+            .map(trajectory_from)
             .collect::<Parsed<_>>()?
     };
     Ok(ShardCell {
@@ -1148,19 +1088,11 @@ pub fn parse_sweep_shard(json: &str) -> Parsed<SweepShard> {
         )));
     }
     let version = u128_member(&v, "version")?;
-    if !(SHARD_VERSION_MIN..=SHARD_VERSION).contains(&version) {
+    if version != SHARD_VERSION {
         return Err(ReportParseError::new(format!(
-            "unsupported shard format version {version} \
-             (this build reads {SHARD_VERSION_MIN} through {SHARD_VERSION})"
+            "unsupported shard format version {version} (this build reads {SHARD_VERSION})"
         )));
     }
-    // v3 artifacts predate the model registry: their names resolve
-    // through the frozen four-model map, never the live registry.
-    let naming = if version < SHARD_VERSION {
-        ModelNaming::LegacyV3
-    } else {
-        ModelNaming::Registry
-    };
     let role = match str_member(&v, "role")?.as_str() {
         "shard" => ShardRole::Shard,
         "heal" => ShardRole::Heal,
@@ -1170,7 +1102,7 @@ pub fn parse_sweep_shard(json: &str) -> Parsed<SweepShard> {
             )))
         }
     };
-    let signature = signature_from(member(&v, "signature")?, naming)?;
+    let signature = signature_from(member(&v, "signature")?)?;
     // Provenance (farm job + lease ids) is optional metadata stamped by
     // the daemon's workers; plain `shard_runner` artifacts omit it, so
     // absence is not an error and the shard version is unchanged.
@@ -1184,7 +1116,7 @@ pub fn parse_sweep_shard(json: &str) -> Parsed<SweepShard> {
     let scheduling = cache_stats_from(member(&v, "scheduling")?)?;
     let cells: Vec<ShardCell> = array_member(&v, "cells")?
         .iter()
-        .map(|c| shard_cell_from(c, naming))
+        .map(shard_cell_from)
         .collect::<Parsed<_>>()?;
     // The shard-level counters are the per-cell sums by construction;
     // an artifact where they disagree was hand-edited or corrupted, and
@@ -1220,7 +1152,7 @@ pub fn parse_sweep_shard(json: &str) -> Parsed<SweepShard> {
 ///
 /// A [`ReportParseError`] on malformed JSON or the first malformed key.
 pub fn parse_grid_signature(json: &str) -> Parsed<GridSignature> {
-    signature_from(&serde_json::from_str(json)?, ModelNaming::Registry)
+    signature_from(&serde_json::from_str(json)?)
 }
 
 /// Renders a [`GridSignature`] as the JSON object
@@ -1230,7 +1162,7 @@ pub fn render_grid_signature(sig: &GridSignature) -> String {
     json_signature(sig)
 }
 
-fn signature_from(sig: &Value, naming: ModelNaming) -> Parsed<GridSignature> {
+fn signature_from(sig: &Value) -> Parsed<GridSignature> {
     let machines = array_member(sig, "machines")?
         .iter()
         .map(|m| {
@@ -1244,8 +1176,7 @@ fn signature_from(sig: &Value, naming: ModelNaming) -> Parsed<GridSignature> {
     let models = string_array_member(sig, "models")?
         .iter()
         .map(|name| {
-            naming
-                .resolve(name)
+            ModelRegistry::resolve(name)
                 .ok_or_else(|| ReportParseError::new(format!("`models` names no model: `{name}`")))
         })
         .collect::<Parsed<_>>()?;
@@ -1400,29 +1331,32 @@ mod tests {
     }
 
     #[test]
-    fn report_json_without_trajectory_counters_parses_with_zeroes() {
-        // Untagged legacy reports predate both the version tag and the
-        // trajectory counters; they must parse (counters zeroed), not
-        // die on a bare missing-member error.
+    fn report_json_without_kind_is_refused() {
+        // Reports carry a kind and version tag; a document without them
+        // is refused with an error naming the missing tag, never parsed
+        // under an assumed layout.
         let report = SweepReport {
             distributions: sample_curves(),
             outcomes: sample_outcomes(),
-            scheduling: crate::session::CacheStats {
-                hits: 9,
-                misses: 3,
-                ..Default::default()
-            },
+            scheduling: crate::session::CacheStats::default(),
         };
         let json = report.render(ReportFormat::Json);
-        let legacy = json
-            .replace(
-                ",\"spill_steps\":0,\"trajectory_hits\":0,\"trajectory_resumes\":0",
-                "",
-            )
-            .replace("\"kind\":\"ncdrf-sweep-report\",\"version\":1,", "");
-        assert_ne!(legacy, json, "the legacy rewrite must strip the keys");
-        let parsed = crate::report::parse_sweep_report(&legacy).unwrap();
-        assert_eq!(parsed, report);
+        let untagged = json.replace("\"kind\":\"ncdrf-sweep-report\",\"version\":1,", "");
+        assert_ne!(untagged, json, "the rewrite must strip the tags");
+        let err = crate::report::parse_sweep_report(&untagged).unwrap_err();
+        assert!(err.to_string().contains("`kind`"), "{err}");
+        let partial = PartialSweep {
+            report,
+            errors: Vec::new(),
+        };
+        let pjson = partial.render(ReportFormat::Json);
+        let err = crate::report::parse_partial_sweep(&pjson.replacen(
+            "\"kind\":\"ncdrf-partial-sweep\",\"version\":1,",
+            "",
+            1,
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("`kind`"), "{err}");
     }
 
     #[test]
@@ -1528,26 +1462,5 @@ mod tests {
         assert!(complete
             .render(ReportFormat::Text)
             .contains("[no failures]"));
-    }
-
-    #[test]
-    fn legacy_v3_naming_is_frozen_to_the_paper_models() {
-        // A v3 artifact can only name the four paper models; the map is
-        // frozen, so registering new models never re-interprets old
-        // artifacts.
-        for (name, id) in [
-            ("ideal", ModelId::IDEAL),
-            ("unified", ModelId::UNIFIED),
-            ("partitioned", ModelId::PARTITIONED),
-            ("swapped", ModelId::SWAPPED),
-        ] {
-            assert_eq!(ModelNaming::LegacyV3.resolve(name), Some(id));
-        }
-        assert_eq!(ModelNaming::LegacyV3.resolve("port-limited"), None);
-        assert_eq!(ModelNaming::LegacyV3.resolve("compressed"), None);
-        assert_eq!(
-            ModelNaming::Registry.resolve("port-limited"),
-            Some(ModelId::PORT_LIMITED)
-        );
     }
 }

@@ -82,7 +82,7 @@ type SnapshotCache = Mutex<HashMap<(String, ModelId), Arc<TrajectorySnapshot>>>;
 
 /// One `(loop, model)` spill trajectory exported from — or to be
 /// imported into — a session's trajectory cache. This is the unit a
-/// `SweepShard` (format v3) persists so re-runs at new budgets resume
+/// `SweepShard` (format v4) persists so re-runs at new budgets resume
 /// the recorded descents across processes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryExport {
@@ -138,7 +138,7 @@ pub struct CacheStats {
     /// whose state the loop's descent tree already held counts too.
     /// Without trajectory reuse a multi-budget sweep pays this once
     /// **per budget**; with it, once per `(loop, model)` — the
-    /// `sweep_parallel` bench counter-asserts the saving.
+    /// `tests/session_cache.rs` ladder test counter-asserts the saving.
     pub spill_steps: u64,
 }
 

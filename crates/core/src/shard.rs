@@ -121,7 +121,7 @@ pub enum ShardRole {
 /// Persisted spill-trajectory state of one `(cell, model)` pair: the
 /// checkpoint record [`crate::Session::export_trajectories`] produced
 /// for the cell's loop under `model`. Carried (optionally) by shard
-/// artifacts (format v3 and later) so re-runs resume the descent across
+/// artifacts (format v4) so re-runs resume the descent across
 /// processes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellTrajectory {

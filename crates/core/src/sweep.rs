@@ -385,7 +385,7 @@ impl<'c> Sweep<'c> {
     /// Reference implementation: the same grid evaluated strictly
     /// sequentially on the calling thread (machine-major, corpus order).
     /// [`Sweep::run`] is bit-identical to this for every worker count;
-    /// the `sweep_parallel` bench and stress test assert it.
+    /// the `tests/sweep_parallel.rs` stress test asserts it.
     ///
     /// # Errors
     ///

@@ -284,8 +284,9 @@ fn pick_operand(rng: &mut StdRng, pool: &mut Pool, invs: &[ValueRef], chain_bias
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncdrf_certify::certify_schedule;
     use ncdrf_machine::Machine;
-    use ncdrf_sched::{modulo_schedule, verify};
+    use ncdrf_sched::modulo_schedule;
 
     #[test]
     fn generation_is_deterministic() {
@@ -310,7 +311,7 @@ mod tests {
         for l in generate_many(100, 40, &cfg) {
             let sched = modulo_schedule(&l, &machine)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", l.name()));
-            verify(&l, &machine, &sched).unwrap();
+            certify_schedule(&l, &machine, &sched).unwrap();
         }
     }
 

@@ -228,8 +228,9 @@ pub fn horner4() -> Loop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncdrf_certify::certify_schedule;
     use ncdrf_machine::Machine;
-    use ncdrf_sched::{modulo_schedule, verify};
+    use ncdrf_sched::modulo_schedule;
 
     #[test]
     fn all_recurrence_kernels_schedule() {
@@ -249,7 +250,7 @@ mod tests {
         ] {
             let sched = modulo_schedule(&k, &machine)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", k.name()));
-            verify(&k, &machine, &sched).unwrap();
+            certify_schedule(&k, &machine, &sched).unwrap();
         }
     }
 

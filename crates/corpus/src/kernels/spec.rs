@@ -254,8 +254,9 @@ pub fn eos_heavy() -> Loop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncdrf_certify::certify_schedule;
     use ncdrf_machine::Machine;
-    use ncdrf_sched::{modulo_schedule, verify};
+    use ncdrf_sched::modulo_schedule;
 
     fn all_spec() -> Vec<Loop> {
         vec![
@@ -281,7 +282,7 @@ mod tests {
             for k in all_spec() {
                 let sched = modulo_schedule(&k, &machine)
                     .unwrap_or_else(|e| panic!("{} (L{lat}) failed: {e}", k.name()));
-                verify(&k, &machine, &sched).unwrap();
+                certify_schedule(&k, &machine, &sched).unwrap();
             }
         }
     }

@@ -169,8 +169,9 @@ pub fn butterfly() -> Loop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncdrf_certify::certify_schedule;
     use ncdrf_machine::Machine;
-    use ncdrf_sched::{modulo_schedule, verify};
+    use ncdrf_sched::modulo_schedule;
 
     #[test]
     fn all_stencils_schedule_and_verify() {
@@ -186,7 +187,7 @@ mod tests {
         ] {
             let sched = modulo_schedule(&k, &machine)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", k.name()));
-            verify(&k, &machine, &sched).unwrap();
+            certify_schedule(&k, &machine, &sched).unwrap();
         }
     }
 

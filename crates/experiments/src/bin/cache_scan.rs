@@ -1,7 +1,6 @@
 //! Session-cache speedup grid: uncached vs cached vs cached+pooled
 //! four-model evaluation across corpus slices, latencies and register
-//! budgets. Complements the `session_cache` criterion bench with a
-//! workload-shape overview. The pooled column drives the corpus through
+//! budgets. The pooled column drives the corpus through
 //! `Session::evaluate_corpus`, i.e. the work-stealing execution pool; on
 //! a single hardware thread it tracks the cached column, on multi-core
 //! hosts it adds the loop-level parallel speedup on top of caching.

@@ -36,7 +36,7 @@
 //! CI farm gate uses.
 //!
 //! `--persist-trajectories` records each cell's spill-trajectory
-//! checkpoints in the artifact (shard format v3), so a later `reissue`
+//! checkpoints in the artifact (shard format v4), so a later `reissue`
 //! resumes the descents instead of respilling from zero; `--inject-fail`
 //! marks the named grid cells failed without evaluating them (the
 //! deliberate-failure half of the heal CI gate; indices outside the

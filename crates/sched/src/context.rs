@@ -363,9 +363,7 @@ impl SchedContext {
                 instance: self.instance[v] as usize,
             })
             .collect();
-        let sched = Schedule::from_parts(l, machine, ii, starts, units);
-        debug_assert_eq!(crate::schedule::verify(l, machine, &sched), Ok(()));
-        sched
+        Schedule::from_parts(l, machine, ii, starts, units)
     }
 
     /// Priorities into the arena. [`Priority::Height`]: `height[v] = max
@@ -505,7 +503,6 @@ mod tests {
                         assert_eq!(reused, fresh, "{} `{}` II {ii}", machine.name(), l.name());
                         if let Some(s) = reused {
                             assert_eq!(s.ii(), ii);
-                            crate::schedule::verify(&l, &machine, &s).unwrap();
                         }
                     }
                 }

@@ -15,9 +15,10 @@
 //!   [`SchedContext`], that the free functions run on a fresh context;
 //! * the resulting [`Schedule`]: per-operation start cycles and
 //!   functional-unit bindings, from which kernel slot, stage and — on a
-//!   clustered machine — the operation's *cluster* are derived;
-//! * [`verify`]: an independent checker for dependence and resource
-//!   constraints, used by tests and downstream passes.
+//!   clustered machine — the operation's *cluster* are derived.
+//!
+//! Schedules are checked against their dependence and resource
+//! constraints by `ncdrf-certify`, which shares no code with this crate.
 //!
 //! # Example
 //!
@@ -59,5 +60,5 @@ pub use ims::{
 };
 pub use kernel::{KernelSlotEntry, KernelView};
 pub use mii::{mii, rec_mii, res_mii, MiiInfo};
-pub use schedule::{verify, Schedule, VerifyError};
+pub use schedule::Schedule;
 pub use table::ScheduleTable;

@@ -1,4 +1,4 @@
-//! The [`Schedule`] type and independent verification.
+//! The [`Schedule`] type.
 
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{ClusterId, Machine, UnitRef};
@@ -152,97 +152,6 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// A constraint violated by a schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifyError {
-    /// A dependence `from -> to` with distance `dist` is not satisfied.
-    Dependence {
-        /// Producer op index.
-        from: usize,
-        /// Consumer op index.
-        to: usize,
-        /// Dependence distance.
-        dist: u32,
-    },
-    /// Two operations share a functional-unit instance in the same kernel
-    /// row.
-    ResourceConflict {
-        /// First op index.
-        a: usize,
-        /// Second op index.
-        b: usize,
-    },
-    /// An operation is bound to a unit that cannot execute it or does not
-    /// exist.
-    BadBinding {
-        /// Offending op index.
-        op: usize,
-    },
-}
-
-impl fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VerifyError::Dependence { from, to, dist } => {
-                write!(f, "dependence op{from} -> op{to} (dist {dist}) violated")
-            }
-            VerifyError::ResourceConflict { a, b } => {
-                write!(f, "ops op{a} and op{b} collide on a functional unit")
-            }
-            VerifyError::BadBinding { op } => write!(f, "op op{op} has an illegal unit binding"),
-        }
-    }
-}
-
-impl std::error::Error for VerifyError {}
-
-/// Independently checks that `sched` satisfies every dependence
-/// (`start(to) >= start(from) + latency(from) - II*dist`) and that no two
-/// operations collide on a functional-unit instance in the same kernel row.
-///
-/// # Errors
-///
-/// Returns the first violated constraint.
-pub fn verify(l: &Loop, machine: &Machine, sched: &Schedule) -> Result<(), VerifyError> {
-    let ii = sched.ii() as i64;
-    for (from, to, dist) in l.sched_edges() {
-        let lat = machine
-            .latency(l.op(from).kind())
-            .map_err(|_| VerifyError::BadBinding { op: from.index() })? as i64;
-        let lhs = sched.start(to) as i64;
-        let rhs = sched.start(from) as i64 + lat - ii * dist as i64;
-        if lhs < rhs {
-            return Err(VerifyError::Dependence {
-                from: from.index(),
-                to: to.index(),
-                dist,
-            });
-        }
-    }
-    // Bindings are legal and conflict-free.
-    let n = l.ops().len();
-    for (id, op) in l.iter_ops() {
-        let unit = sched.unit(id);
-        let group = machine
-            .group_for(op.kind())
-            .map_err(|_| VerifyError::BadBinding { op: id.index() })?;
-        if unit.group != group || unit.instance >= machine.groups()[group].count() {
-            return Err(VerifyError::BadBinding { op: id.index() });
-        }
-    }
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let (ida, idb) = (OpId::from_index(a), OpId::from_index(b));
-            if sched.unit(ida) == sched.unit(idb)
-                && sched.kernel_slot(ida) == sched.kernel_slot(idb)
-            {
-                return Err(VerifyError::ResourceConflict { a, b });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,60 +202,6 @@ mod tests {
         assert_eq!(sched.stage(st), 2);
         // span = max(0+1, 1+3, 4+1) = 5 -> ceil(5/2) = 3 stages.
         assert_eq!(sched.stages(), 3);
-        assert!(verify(&l, &m, &sched).is_ok());
-    }
-
-    #[test]
-    fn verify_catches_dependence_violation() {
-        let (l, m) = tiny();
-        let (lo, mu, st) = (
-            OpId::from_index(0),
-            OpId::from_index(1),
-            OpId::from_index(2),
-        );
-        // M starts at 0 but depends on L (latency 1).
-        let sched = Schedule::from_parts(
-            &l,
-            &m,
-            2,
-            vec![0, 0, 4],
-            vec![
-                unit(&m, &l, lo, 0),
-                unit(&m, &l, mu, 0),
-                unit(&m, &l, st, 1),
-            ],
-        );
-        assert!(matches!(
-            verify(&l, &m, &sched),
-            Err(VerifyError::Dependence { .. })
-        ));
-    }
-
-    #[test]
-    fn verify_catches_resource_conflict() {
-        let (l, m) = tiny();
-        let (lo, mu, st) = (
-            OpId::from_index(0),
-            OpId::from_index(1),
-            OpId::from_index(2),
-        );
-        // L and S both on mem instance 0, same kernel slot (0 and 4, II=2
-        // -> slots 0 and 0).
-        let sched = Schedule::from_parts(
-            &l,
-            &m,
-            2,
-            vec![0, 1, 4],
-            vec![
-                unit(&m, &l, lo, 0),
-                unit(&m, &l, mu, 0),
-                unit(&m, &l, st, 0),
-            ],
-        );
-        assert!(matches!(
-            verify(&l, &m, &sched),
-            Err(VerifyError::ResourceConflict { .. })
-        ));
     }
 
     #[test]
@@ -372,7 +227,6 @@ mod tests {
         sched.swap_units(lo, st);
         assert_eq!(sched.unit(lo).instance, 1);
         assert_eq!(sched.unit(st).instance, 0);
-        assert!(verify(&l, &m, &sched).is_ok());
     }
 
     #[test]

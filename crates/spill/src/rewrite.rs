@@ -231,14 +231,15 @@ mod tests {
 
     #[test]
     fn rewritten_loop_validates_and_schedules() {
+        use ncdrf_certify::certify_schedule;
         use ncdrf_machine::Machine;
-        use ncdrf_sched::{modulo_schedule, verify};
+        use ncdrf_sched::modulo_schedule;
         let l = chain();
         let victim = l.find_op("L").unwrap();
         let (l2, _, _) = spill_value(&l, victim).unwrap();
         let machine = Machine::clustered(3, 1);
         let sched = modulo_schedule(&l2, &machine).unwrap();
-        verify(&l2, &machine, &sched).unwrap();
+        certify_schedule(&l2, &machine, &sched).unwrap();
     }
 
     #[test]

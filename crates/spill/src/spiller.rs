@@ -445,9 +445,9 @@ impl Xorshift64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncdrf_certify::certify_schedule;
     use ncdrf_ddg::{LoopBuilder, Weight};
     use ncdrf_machine::Machine;
-    use ncdrf_sched::verify;
 
     /// A loop with long lifetimes: several parallel chains ending in one
     /// store, so pressure is high at II=1.
@@ -503,7 +503,7 @@ mod tests {
         assert!(r.fits, "requirement {} > budget {}", r.regs, budget);
         assert!(r.regs <= budget);
         assert!(!r.spilled.is_empty() || r.rounds > 1);
-        verify(&r.l, &machine, &r.sched).unwrap();
+        certify_schedule(&r.l, &machine, &r.sched).unwrap();
     }
 
     #[test]
@@ -575,7 +575,7 @@ mod tests {
             )
             .unwrap();
             assert!(r.fits, "{policy:?} failed to fit");
-            verify(&r.l, &machine, &r.sched).unwrap();
+            certify_schedule(&r.l, &machine, &r.sched).unwrap();
         }
     }
 
@@ -599,7 +599,7 @@ mod tests {
         } else {
             assert!(r.regs > 2);
         }
-        verify(&r.l, &machine, &r.sched).unwrap();
+        certify_schedule(&r.l, &machine, &r.sched).unwrap();
     }
 
     #[test]

@@ -530,9 +530,10 @@ fn apply(machine: &Machine, sched: &mut Schedule, clusters: &mut [ClusterId], ac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncdrf_certify::certify_schedule;
     use ncdrf_ddg::{LoopBuilder, Weight};
     use ncdrf_regalloc::classify;
-    use ncdrf_sched::{modulo_schedule, verify};
+    use ncdrf_sched::modulo_schedule;
 
     /// The §4 example loop of the paper (Figure 2): 2 loads, 2 muls,
     /// 2 adds, 1 store.
@@ -559,7 +560,7 @@ mod tests {
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let out = swap_pass(&l, &machine, &mut sched).unwrap();
         assert!(out.after <= out.before);
-        verify(&l, &machine, &sched).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
     }
 
     #[test]
@@ -568,7 +569,7 @@ mod tests {
         let machine = Machine::clustered(6, 1);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let _ = swap_pass(&l, &machine, &mut sched).unwrap();
-        verify(&l, &machine, &sched).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
     }
 
     #[test]
@@ -660,7 +661,7 @@ mod tests {
             .actions
             .iter()
             .all(|a| matches!(a, SwapAction::Pair(_, _))));
-        verify(&l, &machine, &sched).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
     }
 
     #[test]

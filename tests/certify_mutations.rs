@@ -4,7 +4,9 @@
 //! while the uncorrupted pipeline certifies clean everywhere.
 
 use ncdrf::corpus::{kernels, Corpus};
-use ncdrf::machine::Machine;
+use ncdrf::ddg::{Loop, LoopBuilder, Weight};
+use ncdrf::machine::{Machine, UnitRef};
+use ncdrf::sched::Schedule;
 use ncdrf::{ModelId, Session, PAPER_MODELS};
 use ncdrf_certify::{certify_eval, certify_schedule, ScheduleCertifier};
 use std::sync::Arc;
@@ -82,7 +84,7 @@ fn nudged_placement_is_rejected_as_dependence() {
         units.push(sched.unit(id));
     }
     starts[victim.index()] -= 1;
-    let nudged = ncdrf::sched::Schedule::from_parts(&l, &machine, sched.ii(), starts, units);
+    let nudged = Schedule::from_parts(&l, &machine, sched.ii(), starts, units);
 
     let err = certify_schedule(&l, &machine, &nudged).unwrap_err();
     assert_eq!(err.rule, ncdrf::RULE_DEPENDENCE, "{err}");
@@ -90,6 +92,73 @@ fn nudged_placement_is_rejected_as_dependence() {
         err.detail.contains(l.op(victim).name()),
         "the violation must name the nudged op: {err}"
     );
+}
+
+/// The three-op loop `S: z[i] = L*L` on the two-cluster machine, placed
+/// at II 2 with `starts[k]` and unit `instances[k]` of op `k`'s group.
+fn tiny_schedule(starts: [u32; 3], instances: [usize; 3]) -> (Loop, Machine, Schedule) {
+    let mut b = LoopBuilder::new("tiny");
+    let x = b.array_in("x");
+    let z = b.array_out("z");
+    let ld = b.load("L", x, 0);
+    let m = b.mul("M", ld.now(), ld.now());
+    b.store("S", z, 0, m.now());
+    let l = b.finish(Weight::default()).unwrap();
+    let machine = Machine::clustered(3, 1);
+    let units = l
+        .iter_ops()
+        .map(|(id, op)| UnitRef {
+            group: machine.group_for(op.kind()).unwrap(),
+            instance: instances[id.index()],
+        })
+        .collect();
+    let sched = Schedule::from_parts(&l, &machine, 2, starts.to_vec(), units);
+    (l, machine, sched)
+}
+
+/// A hand-placed schedule certifies clean, and so does the same schedule
+/// after `swap_units` exchanges the two memory ops' same-slot seats.
+#[test]
+fn hand_placed_schedule_and_its_unit_swap_certify_clean() {
+    let (l, machine, mut sched) = tiny_schedule([0, 1, 4], [0, 0, 1]);
+    certify_schedule(&l, &machine, &sched).unwrap();
+    let (ld, st) = (l.find_op("L").unwrap(), l.find_op("S").unwrap());
+    sched.swap_units(ld, st);
+    assert_eq!(sched.unit(st).instance, 0);
+    certify_schedule(&l, &machine, &sched).unwrap();
+}
+
+/// `M` issues in the same cycle as the load it reads (latency 1): a
+/// dependence violation, and nothing else.
+#[test]
+fn early_consumer_is_rejected_as_dependence() {
+    let (l, machine, sched) = tiny_schedule([0, 0, 4], [0, 0, 1]);
+    let err = certify_schedule(&l, &machine, &sched).unwrap_err();
+    assert_eq!(err.rule, ncdrf::RULE_DEPENDENCE, "{err}");
+    assert!(err.detail.contains("`L` -> `M`"), "{err}");
+}
+
+/// `L` and `S` share kernel slot 0 and memory unit 0. The row issues two
+/// ops to a two-unit group, so it does not overflow: the only fault is
+/// the double-booked seat.
+#[test]
+fn double_booked_unit_is_rejected_as_unit_conflict() {
+    let (l, machine, sched) = tiny_schedule([0, 1, 4], [0, 0, 0]);
+    let err = certify_schedule(&l, &machine, &sched).unwrap_err();
+    assert_eq!(err.rule, ncdrf::RULE_UNIT_CONFLICT, "{err}");
+    assert!(
+        err.detail.contains("`L` and `S`") && err.detail.contains("slot 0"),
+        "{err}"
+    );
+}
+
+/// `M` is bound to multiplier instance 2 of a two-unit group.
+#[test]
+fn binding_to_a_missing_unit_instance_is_rejected_as_fu_binding() {
+    let (l, machine, sched) = tiny_schedule([0, 1, 4], [0, 2, 1]);
+    let err = certify_schedule(&l, &machine, &sched).unwrap_err();
+    assert_eq!(err.rule, ncdrf::RULE_FU_BINDING, "{err}");
+    assert!(err.detail.contains("`M` is bound to instance 2"), "{err}");
 }
 
 /// Corruption class 2: an oversubscribed MRT row. Two ops of the same
@@ -128,7 +197,7 @@ fn oversubscribed_mrt_row_is_rejected() {
     let ii = sched.ii();
     starts[b.index()] = (sched.start(b) / ii) * ii + sched.kernel_slot(a);
     units[b.index()] = sched.unit(a);
-    let clashed = ncdrf::sched::Schedule::from_parts(&l, &machine, ii, starts, units);
+    let clashed = Schedule::from_parts(&l, &machine, ii, starts, units);
 
     // The corrupted schedule must be rejected for a *resource* conflict
     // in the slot both ops now share (dependence may also fire if the

@@ -6,8 +6,10 @@ use ncdrf::machine::{Machine, UnitRef};
 use ncdrf::regalloc::{
     allocate_dual, allocate_unified, classify, lifetimes, verify_dual, verify_unified,
 };
-use ncdrf::sched::{modulo_schedule, verify, Schedule, VerifyError};
+use ncdrf::sched::{modulo_schedule, Schedule};
 use ncdrf::vliw::{check_equivalence, Binding, EquivError};
+use ncdrf::{RULE_DEPENDENCE, RULE_UNIT_CONFLICT};
+use ncdrf_certify::certify_schedule;
 
 fn setup() -> (ncdrf::ddg::Loop, Machine, Schedule) {
     let l = kernels::livermore::hydro();
@@ -44,49 +46,58 @@ fn shift_start(
 #[test]
 fn schedule_verifier_catches_dependence_violations() {
     let (l, machine, sched) = setup();
-    // Pull every non-source op one cycle earlier; at least one dependence
-    // must break, and verify must say so.
+    let ii = i64::from(sched.ii());
+    // Pull the consumer of every tight edge one cycle earlier. Dependences
+    // are the certifier's first rule, so each corruption must be named
+    // exactly as a dependence violation.
     let mut caught = 0;
-    for op in 0..l.ops().len() {
-        if sched.start(ncdrf::ddg::OpId::from_index(op)) == 0 {
+    for (from, to, dist) in l.sched_edges() {
+        let lat = i64::from(machine.latency(l.op(from).kind()).unwrap());
+        let earliest = i64::from(sched.start(from)) + lat - ii * i64::from(dist);
+        if from == to || sched.start(to) == 0 || i64::from(sched.start(to)) != earliest {
             continue;
         }
-        let bad = shift_start(&l, &machine, &sched, op, -1);
-        if matches!(
-            verify(&l, &machine, &bad),
-            Err(VerifyError::Dependence { .. }) | Err(VerifyError::ResourceConflict { .. })
-        ) {
-            caught += 1;
-        }
+        let bad = shift_start(&l, &machine, &sched, to.index(), -1);
+        let err = certify_schedule(&l, &machine, &bad).unwrap_err();
+        assert_eq!(err.rule, RULE_DEPENDENCE, "{err}");
+        caught += 1;
     }
-    assert!(caught > 0, "no corruption was detectable?");
+    assert!(caught > 0, "hydro has no tight dependence edge?");
 }
 
 #[test]
 fn schedule_verifier_catches_resource_conflicts() {
     let (l, machine, sched) = setup();
-    // Force two same-group ops onto the same instance and slot.
-    let ids: Vec<_> = l
-        .iter_ops()
-        .map(|(id, _)| id)
-        .filter(|&id| l.op(id).kind() == ncdrf::ddg::OpKind::Load)
-        .collect();
-    assert!(ids.len() >= 2);
+    // Two same-group ops already share a kernel row on different unit
+    // instances; rebinding one onto the other's instance leaves every
+    // start cycle and row count alone, so only the double-booked seat is
+    // wrong.
+    let ids: Vec<_> = l.iter_ops().map(|(id, _)| id).collect();
+    let (a, b) = ids
+        .iter()
+        .flat_map(|&a| ids.iter().map(move |&b| (a, b)))
+        .find(|&(a, b)| {
+            a != b
+                && sched.unit(a).group == sched.unit(b).group
+                && sched.unit(a) != sched.unit(b)
+                && sched.kernel_slot(a) == sched.kernel_slot(b)
+        })
+        .expect("hydro fills some kernel row of a group");
     let n = l.ops().len();
-    let mut starts: Vec<u32> = (0..n)
+    let starts: Vec<u32> = (0..n)
         .map(|i| sched.start(ncdrf::ddg::OpId::from_index(i)))
         .collect();
     let mut units: Vec<UnitRef> = (0..n)
         .map(|i| sched.unit(ncdrf::ddg::OpId::from_index(i)))
         .collect();
-    // Same unit, same kernel slot for the two loads.
-    units[ids[1].index()] = units[ids[0].index()];
-    starts[ids[1].index()] = starts[ids[0].index()];
+    units[b.index()] = units[a.index()];
     let bad = Schedule::from_parts(&l, &machine, sched.ii(), starts, units);
-    assert!(matches!(
-        verify(&l, &machine, &bad),
-        Err(VerifyError::ResourceConflict { .. })
-    ));
+    let err = certify_schedule(&l, &machine, &bad).unwrap_err();
+    assert_eq!(err.rule, RULE_UNIT_CONFLICT, "{err}");
+    assert!(
+        err.detail.contains(l.op(a).name()) && err.detail.contains(l.op(b).name()),
+        "the violation must name both ops: {err}"
+    );
 }
 
 #[test]

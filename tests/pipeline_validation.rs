@@ -8,10 +8,11 @@ use ncdrf::machine::Machine;
 use ncdrf::regalloc::{
     allocate_dual, allocate_unified, classify, lifetimes, verify_dual, verify_unified,
 };
-use ncdrf::sched::{modulo_schedule, verify};
+use ncdrf::sched::modulo_schedule;
 use ncdrf::spill::{requirement_unified, spill_until_fits, SpillOptions};
 use ncdrf::swap::swap_pass;
 use ncdrf::vliw::{check_equivalence, Binding};
+use ncdrf_certify::certify_schedule;
 
 const ITERATIONS: u64 = 20;
 
@@ -25,7 +26,7 @@ fn unified_pipeline_is_semantically_correct() {
     for machine in [Machine::clustered(3, 1), Machine::clustered(6, 1)] {
         for l in sample() {
             let sched = modulo_schedule(&l, &machine).unwrap();
-            verify(&l, &machine, &sched).unwrap();
+            certify_schedule(&l, &machine, &sched).unwrap();
             let lts = lifetimes(&l, &machine, &sched).unwrap();
             let alloc = allocate_unified(&lts, sched.ii());
             verify_unified(&lts, sched.ii(), &alloc)
@@ -47,6 +48,7 @@ fn partitioned_pipeline_is_semantically_correct() {
     let machine = Machine::clustered(3, 1);
     for l in sample() {
         let sched = modulo_schedule(&l, &machine).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
         let lts = lifetimes(&l, &machine, &sched).unwrap();
         let classes = classify(&l, &machine, &sched, &lts);
         let alloc = allocate_dual(&lts, &classes, sched.ii());
@@ -68,8 +70,9 @@ fn swapped_pipeline_is_semantically_correct() {
     let machine = Machine::clustered(6, 1);
     for l in sample() {
         let mut sched = modulo_schedule(&l, &machine).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
         swap_pass(&l, &machine, &mut sched).unwrap();
-        verify(&l, &machine, &sched)
+        certify_schedule(&l, &machine, &sched)
             .unwrap_or_else(|e| panic!("{}: swap broke the schedule: {e}", l.name()));
         let lts = lifetimes(&l, &machine, &sched).unwrap();
         let classes = classify(&l, &machine, &sched, &lts);
@@ -99,7 +102,7 @@ fn spilled_loops_are_semantically_correct() {
             SpillOptions::default(),
         )
         .unwrap_or_else(|e| panic!("{}: {e}", l.name()));
-        verify(&r.l, &machine, &r.sched).unwrap();
+        certify_schedule(&r.l, &machine, &r.sched).unwrap();
         let lts = lifetimes(&r.l, &machine, &r.sched).unwrap();
         let alloc = allocate_unified(&lts, r.sched.ii());
         assert!(alloc.regs <= 6 || !r.fits, "{}: alloc disagrees", l.name());

@@ -1,5 +1,5 @@
 //! Property-based tests: for arbitrary generated loops the pipeline's
-//! invariants must hold — schedules verify, allocations are conflict-free
+//! invariants must hold — schedules certify, allocations are conflict-free
 //! and at least MaxLive, dual never beats MaxLive bounds, swap never
 //! increases the requirement estimate, execution matches the reference.
 
@@ -8,9 +8,10 @@ use ncdrf::machine::Machine;
 use ncdrf::regalloc::{
     allocate_dual, allocate_unified, classify, lifetimes, max_live, verify_dual, verify_unified,
 };
-use ncdrf::sched::{mii, modulo_schedule, verify};
+use ncdrf::sched::{mii, modulo_schedule};
 use ncdrf::swap::swap_pass;
 use ncdrf::vliw::{check_equivalence, Binding};
+use ncdrf_certify::certify_schedule;
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = GenConfig> {
@@ -37,10 +38,10 @@ proptest! {
         let machine = Machine::clustered(lat, 1);
         let sched = modulo_schedule(&l, &machine).unwrap();
 
-        // The II respects its lower bound and the schedule verifies.
+        // The II respects its lower bound and the schedule certifies.
         let info = mii(&l, &machine).unwrap();
         prop_assert!(sched.ii() >= info.mii);
-        verify(&l, &machine, &sched).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
 
         // Unified allocation: conflict-free, >= MaxLive.
         let lts = lifetimes(&l, &machine, &sched).unwrap();
@@ -62,9 +63,10 @@ proptest! {
         let l = generate("prop", seed, &cfg);
         let machine = Machine::clustered(3, 1);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
         let out = swap_pass(&l, &machine, &mut sched).unwrap();
         prop_assert!(out.after <= out.before);
-        verify(&l, &machine, &sched).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
     }
 
     #[test]
@@ -72,6 +74,7 @@ proptest! {
         let l = generate("prop", seed, &cfg);
         let machine = Machine::clustered(3, 1);
         let sched = modulo_schedule(&l, &machine).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
         let lts = lifetimes(&l, &machine, &sched).unwrap();
 
         let uni = allocate_unified(&lts, sched.ii());
@@ -90,6 +93,7 @@ proptest! {
         let l = generate("prop", seed, &cfg);
         let machine = Machine::clustered(3, 1);
         let sched = modulo_schedule(&l, &machine).unwrap();
+        certify_schedule(&l, &machine, &sched).unwrap();
         let lts = lifetimes(&l, &machine, &sched).unwrap();
 
         let classes = classify(&l, &machine, &sched, &lts);
@@ -123,6 +127,6 @@ proptest! {
             prop_assert!(!r.spilled.is_empty());
         }
         prop_assert_eq!(r.l.memory_ops(), l.memory_ops() + r.added_mem_ops());
-        verify(&r.l, &machine, &r.sched).unwrap();
+        certify_schedule(&r.l, &machine, &r.sched).unwrap();
     }
 }

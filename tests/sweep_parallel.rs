@@ -5,11 +5,12 @@
 
 use ncdrf::corpus::{kernels, Corpus};
 use ncdrf::machine::{FuClass, FuGroup, Machine};
-use ncdrf::{PipelineStage, Sweep, PAPER_FINITE_MODELS, PAPER_MODELS};
+use ncdrf::{LoopEval, PipelineStage, Session, Sweep, PAPER_FINITE_MODELS, PAPER_MODELS};
 
 /// The acceptance stress test: a multi-machine × multi-budget sweep over
-/// `Corpus::small()`, parallel vs sequential, bit-identical results and
-/// exactly `machines × loops` scheduling runs.
+/// `Corpus::small()`, parallel vs sequential, bit-identical results,
+/// exactly `machines × loops` scheduling runs, and the cycle counts of a
+/// plain per-cell `Session` evaluation.
 #[test]
 fn stress_multi_machine_grid_is_bit_identical_and_schedules_once_per_pair() {
     let corpus = Corpus::small();
@@ -36,6 +37,26 @@ fn stress_multi_machine_grid_is_bit_identical_and_schedules_once_per_pair() {
     // model-minor — exactly the documented report layout.
     assert_eq!(par.outcomes[0].config, "C2L3");
     assert_eq!(par.outcomes.last().unwrap().config, "C2L6");
+
+    // Each outcome's cycle count equals evaluating the corpus one
+    // (machine, budget, model) at a time through a plain `Session`.
+    let mut outcomes = par.outcomes.iter();
+    for latency in [3, 6] {
+        let session = Session::new(Machine::clustered(latency, 1));
+        for budget in [24, 48] {
+            for model in PAPER_MODELS {
+                let cycles: u128 = session
+                    .evaluate_corpus(&corpus, model, budget)
+                    .unwrap()
+                    .iter()
+                    .map(LoopEval::cycles)
+                    .sum();
+                let o = outcomes.next().unwrap();
+                assert_eq!((o.latency, o.registers, o.model), (latency, budget, model));
+                assert_eq!(o.cycles, cycles, "C2L{latency} {model:?} at {budget}");
+            }
+        }
+    }
 }
 
 /// Worker count must never change results (stealing reshuffles execution

@@ -7,8 +7,9 @@ use ncdrf::machine::{ClusterId, Machine, UnitRef};
 use ncdrf::regalloc::{
     allocate_dual, allocate_unified, classify, lifetimes, max_live, DualPressure, ValueClass,
 };
-use ncdrf::sched::{mii, verify, Schedule};
+use ncdrf::sched::{mii, Schedule};
 use ncdrf::swap::{requirement_bound, swap_pass};
+use ncdrf_certify::certify_schedule;
 
 /// The Figure 2 dependence graph:
 /// `L1 = x[i]; L2 = y[i]; M3 = L1*r; A4 = M3+L2; M5 = A4*t; A6 = M5+L1;
@@ -71,7 +72,7 @@ fn schedule_matches_paper_shape() {
     let l = fig2();
     let m = machine();
     let sched = paper_schedule(&l, &m);
-    verify(&l, &m, &sched).unwrap();
+    certify_schedule(&l, &m, &sched).unwrap();
     assert_eq!(sched.ii(), 1);
     // "The schedule is partitioned into 14 pipestages."
     assert_eq!(sched.stages(), 14);
@@ -158,7 +159,7 @@ fn table4_classification_after_swapping() {
 
     // The paper swaps A4 and A6 (both adds, same kernel cycle).
     sched.swap_units(op(&l, "A4"), op(&l, "A6"));
-    verify(&l, &m, &sched).unwrap();
+    certify_schedule(&l, &m, &sched).unwrap();
 
     let lts = lifetimes(&l, &m, &sched).unwrap();
     let classes = classify(&l, &m, &sched, &lts);
@@ -189,7 +190,7 @@ fn greedy_swap_pass_matches_or_beats_the_paper() {
         "greedy swapping should find the paper's swap (or better), got {}",
         outcome.after
     );
-    verify(&l, &m, &sched).unwrap();
+    certify_schedule(&l, &m, &sched).unwrap();
 
     let lts = lifetimes(&l, &m, &sched).unwrap();
     let classes = classify(&l, &m, &sched, &lts);
