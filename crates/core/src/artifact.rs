@@ -14,7 +14,7 @@ use crate::report::parse_sweep_shard;
 use crate::shard::GridSignature;
 use crate::shard::SweepShard;
 use crate::sweep::Sweep;
-use ncdrf_corpus::Corpus;
+use ncdrf_corpus::{Corpus, STANDARD_SEED};
 use ncdrf_machine::Machine;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -149,6 +149,23 @@ pub fn machine_from_name(name: &str) -> Option<Machine> {
     Some(Machine::pxly(x.parse().ok()?, lat.parse().ok()?))
 }
 
+/// The corpora this build reproduces by name: `small` or `standard`,
+/// optionally cut to its first `take` loops (named `<base>-take<N>`, as
+/// [`Corpus::take`] names it). A cut is built as a prefix, without
+/// generating the loops it drops. `None` for any other base name. The
+/// one name table behind [`rebuild_corpus`] and the farm's job specs.
+pub fn named_corpus(base: &str, take: Option<usize>) -> Option<Corpus> {
+    let total = match base {
+        "small" => Corpus::SMALL_LOOPS,
+        "standard" => Corpus::STANDARD_LOOPS,
+        _ => return None,
+    };
+    Some(match take {
+        None => Corpus::sized(base, total, STANDARD_SEED),
+        Some(n) => Corpus::sized_prefix(format!("{base}-take{n}"), total, n, STANDARD_SEED),
+    })
+}
+
 /// Rebuilds the corpus a signature names, refusing silently-different
 /// grids (the loop list must match this build exactly). `take` subsets
 /// serialize as `<base>-take<N>` and rebuild the same way.
@@ -158,14 +175,9 @@ pub fn machine_from_name(name: &str) -> Option<Machine> {
 /// [`ArtifactError::Grid`] when the corpus name is not reproducible
 /// here, or its loop list differs from this build's.
 pub fn rebuild_corpus(sig: &GridSignature) -> Result<Corpus, ArtifactError> {
-    let base = |name: &str| match name {
-        "small" => Some(Corpus::small()),
-        "standard" => Some(Corpus::standard()),
-        _ => None,
-    };
-    let corpus = base(&sig.corpus).or_else(|| {
+    let corpus = named_corpus(&sig.corpus, None).or_else(|| {
         let (stem, n) = sig.corpus.rsplit_once("-take")?;
-        Some(base(stem)?.take(n.parse().ok()?))
+        named_corpus(stem, Some(n.parse().ok()?))
     });
     let Some(corpus) = corpus else {
         return Err(ArtifactError::Grid(format!(
@@ -189,7 +201,20 @@ pub fn rebuild_corpus(sig: &GridSignature) -> Result<Corpus, ArtifactError> {
 }
 
 /// Rebuilds the corpus and machine grid a signature names, refusing
-/// silently-different grids.
+/// silently-different grids: [`rebuild_corpus`] then
+/// [`rebuild_machines`].
+///
+/// # Errors
+///
+/// [`ArtifactError::Grid`] when the corpus, a machine, or the pipeline
+/// options cannot be reproduced by this build.
+pub fn rebuild_grid(sig: &GridSignature) -> Result<(Corpus, Vec<Machine>), ArtifactError> {
+    let corpus = rebuild_corpus(sig)?;
+    Ok((corpus, rebuild_machines(sig)?))
+}
+
+/// Rebuilds the machines a signature names and checks its pipeline
+/// options are the defaults this build reproduces.
 ///
 /// The machine name alone does not pin the datapath (it omits e.g.
 /// load/store units per cluster), so each rebuilt machine is
@@ -199,10 +224,9 @@ pub fn rebuild_corpus(sig: &GridSignature) -> Result<Corpus, ArtifactError> {
 ///
 /// # Errors
 ///
-/// [`ArtifactError::Grid`] when the corpus, a machine, or the pipeline
-/// options cannot be reproduced by this build.
-pub fn rebuild_grid(sig: &GridSignature) -> Result<(Corpus, Vec<Machine>), ArtifactError> {
-    let corpus = rebuild_corpus(sig)?;
+/// [`ArtifactError::Grid`] when a machine or the pipeline options
+/// cannot be reproduced by this build.
+pub fn rebuild_machines(sig: &GridSignature) -> Result<Vec<Machine>, ArtifactError> {
     let machines: Vec<Machine> = sig
         .machines
         .iter()
@@ -233,7 +257,7 @@ pub fn rebuild_grid(sig: &GridSignature) -> Result<(Corpus, Vec<Machine>), Artif
                 .to_owned(),
         ));
     }
-    Ok((corpus, machines))
+    Ok(machines)
 }
 
 /// A [`Sweep`] builder pre-populated from a signature: the given
@@ -359,6 +383,19 @@ mod tests {
             assert_eq!(resumed.signature(), shard.signature(), "{grid}");
         }
         assert!(preset_sweep(&corpus, "nope").is_none());
+    }
+
+    #[test]
+    fn named_corpora_are_the_base_corpora_and_their_prefixes() {
+        assert_eq!(named_corpus("small", None), Some(Corpus::small()));
+        for n in [0, 5, 53, 60, Corpus::SMALL_LOOPS, Corpus::SMALL_LOOPS + 4] {
+            assert_eq!(
+                named_corpus("small", Some(n)),
+                Some(Corpus::small().take(n))
+            );
+        }
+        assert_eq!(named_corpus("exotic", None), None);
+        assert_eq!(named_corpus("small-take4", None), None, "no nested cuts");
     }
 
     #[test]

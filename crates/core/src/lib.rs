@@ -87,8 +87,9 @@ mod shard;
 mod sweep;
 
 pub use artifact::{
-    machine_from_name, preset_sweep, read_shard, read_shards, rebuild_corpus, rebuild_grid,
-    scan_artifacts, sweep_for_signature, write_artifact, ArtifactError,
+    machine_from_name, named_corpus, preset_sweep, read_shard, read_shards, rebuild_corpus,
+    rebuild_grid, rebuild_machines, scan_artifacts, sweep_for_signature, write_artifact,
+    ArtifactError,
 };
 pub use certify::{
     CellCertifier, CellFault, CertifyViolation, RULE_DEPENDENCE, RULE_FU_BINDING,
@@ -114,7 +115,7 @@ pub use report::{
 };
 pub use session::{BaseSchedule, CacheStats, Session, TrajectoryExport};
 pub use shard::{CellTrajectory, GridSignature, MachineSig, Provenance, ShardRole, SweepShard};
-pub use sweep::{certify_shard, shard_tasks, PartialSweep, Sweep, SweepReport};
+pub use sweep::{certify_shard, certify_shard_on, shard_tasks, PartialSweep, Sweep, SweepReport};
 
 /// Re-export of the corpus crate.
 pub use ncdrf_corpus as corpus;

@@ -279,6 +279,34 @@ impl SweepShard {
         self.cells.iter().map(|c| c.task).collect()
     }
 
+    /// The part of this artifact that seeds `tasks`: a heal artifact
+    /// holding, in artifact order, the cells of `tasks` that persist
+    /// spill trajectories, with their summed per-cell counters. Passed
+    /// to [`crate::Sweep::issue_cells`] for those tasks, it imports
+    /// exactly the trajectories the whole artifact would, so the farm
+    /// ships a lease only the seed cells it uses.
+    pub fn restricted_to(&self, tasks: &[u64]) -> SweepShard {
+        let tasks: HashSet<u64> = tasks.iter().copied().collect();
+        let cells: Vec<ShardCell> = self
+            .cells
+            .iter()
+            .filter(|c| !c.trajectories.is_empty() && tasks.contains(&c.task))
+            .cloned()
+            .collect();
+        let mut scheduling = CacheStats::default();
+        for c in &cells {
+            scheduling.absorb(c.scheduling);
+        }
+        SweepShard::assemble_parts(
+            self.signature.clone(),
+            0,
+            0,
+            ShardRole::Heal,
+            scheduling,
+            cells,
+        )
+    }
+
     /// Reassembles a full sweep from its shards — heal artifacts
     /// included — in any order.
     ///

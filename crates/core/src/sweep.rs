@@ -779,7 +779,26 @@ pub(crate) fn assemble_cells(
 }
 
 /// Certifies a shard artifact offline: rebuilds the grid its signature
-/// names, re-evaluates every **healthy** cell under a certify-mode
+/// names and runs [`certify_shard_on`] on it.
+///
+/// # Errors
+///
+/// [`ArtifactError::Grid`] when the signature names a corpus or machine
+/// this build cannot reconstruct.
+pub fn certify_shard(
+    shard: &crate::SweepShard,
+    certifier: Arc<dyn CellCertifier>,
+) -> Result<Vec<CellFault>, ArtifactError> {
+    let (corpus, machines) = crate::rebuild_grid(shard.signature())?;
+    Ok(certify_shard_on(shard, &corpus, &machines, certifier))
+}
+
+/// Certifies a shard artifact on its grid: `corpus` and `machines` as
+/// [`crate::rebuild_grid`] builds them from the shard's signature, so a
+/// caller that keeps the grid (the farm keeps one per job) certifies
+/// every delivery without rebuilding it.
+///
+/// Re-evaluates every **healthy** cell under a certify-mode
 /// [`Session`] (the certifier re-verifies every schedule, requirement
 /// and spill rewrite from first principles), and compares the fresh
 /// result against the artifact's claimed payload. Failed cells carry no
@@ -793,18 +812,15 @@ pub(crate) fn assemble_cells(
 /// Returns one [`CellFault`] per cell whose re-evaluation was rejected
 /// by the certifier, failed outright, or produced a different payload
 /// than the artifact claims. An empty vector means every healthy cell
-/// certified clean.
-///
-/// # Errors
-///
-/// [`ArtifactError::Grid`] when the signature names a corpus or machine
-/// this build cannot reconstruct.
-pub fn certify_shard(
+/// certified clean. A cell whose task or loop does not fit the grid is
+/// a fault too.
+pub fn certify_shard_on(
     shard: &crate::SweepShard,
+    corpus: &Corpus,
+    machines: &[Machine],
     certifier: Arc<dyn CellCertifier>,
-) -> Result<Vec<CellFault>, ArtifactError> {
+) -> Vec<CellFault> {
     let sig = shard.signature();
-    let (corpus, machines) = crate::rebuild_grid(sig)?;
     let loops = corpus.loops();
     let n = loops.len();
     let want_points = !sig.points.is_empty();
@@ -864,7 +880,7 @@ pub fn certify_shard(
             Ok(_) => {}
         }
     }
-    Ok(faults)
+    faults
 }
 
 /// The task indices of shard `index` of `count` over a `total`-cell

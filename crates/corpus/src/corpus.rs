@@ -36,18 +36,25 @@ impl Corpus {
         }
     }
 
+    /// Loops of [`Corpus::standard`].
+    pub const STANDARD_LOOPS: usize = 795;
+
+    /// Loops of [`Corpus::small`]: the named kernels plus 60 generated
+    /// loops.
+    pub const SMALL_LOOPS: usize = kernels::ALL.len() + 60;
+
     /// The **standard corpus**: 795 loops — the 53 named kernels plus 742
     /// generated loops drawn from the default / deep / wide / recurrent
     /// generator profiles — with heavy-tailed execution weights. Matches
     /// the population size of the paper ("almost 800 loops").
     pub fn standard() -> Self {
-        Self::sized("standard", 795, STANDARD_SEED)
+        Self::sized("standard", Self::STANDARD_LOOPS, STANDARD_SEED)
     }
 
     /// A small corpus (the named kernels + 60 generated loops) for tests,
     /// examples and quick experiment runs.
     pub fn small() -> Self {
-        Self::sized("small", kernels::all().len() + 60, STANDARD_SEED)
+        Self::sized("small", Self::SMALL_LOOPS, STANDARD_SEED)
     }
 
     /// A corpus of exactly `total` loops (named kernels first, generated
@@ -57,14 +64,33 @@ impl Corpus {
     ///
     /// Panics if `total` is smaller than the named-kernel count.
     pub fn sized(name: impl Into<String>, total: usize, seed: u64) -> Self {
-        let named = kernels::all();
+        Self::sized_prefix(name, total, total, seed)
+    }
+
+    /// The first `n` loops of [`Corpus::sized`]`(_, total, seed)`, built
+    /// without the rest: only the kept kernels are constructed and only
+    /// the kept generated loops are generated. Generated loops keep the
+    /// profile split of the *full* `total`, and weights are drawn in
+    /// loop order, so the prefix equals `sized(name, total, seed)
+    /// .take(n)` loop for loop. An `n` beyond `total` keeps every loop,
+    /// as [`Corpus::take`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total` is smaller than the named-kernel count.
+    pub fn sized_prefix(name: impl Into<String>, total: usize, n: usize, seed: u64) -> Self {
+        let named = kernels::ALL.len();
         assert!(
-            total >= named.len(),
-            "corpus must include the {} named kernels",
-            named.len()
+            total >= named,
+            "corpus must include the {named} named kernels"
         );
-        let remaining = total - named.len();
-        let mut loops = named;
+        let n = n.min(total);
+        let mut loops: Vec<Loop> = kernels::ALL[..n.min(named)]
+            .iter()
+            .map(|kernel| kernel())
+            .collect();
+        let remaining = total - named;
+        let mut wanted = n.saturating_sub(named);
         // Split generated loops across the four structural profiles.
         let quarters = [
             (GenConfig::default(), remaining.div_ceil(4)),
@@ -74,10 +100,12 @@ impl Corpus {
         ];
         let mut base = seed;
         for (cfg, count) in quarters {
-            loops.extend(generate_many(base, count, &cfg));
+            let kept = count.min(wanted);
+            loops.extend(generate_many(base, kept, &cfg));
+            wanted -= kept;
             base = base.wrapping_add(count as u64).wrapping_add(7919);
         }
-        debug_assert_eq!(loops.len(), total);
+        debug_assert_eq!(loops.len(), n);
         Corpus {
             name: name.into(),
             loops: assign_weights(loops, seed ^ 0x5741_4E44), // "WAND"
@@ -218,6 +246,55 @@ mod tests {
         assert!(big.len() < c.len());
         assert!(big.iter().all(|l| l.ops().len() >= 10));
         assert_eq!(c.take(5).len(), 5);
+    }
+
+    /// The prefix equals `full.take(n)` loop for loop: names, ops,
+    /// dependences and weights (`Loop` equality covers all of them).
+    fn assert_prefix(full: &Corpus, total: usize, n: usize) {
+        let prefix =
+            Corpus::sized_prefix(format!("{}-take{n}", full.name()), total, n, STANDARD_SEED);
+        let taken = full.take(n);
+        assert_eq!(prefix.name(), taken.name(), "n = {n}");
+        assert_eq!(prefix.len(), taken.len(), "n = {n}");
+        for (a, b) in prefix.iter().zip(&taken) {
+            assert_eq!(a, b, "n = {n}, loop `{}`", b.name());
+        }
+    }
+
+    #[test]
+    fn every_small_prefix_equals_take() {
+        let small = Corpus::small();
+        for n in 0..=small.len() + 2 {
+            assert_prefix(&small, Corpus::SMALL_LOOPS, n);
+        }
+    }
+
+    #[test]
+    fn standard_prefixes_equal_take_at_every_quarter_boundary() {
+        let standard = Corpus::standard();
+        let named = crate::kernels::ALL.len();
+        let remaining = Corpus::STANDARD_LOOPS - named;
+        let q = [
+            remaining.div_ceil(4),
+            (remaining + 2) / 4,
+            (remaining + 1) / 4,
+        ];
+        let boundaries = [
+            named + q[0],
+            named + q[0] + q[1],
+            named + q[0] + q[1] + q[2],
+        ];
+        let mut ns = vec![0, 32, 53, 54, Corpus::STANDARD_LOOPS, 900];
+        for b in boundaries {
+            ns.extend([b - 1, b, b + 1]);
+        }
+        for n in ns {
+            assert_prefix(&standard, Corpus::STANDARD_LOOPS, n);
+        }
+        assert_eq!(
+            Corpus::sized_prefix("standard", Corpus::STANDARD_LOOPS, 795, STANDARD_SEED),
+            standard
+        );
     }
 
     #[test]

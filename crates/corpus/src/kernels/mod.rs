@@ -15,68 +15,72 @@ pub mod stencils;
 
 use ncdrf_ddg::Loop;
 
+/// The named kernels' constructors, in corpus order: a corpus prefix
+/// builds only the kernels it keeps.
+pub const ALL: [fn() -> Loop; 53] = [
+    // BLAS-1 family.
+    blas::daxpy,
+    blas::axpby,
+    blas::dot,
+    blas::vadd,
+    blas::vscale,
+    blas::triad,
+    blas::vdiv,
+    blas::normalize,
+    blas::vsum,
+    blas::vprod,
+    blas::sumsq,
+    blas::sqdist,
+    blas::harmonic,
+    blas::sum_and_sumsq,
+    blas::lerp,
+    // Livermore-style fragments.
+    livermore::hydro,
+    livermore::tridiag,
+    livermore::state,
+    livermore::first_sum,
+    livermore::first_diff,
+    livermore::iccg,
+    livermore::banded_matvec,
+    livermore::forward_subst,
+    // Stencils and filters.
+    stencils::stencil3,
+    stencils::stencil5,
+    stencils::fir4,
+    stencils::heat,
+    stencils::wave,
+    stencils::cmul,
+    stencils::butterfly,
+    // Recurrence / ILP stress kernels.
+    recurrences::ema,
+    recurrences::seidel,
+    recurrences::oscillator,
+    recurrences::chain8,
+    recurrences::wide8,
+    recurrences::tree8,
+    recurrences::lotka,
+    recurrences::quantize,
+    recurrences::recip2,
+    recurrences::chol_scale,
+    recurrences::horner4,
+    // SPEC89-Fortran-style kernels.
+    spec::gemm_inner,
+    spec::rank1_update,
+    spec::givens,
+    spec::rk2_step,
+    spec::weighted_error,
+    spec::band_accumulate,
+    spec::newton_recip,
+    spec::geo_conv,
+    spec::rational_accum,
+    spec::envelope,
+    spec::blend2,
+    spec::eos_heavy,
+];
+
 /// All named kernels, in a fixed order.
 pub fn all() -> Vec<Loop> {
-    vec![
-        // BLAS-1 family.
-        blas::daxpy(),
-        blas::axpby(),
-        blas::dot(),
-        blas::vadd(),
-        blas::vscale(),
-        blas::triad(),
-        blas::vdiv(),
-        blas::normalize(),
-        blas::vsum(),
-        blas::vprod(),
-        blas::sumsq(),
-        blas::sqdist(),
-        blas::harmonic(),
-        blas::sum_and_sumsq(),
-        blas::lerp(),
-        // Livermore-style fragments.
-        livermore::hydro(),
-        livermore::tridiag(),
-        livermore::state(),
-        livermore::first_sum(),
-        livermore::first_diff(),
-        livermore::iccg(),
-        livermore::banded_matvec(),
-        livermore::forward_subst(),
-        // Stencils and filters.
-        stencils::stencil3(),
-        stencils::stencil5(),
-        stencils::fir4(),
-        stencils::heat(),
-        stencils::wave(),
-        stencils::cmul(),
-        stencils::butterfly(),
-        // Recurrence / ILP stress kernels.
-        recurrences::ema(),
-        recurrences::seidel(),
-        recurrences::oscillator(),
-        recurrences::chain8(),
-        recurrences::wide8(),
-        recurrences::tree8(),
-        recurrences::lotka(),
-        recurrences::quantize(),
-        recurrences::recip2(),
-        recurrences::chol_scale(),
-        recurrences::horner4(),
-        // SPEC89-Fortran-style kernels.
-        spec::gemm_inner(),
-        spec::rank1_update(),
-        spec::givens(),
-        spec::rk2_step(),
-        spec::weighted_error(),
-        spec::band_accumulate(),
-        spec::newton_recip(),
-        spec::geo_conv(),
-        spec::rational_accum(),
-        spec::envelope(),
-        spec::blend2(),
-        spec::eos_heavy(),
-    ]
+    ALL.iter().map(|kernel| kernel()).collect()
 }
 
 #[cfg(test)]

@@ -8,12 +8,18 @@
 
 use crate::worker::LeaseOffer;
 use ncdrf::corpus::Corpus;
+use ncdrf::machine::Machine;
 use ncdrf::{CacheStats, GridSignature, PartialSweep, Render, ReportFormat, Sweep, SweepShard};
 use parking_lot::Mutex;
 use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::Arc;
+
+/// A job's grid: the corpus and machines its signature names, built
+/// once at submit and shared with certifying deliveries.
+type Grid = Arc<(Corpus, Vec<Machine>)>;
 
 /// Farm sizing and cadence knobs.
 #[derive(Debug, Clone)]
@@ -38,14 +44,14 @@ pub struct FarmConfig {
     /// the re-merge cache. `None` keeps everything in memory.
     pub artifact_dir: Option<PathBuf>,
     /// Certify every delivered artifact before ingesting it: each
-    /// healthy cell is re-evaluated under a certify-mode session (see
-    /// [`ncdrf::certify_shard`]) and compared against the artifact's
-    /// claims. A delivery carrying a cell the certifier rejects is
-    /// refused with HTTP 422 and mutates no queue state — the lease
-    /// stays live, the cells stay accounted to it, and an honest
-    /// redelivery is still accepted. Off by default: certification
-    /// re-runs the lease's cells on the daemon, roughly doubling the
-    /// grid's compute.
+    /// healthy cell is re-evaluated on the job's grid under a
+    /// certify-mode session (see [`ncdrf::certify_shard_on`]) and
+    /// compared against the artifact's claims. A delivery carrying a
+    /// cell the certifier rejects is refused with HTTP 422 and mutates
+    /// no queue state — the lease stays live, the cells stay accounted
+    /// to it, and an honest redelivery is still accepted. Off by
+    /// default: certification re-runs the lease's cells on the daemon,
+    /// roughly doubling the grid's compute.
     pub certify: bool,
 }
 
@@ -251,21 +257,6 @@ impl JobSpec {
         })
     }
 
-    /// Builds the corpus this spec names.
-    fn build_corpus(&self) -> Result<Corpus, FarmError> {
-        let base = match self.corpus.as_str() {
-            "small" => Corpus::small(),
-            "standard" => Corpus::standard(),
-            other => {
-                return Err(FarmError::BadRequest(format!("unknown corpus `{other}`")));
-            }
-        };
-        Ok(match self.take {
-            Some(n) => base.take(n),
-            None => base,
-        })
-    }
-
     /// The signature of the grid this spec names — the job identity the
     /// whole farm (leases, cache, GC) is keyed on.
     ///
@@ -275,7 +266,13 @@ impl JobSpec {
     /// model-set override naming an unregistered model (the message
     /// carries the offending name).
     pub fn signature(&self) -> Result<GridSignature, FarmError> {
-        let corpus = self.build_corpus()?;
+        self.grid().map(|(signature, _)| signature)
+    }
+
+    /// The signature of the grid this spec names, and the grid itself.
+    fn grid(&self) -> Result<(GridSignature, Grid), FarmError> {
+        let corpus = ncdrf::named_corpus(&self.corpus, self.take)
+            .ok_or_else(|| FarmError::BadRequest(format!("unknown corpus `{}`", self.corpus)))?;
         let sweep = ncdrf::preset_sweep(&corpus, &self.grid)
             .ok_or_else(|| FarmError::BadRequest(format!("unknown grid `{}`", self.grid)))?;
         let sweep: Sweep<'_> = match &self.budgets {
@@ -290,7 +287,10 @@ impl JobSpec {
             }
             None => sweep,
         };
-        Ok(sweep.signature())
+        let signature = sweep.signature();
+        let machines = ncdrf::rebuild_machines(&signature)
+            .map_err(|e| FarmError::BadRequest(e.to_string()))?;
+        Ok((signature, Arc::new((corpus, machines))))
     }
 }
 
@@ -398,6 +398,8 @@ struct Job {
     delivered: Vec<SweepShard>,
     /// Re-merge-cache keys whose artifacts seed this job's descents.
     seed_keys: Vec<String>,
+    /// The grid certifying deliveries run on; dropped on completion.
+    grid: Option<Grid>,
     heal_rounds: u64,
     from_cache: bool,
     report_json: Option<String>,
@@ -505,7 +507,7 @@ impl Farm {
     /// — none of which mutate queue state.
     pub fn submit(&self, body: &str, _now: u64) -> Result<SubmitReceipt, FarmError> {
         let spec = JobSpec::from_json(body)?;
-        let signature = spec.signature()?;
+        let (signature, grid) = spec.grid()?;
         let cells = signature.total_tasks();
         if cells == 0 {
             return Err(FarmError::BadRequest("the grid has no cells".to_owned()));
@@ -552,6 +554,7 @@ impl Farm {
                 pending: VecDeque::new(),
                 delivered: vec![cached.clone()],
                 seed_keys: Vec::new(),
+                grid: None,
                 heal_rounds: 0,
                 from_cache: true,
                 scheduling: Some(merged.report.scheduling),
@@ -584,6 +587,7 @@ impl Farm {
             pending: (0..cells as u64).collect(),
             delivered: Vec::new(),
             seed_keys,
+            grid: Some(grid),
             heal_rounds: 0,
             from_cache: false,
             scheduling: None,
@@ -690,9 +694,10 @@ impl Farm {
     /// pending cells of the oldest unfinished job, with any not-yet-
     /// injected faults that fall inside the slice (consumed here, so a
     /// heal reissue of the same cells never re-injects), the grid
-    /// signature the worker rebuilds the sweep from, and any
-    /// resume-compatible seed artifacts. `None` when no job has pending
-    /// cells.
+    /// signature the worker rebuilds the sweep from, and the seed cells
+    /// of the leased tasks: from each resume-compatible cached artifact,
+    /// the leased cells that persist trajectories (an artifact with none
+    /// is left out). `None` when no job has pending cells.
     pub fn claim(&self, worker: &str, now: u64) -> Option<LeaseOffer> {
         let mut state = self.state.lock();
         let state = &mut *state;
@@ -710,10 +715,13 @@ impl Farm {
             .collect();
         job.faults.retain(|t| !faults.contains(t));
         job.state = JobState::Running;
+        // Seed order is cache order: the first seed naming a task wins.
         let seeds: Vec<SweepShard> = job
             .seed_keys
             .iter()
-            .filter_map(|k| state.cache.get(k).cloned())
+            .filter_map(|k| state.cache.get(k))
+            .map(|cached| cached.restricted_to(&tasks))
+            .filter(|seed| seed.cell_count() > 0)
             .collect();
         state.next_lease += 1;
         let lease = state.next_lease;
@@ -751,25 +759,34 @@ impl Farm {
     ///
     /// [`FarmError::NotFound`] for a never-issued lease,
     /// [`FarmError::BadRequest`] for an artifact that does not match
-    /// the job's grid, [`FarmError::CertifyRejected`] when
-    /// [`FarmConfig::certify`] is set and a claimed cell cannot be
-    /// re-derived and certified — none of which mutate farm state.
+    /// the job's grid (checked before any certification),
+    /// [`FarmError::CertifyRejected`] when [`FarmConfig::certify`] is set
+    /// and a claimed cell cannot be re-derived and certified — none of
+    /// which mutate farm state.
     pub fn deliver(
         &self,
         lease_id: u64,
         artifact: SweepShard,
         now: u64,
     ) -> Result<DeliverReceipt, FarmError> {
-        // Certification re-evaluates the artifact's cells — real grid
-        // work — so it runs before the state lock, like the workers do.
-        // A rejection is a pure refusal: no lease or queue state has
-        // been touched yet.
         if self.config.certify {
-            let faults = ncdrf::certify_shard(
+            // Certification re-evaluates the artifact's cells — real grid
+            // work — so it runs on the job's grid outside the state lock,
+            // like the workers do. A rejection is a pure refusal: no lease
+            // or queue state has been touched.
+            let grid = {
+                let mut state = self.state.lock();
+                let state = &mut *state;
+                let (_, job) = lease_job(&mut state.leases, &mut state.jobs, lease_id, &artifact)?;
+                Arc::clone(job.grid.as_ref().expect("a job with leases keeps its grid"))
+            };
+            let (corpus, machines) = &*grid;
+            let faults = ncdrf::certify_shard_on(
                 &artifact,
-                std::sync::Arc::new(ncdrf_certify::ScheduleCertifier),
-            )
-            .map_err(|e| FarmError::BadRequest(format!("artifact is not certifiable: {e}")))?;
+                corpus,
+                machines,
+                Arc::new(ncdrf_certify::ScheduleCertifier),
+            );
             if let Some(first) = faults.first() {
                 return Err(FarmError::CertifyRejected(format!(
                     "certification rejected {} of {} delivered cells; first: {first}",
@@ -780,20 +797,7 @@ impl Farm {
         }
         let mut state = self.state.lock();
         let state = &mut *state;
-        let lease = state
-            .leases
-            .get_mut(&lease_id)
-            .ok_or_else(|| FarmError::NotFound(format!("unknown lease `{lease_id}`")))?;
-        let job = state
-            .jobs
-            .iter_mut()
-            .find(|j| j.id == lease.job)
-            .expect("a lease's job outlives it");
-        if *artifact.signature() != job.signature {
-            return Err(FarmError::BadRequest(
-                "artifact signature does not match the lease's job".to_owned(),
-            ));
-        }
+        let (lease, job) = lease_job(&mut state.leases, &mut state.jobs, lease_id, &artifact)?;
         // Validate the artifact alone (in-grid cells etc.) before any
         // state changes, so a refused delivery mutates nothing.
         SweepShard::reconcile(std::slice::from_ref(&artifact))
@@ -936,6 +940,7 @@ impl Farm {
         job.scheduling = Some(merged.report.scheduling);
         job.report_json = Some(merged.render(ReportFormat::Json));
         job.delivered = vec![consolidated.clone()];
+        job.grid = None;
 
         // Artifact GC, keyed on the signature: the consolidated
         // artifact replaces every per-lease file of this grid.
@@ -962,6 +967,29 @@ impl Farm {
             state.seen_files.remove(&path);
         }
     }
+}
+
+/// The lease `lease_id` and its job, refusing an artifact whose
+/// signature is not the job's.
+fn lease_job<'s>(
+    leases: &'s mut BTreeMap<u64, Lease>,
+    jobs: &'s mut [Job],
+    lease_id: u64,
+    artifact: &SweepShard,
+) -> Result<(&'s mut Lease, &'s mut Job), FarmError> {
+    let lease = leases
+        .get_mut(&lease_id)
+        .ok_or_else(|| FarmError::NotFound(format!("unknown lease `{lease_id}`")))?;
+    let job = jobs
+        .iter_mut()
+        .find(|j| j.id == lease.job)
+        .expect("a lease's job outlives it");
+    if *artifact.signature() != job.signature {
+        return Err(FarmError::BadRequest(
+            "artifact signature does not match the lease's job".to_owned(),
+        ));
+    }
+    Ok((lease, job))
 }
 
 /// One merged [`PartialSweep`], parsed back from a farm report body —

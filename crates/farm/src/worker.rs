@@ -2,11 +2,13 @@
 //! from the farm, its wire round-trip, and the evaluation that turns an
 //! offer into a delivered shard artifact.
 //!
-//! Nested payloads (the grid signature, seed artifacts) travel as
-//! JSON-encoded strings inside the offer, so both sides reuse the
-//! core renderers/parsers verbatim and the bytes stay exact — the
-//! vendored JSON stand-in parses integers exactly and never re-renders
-//! floats.
+//! An offer carries only what its cells use: the grid signature (the
+//! worker rebuilds a `-takeN` corpus as a prefix, without generating
+//! the loops it drops) and the seed cells of the leased tasks. Nested
+//! payloads (the signature, the seeds) travel as JSON-encoded strings
+//! inside the offer, so both sides reuse the core renderers/parsers
+//! verbatim and the bytes stay exact — the vendored JSON stand-in
+//! parses integers exactly and never re-renders floats.
 
 use ncdrf::json::{json_array, json_string, JsonObject};
 use ncdrf::{GridSignature, Provenance, Render, ReportFormat, Sweep, SweepShard};
@@ -14,8 +16,8 @@ use ncdrf_exec::Pool;
 use std::sync::Arc;
 
 /// One unit of leased work: which cells of which grid to evaluate,
-/// which of them to fail deliberately, and any resume-compatible seed
-/// artifacts whose persisted trajectories warm-start the descents.
+/// which of them to fail deliberately, and the seed cells whose
+/// persisted trajectories warm-start the leased descents.
 #[derive(Debug, Clone)]
 pub struct LeaseOffer {
     /// Lease id — quoted back on delivery.
@@ -32,7 +34,9 @@ pub struct LeaseOffer {
     pub deadline: u64,
     /// The grid to rebuild the sweep from.
     pub signature: GridSignature,
-    /// Prior complete artifacts this grid resumes from.
+    /// Seed cells for the leased tasks: from each resume-compatible
+    /// cached artifact, a heal artifact holding the leased cells that
+    /// persist trajectories. The first seed naming a task wins.
     pub seeds: Vec<SweepShard>,
 }
 

@@ -1,22 +1,29 @@
 //! The farm API's refusal paths, exercised through the same pure
 //! `route()` the HTTP server wraps: malformed job JSON, unknown ids,
 //! oversized grids and a full queue each produce their own status code
-//! — and none of them mutates queue state. Plus the re-merge cache:
-//! exact resubmits complete instantly with identical bytes, and
+//! — and none of them mutates queue state; a certifying farm refuses a
+//! foreign signature before it certifies anything. Plus the re-merge
+//! cache: exact resubmits complete instantly with identical bytes, and
 //! budget-extension resubmits seed their spill descents from the
-//! cached trajectories.
+//! cached trajectories, each lease carrying only its own tasks' seed
+//! cells.
 
+use ncdrf::{Render, ReportFormat, SweepShard};
 use ncdrf_farm::api::route;
-use ncdrf_farm::{evaluate_lease, Farm, FarmConfig, JobState, LeaseOffer};
+use ncdrf_farm::{evaluate_lease, Farm, FarmConfig, JobSpec, JobState, LeaseOffer};
 
 fn farm() -> Farm {
+    farm_with(64, false)
+}
+
+fn farm_with(lease_cells: usize, certify: bool) -> Farm {
     Farm::new(FarmConfig {
         queue_cap: 1,
         max_cells: 16,
         lease_ms: 1_000,
-        lease_cells: 64,
+        lease_cells,
         artifact_dir: None,
-        certify: false,
+        certify,
     })
 }
 
@@ -30,13 +37,19 @@ const SPEC: &str = r#"{"grid":"full","corpus":"small","take":2}"#;
 
 /// Runs every pending lease of the farm to completion, ticking the heal
 /// cadence until the job count stabilises.
-fn drain(farm: &Farm, mut now: u64) -> u64 {
+fn drain(farm: &Farm, now: u64) -> u64 {
+    drain_with(farm, now, |_, _| {})
+}
+
+/// [`drain`], showing each offer and its delivered artifact to `seen`.
+fn drain_with(farm: &Farm, mut now: u64, mut seen: impl FnMut(&LeaseOffer, &SweepShard)) -> u64 {
     for _ in 0..16 {
         now += 1;
         farm.tick(now);
         let mut worked = false;
         while let Some(offer) = farm.claim("drain", now) {
             let artifact = evaluate_lease(&offer, None).unwrap();
+            seen(&offer, &artifact);
             farm.deliver(offer.lease, artifact, now).unwrap();
             worked = true;
         }
@@ -169,7 +182,6 @@ fn foreign_or_corrupt_artifact_is_refused_without_ingesting() {
     let foreign = ncdrf::sweep_for_signature(&foreign_sig, &corpus, machines)
         .issue_cells(&[0], &[], &[])
         .unwrap();
-    use ncdrf::{Render, ReportFormat};
     let (status, reply) = route(
         &farm,
         "POST",
@@ -209,28 +221,12 @@ fn foreign_or_corrupt_artifact_is_refused_without_ingesting() {
     assert_eq!(status, 200, "{reply}");
 }
 
-#[test]
-fn certify_mode_rejects_corrupt_artifacts_with_422_and_mutates_nothing() {
-    use ncdrf::{Render, ReportFormat};
-    let farm = Farm::new(FarmConfig {
-        queue_cap: 1,
-        max_cells: 16,
-        lease_ms: 1_000,
-        lease_cells: 64,
-        artifact_dir: None,
-        certify: true,
-    });
-    route(&farm, "POST", "/jobs", SPEC, 0);
-    let (status, offer_body) = route(&farm, "POST", "/leases", "w", 1);
-    assert_eq!(status, 200);
-    let offer = LeaseOffer::from_json(&offer_body).unwrap();
-    let honest = evaluate_lease(&offer, None).unwrap();
-    let before = farm.status("job-1").unwrap();
-
-    // Corrupt one claimed register requirement in the wire bytes: the
-    // artifact still parses and reconciles, but its payload no longer
-    // matches what a certified re-derivation produces.
-    let json = honest.render(ReportFormat::Json);
+/// The artifact's wire bytes with its first claimed register
+/// requirement overstated by one: it still parses and reconciles, but
+/// its payload no longer matches what a certified re-derivation
+/// produces.
+fn corrupted(artifact: &SweepShard) -> String {
+    let json = artifact.render(ReportFormat::Json);
     let at = json
         .find("\"regs\":")
         .expect("artifact carries requirements");
@@ -249,6 +245,68 @@ fn certify_mode_rejects_corrupt_artifacts_with_422_and_mutates_nothing() {
         ncdrf::parse_sweep_shard(&corrupt).is_ok(),
         "still well-formed"
     );
+    corrupt
+}
+
+#[test]
+fn certify_mode_refuses_a_foreign_signature_with_400_before_certifying() {
+    let farm = farm_with(64, true);
+    route(&farm, "POST", "/jobs", SPEC, 0);
+    let (status, offer_body) = route(&farm, "POST", "/leases", "w", 1);
+    assert_eq!(status, 200);
+    let offer = LeaseOffer::from_json(&offer_body).unwrap();
+    let before = farm.status("job-1").unwrap();
+
+    // An artifact of another grid that would also fail certification:
+    // the signature refusal (400) must come first, not the certifier's
+    // rejection (422).
+    let foreign_sig = JobSpec::from_json(r#"{"grid":"fig89","corpus":"small","take":2}"#)
+        .and_then(|s| s.signature())
+        .unwrap();
+    let (corpus, machines) = ncdrf::rebuild_grid(&foreign_sig).unwrap();
+    let foreign = ncdrf::sweep_for_signature(&foreign_sig, &corpus, machines)
+        .issue_cells(&[0, 1], &[], &[])
+        .unwrap();
+    let (status, reply) = route(
+        &farm,
+        "POST",
+        &format!("/leases/{}/artifact", offer.lease),
+        &corrupted(&foreign),
+        2,
+    );
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("does not match"), "{reply}");
+
+    // The lease stays undelivered and nothing was ingested.
+    let after = farm.status("job-1").unwrap();
+    assert_eq!(after.leased, before.leased);
+    assert_eq!(after.resolved, before.resolved);
+    assert_eq!(after.pending, before.pending);
+    assert_eq!(farm.stats().2, 1, "the lease is still live");
+
+    // The honest artifact still lands on the very same lease.
+    let honest = evaluate_lease(&offer, None).unwrap();
+    let (status, reply) = route(
+        &farm,
+        "POST",
+        &format!("/leases/{}/artifact", offer.lease),
+        &honest.render(ReportFormat::Json),
+        3,
+    );
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(farm.status("job-1").unwrap().state, JobState::Complete);
+}
+
+#[test]
+fn certify_mode_rejects_corrupt_artifacts_with_422_and_mutates_nothing() {
+    let farm = farm_with(64, true);
+    route(&farm, "POST", "/jobs", SPEC, 0);
+    let (status, offer_body) = route(&farm, "POST", "/leases", "w", 1);
+    assert_eq!(status, 200);
+    let offer = LeaseOffer::from_json(&offer_body).unwrap();
+    let honest = evaluate_lease(&offer, None).unwrap();
+    let before = farm.status("job-1").unwrap();
+    let corrupt = corrupted(&honest);
 
     let (status, reply) = route(
         &farm,
@@ -349,9 +407,22 @@ fn exact_resubmit_completes_instantly_from_the_cache() {
     );
 }
 
+/// Whether every cell of a seed artifact carries persisted
+/// trajectories, read off its wire bytes.
+fn every_cell_carries_trajectories(seed: &SweepShard) -> bool {
+    let v: serde_json::Value = serde_json::from_str(&seed.render(ReportFormat::Json)).unwrap();
+    let cells = v.get("cells").and_then(|c| c.as_array()).unwrap();
+    cells.iter().all(|c| {
+        c.get("trajectories")
+            .and_then(|t| t.as_array())
+            .is_some_and(|t| !t.is_empty())
+    })
+}
+
 #[test]
 fn budget_extension_resubmit_seeds_from_cached_trajectories() {
-    let farm = farm();
+    // One cell per lease, so each offer's seeds must shrink to its task.
+    let farm = farm_with(1, false);
     // First job persists its spill trajectories; the tight low rung
     // forces real spill descents (a ladder the loops fit under would
     // have nothing to persist).
@@ -361,32 +432,57 @@ fn budget_extension_resubmit_seeds_from_cached_trajectories() {
             0,
         )
         .unwrap();
-    let now = drain(&farm, 0);
+    let mut delivered = Vec::new();
+    let now = drain_with(&farm, 0, |_, artifact| delivered.push(artifact.clone()));
     assert_eq!(farm.status(&receipt.job).unwrap().state, JobState::Complete);
+    // The artifact the farm cached: every delivery, reconciled.
+    let cached = SweepShard::reconcile(&delivered).unwrap();
 
     // Same grid, tighter budgets: resume-compatible, so its leases
-    // carry the cached artifact as a seed and the descents resume
-    // instead of respilling from zero.
-    let receipt2 = farm
-        .submit(
-            r#"{"grid":"full","corpus":"small","take":2,"budgets":[4,16]}"#,
-            now,
-        )
-        .unwrap();
+    // carry the cached artifact's cells of the leased task as a seed
+    // and the descents resume instead of respilling from zero.
+    const RESUMED: &str = r#"{"grid":"full","corpus":"small","take":2,"budgets":[4,16]}"#;
+    let receipt2 = farm.submit(RESUMED, now).unwrap();
     assert_eq!(receipt2.state, JobState::Queued, "new budgets, new work");
-    let offer = farm.claim("w", now + 1).unwrap();
+    let mut seeded = 0;
+    drain_with(&farm, now, |offer, _| {
+        for seed in &offer.seeds {
+            assert!(seed.cell_count() > 0, "an empty seed is left out");
+            assert!(
+                seed.tasks().iter().all(|t| offer.tasks.contains(t)),
+                "seed tasks {:?} exceed the leased {:?}",
+                seed.tasks(),
+                offer.tasks
+            );
+            assert!(every_cell_carries_trajectories(seed));
+        }
+        seeded += offer.seeds.len();
+    });
     assert!(
-        !offer.seeds.is_empty(),
-        "a resume-compatible cached artifact must ride along as a seed"
+        seeded > 0,
+        "a resume-compatible cached artifact must ride along as seeds"
     );
-    let artifact = evaluate_lease(&offer, None).unwrap();
-    farm.deliver(offer.lease, artifact, now + 1).unwrap();
-    drain(&farm, now + 1);
     let status = farm.status(&receipt2.job).unwrap();
     assert_eq!(status.state, JobState::Complete);
     let stats = status.scheduling.unwrap();
     assert!(
         stats.traj_hits + stats.traj_resumes > 0,
         "seeded descents must be served from the cached trajectories, got {stats:?}"
+    );
+
+    // Per-lease seeds serve exactly what the whole cached artifact
+    // would: the report equals issuing the grid seeded with all of it.
+    let sig = JobSpec::from_json(RESUMED)
+        .and_then(|s| s.signature())
+        .unwrap();
+    let (corpus, machines) = ncdrf::rebuild_grid(&sig).unwrap();
+    let every_cell: Vec<u64> = (0..sig.total_tasks() as u64).collect();
+    let whole = ncdrf::sweep_for_signature(&sig, &corpus, machines)
+        .issue_cells(&every_cell, &[], std::slice::from_ref(&cached))
+        .unwrap();
+    let reference = SweepShard::merge(std::slice::from_ref(&whole)).unwrap();
+    assert_eq!(
+        farm.report(&receipt2.job).unwrap(),
+        reference.render(ReportFormat::Json)
     );
 }

@@ -7,7 +7,7 @@
 use ncdrf::corpus::{kernels, Corpus};
 use ncdrf::machine::{FuClass, FuGroup, Machine};
 use ncdrf::{
-    parse_sweep_shard, ConfigError, ModelId, PipelineStage, Render, ReportFormat, Sweep,
+    parse_sweep_shard, ConfigError, ModelId, PipelineStage, Render, ReportFormat, ShardRole, Sweep,
     SweepShard, PAPER_MODELS,
 };
 
@@ -393,6 +393,65 @@ fn reissue_validates_cells_and_seeds() {
         .budget(64);
     let budget_seed = other_budget.shard(0, 1).unwrap();
     assert!(sweep.reissue(&[0], &[budget_seed]).is_ok());
+}
+
+/// A seed restricted to the issued tasks keeps only their cells that
+/// persist trajectories, and issuing with it is byte-identical to
+/// issuing with the whole artifact.
+#[test]
+fn restricted_seeds_issue_exactly_like_the_whole_artifact() {
+    let corpus = Corpus::from_loops(
+        "pressured",
+        vec![
+            kernels::recurrences::chain8(),
+            kernels::blas::daxpy(),
+            kernels::recurrences::wide8(),
+        ],
+    );
+    let first = Sweep::new(&corpus)
+        .clustered_latencies([3, 6])
+        .models(PAPER_MODELS)
+        .budget(16)
+        .persist_trajectories(true);
+    let seed = first.shard(0, 1).unwrap();
+    let with_trajectories: Vec<u64> = (0..seed.cell_count() as u64)
+        .filter(|&t| seed.restricted_to(&[t]).cell_count() == 1)
+        .collect();
+    assert!(
+        !with_trajectories.is_empty() && with_trajectories.len() < seed.cell_count(),
+        "the grid must mix spilling and non-spilling cells: {with_trajectories:?}"
+    );
+
+    let deeper = Sweep::new(&corpus)
+        .clustered_latencies([3, 6])
+        .models(PAPER_MODELS)
+        .budget(4);
+    for tasks in [vec![0], vec![1, 4], vec![5, 2, 3], (0..6).collect()] {
+        let restricted = seed.restricted_to(&tasks);
+        assert_eq!(restricted.role(), ShardRole::Heal);
+        let kept = restricted.tasks();
+        let expected: Vec<u64> = with_trajectories
+            .iter()
+            .copied()
+            .filter(|t| tasks.contains(t))
+            .collect();
+        assert_eq!(kept, expected, "tasks {tasks:?}");
+        let mut summed = ncdrf::CacheStats::default();
+        for &t in &kept {
+            summed.absorb(seed.restricted_to(&[t]).scheduling());
+        }
+        assert_eq!(restricted.scheduling(), summed, "tasks {tasks:?}");
+
+        let whole = deeper
+            .issue_cells(&tasks, &[], std::slice::from_ref(&seed))
+            .unwrap();
+        let lean = deeper.issue_cells(&tasks, &[], &[restricted]).unwrap();
+        assert_eq!(
+            lean.render(ReportFormat::Json),
+            whole.render(ReportFormat::Json),
+            "tasks {tasks:?}"
+        );
+    }
 }
 
 /// This build reads only the shard version it writes: older layouts
