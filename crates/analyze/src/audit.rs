@@ -8,9 +8,8 @@
 //! * every file parses as a shard artifact (corruption, truncation and
 //!   foreign files are findings, not skips — except rendered
 //!   sweep/partial-sweep reports, which are recognized siblings and
-//!   only noted),
-//! * per-cell cache-counter sums equal the shard's declared totals
-//!   (re-derived structurally, independent of the parser's own check),
+//!   only noted; the parser refuses shard-level cache counters that
+//!   disagree with the per-cell sums),
 //! * shard-role sanity (a primary `i/n` shard must have `i < n`),
 //! * no two files answer the same farm lease (at-least-once delivery
 //!   may duplicate *cells*, never `(job, lease)` provenance),
@@ -22,7 +21,7 @@
 //! mid-flight farm directories legitimately contain) is reported as a
 //! *note*, not a finding: notes never fail an audit.
 
-use ncdrf::{CacheStats, ShardRole, SweepShard};
+use ncdrf::{ShardRole, SweepShard};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -31,7 +30,7 @@ use std::path::{Path, PathBuf};
 pub struct Finding {
     /// The file at fault, when the finding is file-scoped.
     pub path: Option<PathBuf>,
-    /// Stable rule identifier (`parse`, `counters`, `role`,
+    /// Stable rule identifier (`parse`, `role`,
     /// `duplicate-lease`, `reconcile`).
     pub rule: &'static str,
     /// Human-readable description.
@@ -68,15 +67,6 @@ impl AuditReport {
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
     }
-}
-
-/// Sums the per-cell counters of a shard by re-merging it alone through
-/// [`SweepShard::reconcile`] — the winner rule over a single artifact
-/// keeps every cell, so the result's totals *are* the per-cell sum.
-fn per_cell_sum(shard: &SweepShard) -> Result<CacheStats, String> {
-    SweepShard::reconcile(std::slice::from_ref(shard))
-        .map(|consolidated| consolidated.scheduling())
-        .map_err(|e| e.to_string())
 }
 
 /// Whether a file that failed shard parsing is one of the *other* wire
@@ -124,26 +114,6 @@ pub fn audit_dir(dir: &Path) -> Result<AuditReport, String> {
 
     // File-local invariants.
     for (path, shard) in &parsed {
-        match per_cell_sum(shard) {
-            Ok(sum) => {
-                if sum != shard.scheduling() {
-                    report.findings.push(Finding {
-                        path: Some(path.clone()),
-                        rule: "counters",
-                        detail: format!(
-                            "per-cell cache-counter sum {:?} disagrees with the declared total {:?}",
-                            sum,
-                            shard.scheduling()
-                        ),
-                    });
-                }
-            }
-            Err(e) => report.findings.push(Finding {
-                path: Some(path.clone()),
-                rule: "counters",
-                detail: format!("artifact does not self-reconcile: {e}"),
-            }),
-        }
         if shard.role() == ShardRole::Shard && shard.count() > 0 && shard.index() >= shard.count() {
             report.findings.push(Finding {
                 path: Some(path.clone()),

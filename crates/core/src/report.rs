@@ -1113,31 +1113,26 @@ pub fn parse_sweep_shard(json: &str) -> Parsed<SweepShard> {
             lease: u64_member(&v, "lease")?,
         }),
     };
-    let scheduling = cache_stats_from(member(&v, "scheduling")?)?;
+    let declared = cache_stats_from(member(&v, "scheduling")?)?;
     let cells: Vec<ShardCell> = array_member(&v, "cells")?
         .iter()
         .map(shard_cell_from)
         .collect::<Parsed<_>>()?;
-    // The shard-level counters are the per-cell sums by construction;
-    // an artifact where they disagree was hand-edited or corrupted, and
-    // a merge would silently misreport work — refuse it instead.
-    let mut cell_sum = CacheStats::default();
-    for c in &cells {
-        cell_sum.absorb(c.scheduling);
-    }
-    if cell_sum != scheduling {
-        return Err(ReportParseError::new(
-            "shard-level cache counters disagree with the per-cell sums",
-        ));
-    }
     let mut shard = SweepShard::assemble_parts(
         signature,
         u32_member(&v, "index")?,
         u32_member(&v, "count")?,
         role,
-        scheduling,
         cells,
     );
+    // The shard-level counters are the per-cell sums by construction;
+    // an artifact where they disagree was hand-edited or corrupted, and
+    // a merge would silently misreport work — refuse it instead.
+    if shard.scheduling() != declared {
+        return Err(ReportParseError::new(
+            "shard-level cache counters disagree with the per-cell sums",
+        ));
+    }
     if let Some(p) = provenance {
         shard = shard.with_provenance(p);
     }

@@ -32,11 +32,11 @@
 //! class's requirement on them is computed once per loop, whichever
 //! model reaches it first. Each trajectory keeps only its scalars, its
 //! own stopping point and its post-requirement schedules, and the
-//! counters in [`CacheStats`] stay per model. A [`crate::Sweep`] releases
-//! a loop's shared states when its cell ends. A session driven directly
-//! keeps the shared states of its four most recently spilled loops
-//! only, so what it retains stays bounded in whatever order it visits
-//! loops and models.
+//! counters in [`CacheStats`] stay per model. A session keeps the shared
+//! states of its four most recently spilled loops only, so what it
+//! retains stays bounded in whatever order it visits loops and models.
+//! A [`crate::Sweep`] evaluates each `(machine, loop)` cell in its own
+//! session, so a cell's caches and descent tree die with the cell.
 //!
 //! Sessions are `Sync`: corpus-level sweeps run loops in parallel against
 //! one shared cache (see [`Session::analyze_corpus`]).
@@ -61,15 +61,16 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How many loops' descent trees a session driven directly keeps open
-/// for sharing between the models of a loop. A [`Session::evaluate`]
-/// call that spills opens its loop's tree; opening one more releases the
-/// least recently opened (see [`DescentTree::release`]). Only sharing is
-/// lost — results and [`CacheStats`] do not change. Four covers a
-/// driver that visits loops one at a time on up to four threads; a
-/// driver that visits the whole corpus per model could only share by
-/// keeping every loop's states, which is what this bound prevents.
-/// [`crate::Sweep`] cells release their own loop and bypass the bound.
+/// How many loops' descent trees a session keeps open for sharing
+/// between the models of a loop. A [`Session::evaluate`] call that
+/// spills opens its loop's tree; opening one more releases the least
+/// recently opened (see [`DescentTree::release`]). Only sharing is lost
+/// — results and [`CacheStats`] do not change. Four covers a driver that
+/// visits loops one at a time on up to four threads; a driver that
+/// visits the whole corpus per model could only share by keeping every
+/// loop's states, which is what this bound prevents. A
+/// [`crate::Sweep`] cell's session visits one loop, so the bound never
+/// closes its tree.
 const OPEN_TREES: usize = 4;
 
 /// Per-(loop, model) spill trajectories, individually locked so distinct
@@ -290,17 +291,6 @@ impl Session {
             stats.absorb(entry.tree.stats());
         }
         stats
-    }
-
-    /// Ends state sharing for `l`'s cell: releases its descent tree's
-    /// index and memos (see [`DescentTree::release`]). Trajectories keep
-    /// the states they retain; the base schedule and the root's class
-    /// memo stay cached.
-    pub(crate) fn release(&self, l: &Loop) {
-        let entry = self.cache.lock().get(l.name()).cloned();
-        if let Some(entry) = entry {
-            entry.tree.release();
-        }
     }
 
     /// Marks `l`'s descent tree as the most recently opened, releasing
@@ -694,29 +684,6 @@ impl Session {
         model: ModelId,
         budget: u32,
     ) -> Result<LoopEval, PipelineError> {
-        self.evaluate_with(l, model, budget, true)
-    }
-
-    /// [`Session::evaluate`] for a [`crate::Sweep`] cell, which releases
-    /// its loop's descent tree itself when it ends: the tree is not
-    /// counted against [`OPEN_TREES`].
-    pub(crate) fn evaluate_in_cell(
-        &self,
-        l: &Loop,
-        model: ModelId,
-        budget: u32,
-    ) -> Result<LoopEval, PipelineError> {
-        self.evaluate_with(l, model, budget, false)
-    }
-
-    /// [`Session::evaluate`], opening the loop's descent tree when `open`.
-    fn evaluate_with(
-        &self,
-        l: &Loop,
-        model: ModelId,
-        budget: u32,
-        open: bool,
-    ) -> Result<LoopEval, PipelineError> {
         let no_spill_eval = |sched: &Schedule, regs: u32| LoopEval {
             name: l.name().to_owned(),
             model,
@@ -753,9 +720,7 @@ impl Session {
         // run's shard artifact) serves budgets its recorded checkpoints
         // fit without recomputing anything, and is replayed into a live
         // trajectory the first time a budget needs the descent resumed.
-        if open {
-            self.open_tree(l);
-        }
+        self.open_tree(l);
         let key = (l.name().to_owned(), model);
         let live = self.trajectories.lock().get(&key).cloned();
         // Bound lookups (guards dropped immediately): `materialize`

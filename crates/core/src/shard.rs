@@ -11,8 +11,9 @@
 //! identifying the sweep it came from. [`SweepShard::merge`] checks the
 //! signatures, checks that the shards partition the grid exactly, puts
 //! the cells back in grid order, and runs the *same* assembly code as
-//! [`crate::Sweep::run_sequential`]; the merged report is bit-identical
-//! to an unsharded run, including after a JSON round trip.
+//! [`crate::Sweep::run`] and [`crate::Sweep::run_partial`]; the merged
+//! report is bit-identical to an unsharded run, including after a JSON
+//! round trip.
 //!
 //! ```
 //! use ncdrf::{Sweep, SweepShard, PAPER_MODELS};
@@ -37,7 +38,7 @@
 use crate::model::ModelId;
 use crate::pipeline::{ConfigError, PipelineError};
 use crate::session::CacheStats;
-use crate::sweep::{assemble_cells, LoopCell, PartialSweep, SweepReport};
+use crate::sweep::{assemble_grid, LoopCell, PartialSweep};
 use ncdrf_spill::TrajectorySnapshot;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -182,7 +183,6 @@ pub struct SweepShard {
     pub(crate) index: u32,
     pub(crate) count: u32,
     pub(crate) role: ShardRole,
-    pub(crate) scheduling: CacheStats,
     pub(crate) cells: Vec<ShardCell>,
     pub(crate) provenance: Option<Provenance>,
 }
@@ -203,7 +203,6 @@ impl SweepShard {
         index: u32,
         count: u32,
         role: ShardRole,
-        scheduling: CacheStats,
         cells: Vec<ShardCell>,
     ) -> SweepShard {
         SweepShard {
@@ -211,7 +210,6 @@ impl SweepShard {
             index,
             count,
             role,
-            scheduling,
             cells,
             provenance: None,
         }
@@ -251,11 +249,15 @@ impl SweepShard {
     }
 
     /// Schedule-cache counters of this shard's cells (their sum; each
-    /// cell also carries its own). Cells partition across shards and all
+    /// cell carries its own). Cells partition across shards and all
     /// cache reuse is per-cell, so these sum to the unsharded run's
     /// counters.
     pub fn scheduling(&self) -> CacheStats {
-        self.scheduling
+        let mut sum = CacheStats::default();
+        for c in &self.cells {
+            sum.absorb(c.scheduling);
+        }
+        sum
     }
 
     /// Number of grid cells this shard evaluated (including failures).
@@ -293,30 +295,21 @@ impl SweepShard {
             .filter(|c| !c.trajectories.is_empty() && tasks.contains(&c.task))
             .cloned()
             .collect();
-        let mut scheduling = CacheStats::default();
-        for c in &cells {
-            scheduling.absorb(c.scheduling);
-        }
-        SweepShard::assemble_parts(
-            self.signature.clone(),
-            0,
-            0,
-            ShardRole::Heal,
-            scheduling,
-            cells,
-        )
+        SweepShard::assemble_parts(self.signature.clone(), 0, 0, ShardRole::Heal, cells)
     }
 
     /// Reassembles a full sweep from its shards — heal artifacts
     /// included — in any order.
     ///
     /// Validates, then rebuilds: cells return to grid (machine-major,
-    /// corpus) order, each machine's survivors are aggregated by the
-    /// same code as [`crate::Sweep::run_sequential`], failures become the
-    /// error list in grid order, and cache counters sum per winning
-    /// cell in grid order. The result is **bit-identical** to
-    /// [`crate::Sweep::run_partial`] on the whole grid — and, when
-    /// complete, its report equals `run_sequential`'s. Resolution is
+    /// corpus) order and go through the one assembly of
+    /// [`crate::Sweep::run`] and [`crate::Sweep::run_partial`] — each
+    /// machine's survivors aggregate, failures become the error list in
+    /// grid order, and cache counters sum per winning cell. The result is
+    /// **bit-identical** to [`crate::Sweep::run_partial`] on the whole
+    /// grid, counters and errors included (`tests/shard_merge.rs` pins
+    /// it) — and, when complete, its report equals `run_sequential`'s.
+    /// Resolution is
     /// order-independent, so the merge is invariant under permutation
     /// of `shards` (property-tested in `tests/proptest_shard.rs`).
     ///
@@ -349,48 +342,14 @@ impl SweepShard {
     pub fn merge(shards: &[SweepShard]) -> Result<PartialSweep, PipelineError> {
         let config = |e: ConfigError| PipelineError::config(e);
         let (signature, slots) = resolve(shards)?;
-        let total = signature.total_tasks();
-        if slots.len() < total {
+        let total = signature.total_tasks() as u64;
+        if (slots.len() as u64) < total {
             return Err(config(ConfigError::MissingShards));
         }
-
-        // Reassemble exactly as `run_partial` over the full grid does:
-        // per machine, survivors aggregate and failures list, both in
-        // corpus order. Counters sum over the *winning* cells only, so
-        // a failed cell a heal artifact superseded contributes neither
-        // results nor work — the healed merge is bit-identical to a run
-        // that never failed.
-        let n = signature.loops.len();
-        let mut report = SweepReport::default();
-        let mut errors = Vec::new();
-        let mut scheduling = CacheStats::default();
-        for (mi, machine) in signature.machines.iter().enumerate() {
-            let mut ok = Vec::new();
-            for li in 0..n {
-                let cell = slots
-                    .get(&((mi * n + li) as u64))
-                    .expect("resolution covers the grid")
-                    .cell;
-                scheduling.absorb(cell.scheduling);
-                match &cell.outcome {
-                    Ok(c) => ok.push(c.clone()),
-                    Err(e) => errors.push(e.clone()),
-                }
-            }
-            assemble_cells(
-                &mut report,
-                &machine.name,
-                machine.latency,
-                machine.ports,
-                &signature.models,
-                &signature.points,
-                &signature.budgets,
-                &ok,
-                n == 0,
-            );
-        }
-        report.scheduling = scheduling;
-        Ok(PartialSweep { report, errors })
+        // Only the *winning* cells assemble, so a failed cell a heal
+        // artifact superseded contributes neither results nor work — the
+        // healed merge is bit-identical to a run that never failed.
+        Ok(assemble_grid(signature, (0..total).map(|t| slots[&t].cell)))
     }
 
     /// The flattened task indices a merge of `shards` could not serve a
@@ -436,19 +395,13 @@ impl SweepShard {
         let mut tasks: Vec<u64> = slots.keys().copied().collect();
         tasks.sort_unstable();
         let cells: Vec<ShardCell> = tasks.into_iter().map(|t| slots[&t].cell.clone()).collect();
-        let mut scheduling = CacheStats::default();
-        for c in &cells {
-            scheduling.absorb(c.scheduling);
-        }
-        Ok(SweepShard {
-            signature: signature.clone(),
-            index: 0,
-            count: 1,
-            role: ShardRole::Shard,
-            scheduling,
+        Ok(SweepShard::assemble_parts(
+            signature.clone(),
+            0,
+            1,
+            ShardRole::Shard,
             cells,
-            provenance: None,
-        })
+        ))
     }
 
     /// Resolves artifacts delivered **at-least-once** into a single
@@ -511,19 +464,13 @@ impl SweepShard {
         let mut tasks: Vec<u64> = slots.keys().copied().collect();
         tasks.sort_unstable();
         let cells: Vec<ShardCell> = tasks.into_iter().map(|t| slots[&t].clone()).collect();
-        let mut scheduling = CacheStats::default();
-        for c in &cells {
-            scheduling.absorb(c.scheduling);
-        }
-        Ok(SweepShard {
-            signature: signature.clone(),
-            index: 0,
-            count: 1,
-            role: ShardRole::Shard,
-            scheduling,
+        Ok(SweepShard::assemble_parts(
+            signature.clone(),
+            0,
+            1,
+            ShardRole::Shard,
             cells,
-            provenance: None,
-        })
+        ))
     }
 }
 

@@ -1,17 +1,21 @@
 //! The [`Sweep`] builder: declarative corpus experiments over a
-//! machine grid × model set × budget set, backed by per-machine
-//! [`Session`] caches.
+//! machine grid × model set × budget set, each `(machine, loop)` cell
+//! evaluated in its own [`Session`].
 //!
 //! One `Sweep` reproduces any of the paper's tables and figures: every
 //! `(machine, loop)` pair is scheduled exactly once no matter how many
 //! models or budgets are evaluated on it.
 //!
-//! Execution is handled by the [`ncdrf_exec`] subsystem: [`Sweep::run`]
-//! flattens the whole grid into `(machine, loop)` cells and serves them
-//! from one work-stealing [`Pool`], so machine-level and loop-level
-//! parallelism compose instead of machines queueing behind each other.
-//! [`Sweep::run_partial`] additionally makes the grid fault-tolerant —
-//! one failing pair is reported by name instead of discarding the rest.
+//! Execution is handled by the [`ncdrf_exec`] subsystem. One executor
+//! serves every pooled run mode — [`Sweep::run`], [`Sweep::run_partial`],
+//! [`Sweep::shard`] and [`Sweep::issue_cells`]: it flattens the grid into
+//! `(machine, loop)` cells and serves them from one work-stealing
+//! [`Pool`], so machine-level and loop-level parallelism compose instead
+//! of machines queueing behind each other. Every cache a session keeps is
+//! keyed by the loop, so a cell's session holds all the reuse there is,
+//! and it dies with the cell. [`Sweep::run_partial`] additionally makes
+//! the grid fault-tolerant — one failing pair is reported by name
+//! instead of discarding the rest.
 //!
 //! ```
 //! use ncdrf::{Render, ReportFormat, Sweep, PAPER_MODELS};
@@ -39,7 +43,7 @@ use crate::experiment::{relative_performance, BudgetOutcome, DistributionCurve, 
 use crate::model::{ModelId, PAPER_MODELS};
 use crate::pipeline::{ConfigError, LoopAnalysis, LoopEval, PipelineError, PipelineOptions};
 use crate::session::{CacheStats, Session, TrajectoryExport};
-use crate::shard::{CellTrajectory, ShardCell, ShardRole};
+use crate::shard::{CellTrajectory, GridSignature, ShardCell, ShardRole};
 use ncdrf_corpus::Corpus;
 use ncdrf_ddg::Loop;
 use ncdrf_exec::Pool;
@@ -66,7 +70,6 @@ pub struct Sweep<'c> {
     points: Vec<u32>,
     budgets: Vec<u32>,
     opts: PipelineOptions,
-    workers: Option<usize>,
     pool: Option<Arc<Pool>>,
     persist: bool,
     certifier: Option<Arc<dyn CellCertifier>>,
@@ -83,7 +86,6 @@ impl<'c> Sweep<'c> {
             points: Vec::new(),
             budgets: Vec::new(),
             opts: PipelineOptions::default(),
-            workers: None,
             pool: None,
             persist: false,
             certifier: None,
@@ -159,20 +161,12 @@ impl<'c> Sweep<'c> {
         self
     }
 
-    /// Overrides the executor's worker count (default: hardware
-    /// parallelism). Results are bit-identical for any worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
     /// Runs this sweep on a shared, persistent [`Pool`] instead of a
     /// pool created (and torn down) per `run`/`shard` call. A process
     /// executing several sweeps — a budget ladder, one grid per figure,
     /// a repeated bench — passes one `Arc<Pool>` to all of them and
-    /// reuses the same parked worker threads throughout. Takes
-    /// precedence over [`Sweep::workers`]; results are bit-identical
-    /// either way.
+    /// reuses the same parked worker threads throughout. Results are
+    /// bit-identical for any pool and worker count.
     pub fn pool(mut self, pool: Arc<Pool>) -> Self {
         self.pool = Some(pool);
         self
@@ -193,11 +187,11 @@ impl<'c> Sweep<'c> {
     }
 
     /// Certifies every cell this sweep evaluates: each [`Session`] the
-    /// sweep constructs — shared grid sessions and per-cell shard
-    /// sessions alike — runs with [`Session::certify`] set, so every
-    /// analysis, evaluation and replayed spill checkpoint is re-verified
-    /// from first principles before it contributes to a report or shard
-    /// artifact. A violation surfaces as a per-cell
+    /// sweep constructs — per-cell sessions and the per-machine sessions
+    /// of [`Sweep::run_sequential`] alike — runs with
+    /// [`Session::certify`] set, so every analysis, evaluation and
+    /// replayed spill checkpoint is re-verified from first principles
+    /// before it contributes to a report or shard artifact. A violation surfaces as a per-cell
     /// [`crate::PipelineStage::Certify`] error through the usual
     /// fault-tolerance channels.
     pub fn certify(mut self, certifier: Arc<dyn CellCertifier>) -> Self {
@@ -205,27 +199,15 @@ impl<'c> Sweep<'c> {
         self
     }
 
-    /// One session over `machine` with this sweep's options and (when
-    /// set) certifier — the single construction point every run mode
-    /// shares, so certify mode cannot silently miss a path.
-    fn session_for(&self, machine: Machine) -> Session {
-        let session = Session::new(machine).options(self.opts);
-        match &self.certifier {
-            Some(c) => session.certify(Arc::clone(c)),
-            None => session,
-        }
+    /// The pool this sweep's grids run on: the shared one when set,
+    /// otherwise a fresh per-call pool.
+    fn executor(&self) -> Arc<Pool> {
+        self.pool.clone().unwrap_or_else(|| Arc::new(Pool::new()))
     }
 
-    /// The pool this sweep's grids run on: the shared one when set,
-    /// otherwise a fresh per-call pool honouring [`Sweep::workers`].
-    fn executor(&self) -> Arc<Pool> {
-        match &self.pool {
-            Some(pool) => Arc::clone(pool),
-            None => Arc::new(match self.workers {
-                Some(w) => Pool::with_workers(w),
-                None => Pool::new(),
-            }),
-        }
+    /// Every task of the grid, in grid (machine-major, corpus) order.
+    fn all_tasks(&self) -> Vec<u64> {
+        (0..(self.machines.len() * self.corpus.len()) as u64).collect()
     }
 
     /// Rejects configurations that can only produce a silently-empty
@@ -244,73 +226,8 @@ impl<'c> Sweep<'c> {
         Ok(())
     }
 
-    /// Runs the flattened `(machine, loop)` grid on one work-stealing
-    /// pool. Returns one session per machine plus, per machine, the
-    /// per-loop cell results in corpus order (worker panics already
-    /// converted to failures naming the loop).
-    ///
-    /// With `fail_fast`, the first failing cell cancels all tasks that
-    /// have not started yet (they report [`CellFailure::Cancelled`]), so
-    /// an all-or-nothing caller doesn't pay for the rest of a grid it is
-    /// about to discard.
-    #[allow(clippy::type_complexity)]
-    fn run_grid(&self, fail_fast: bool) -> (Vec<Session>, Vec<Vec<Result<LoopCell, CellFailure>>>) {
-        let sessions: Vec<Session> = self
-            .machines
-            .iter()
-            .map(|m| self.session_for(m.clone()))
-            .collect();
-        let loops = self.corpus.loops();
-        let n = loops.len();
-        let mut per_machine: Vec<Vec<Result<LoopCell, CellFailure>>> =
-            sessions.iter().map(|_| Vec::with_capacity(n)).collect();
-        if n == 0 {
-            return (sessions, per_machine);
-        }
-        let pool = self.executor();
-        let want_points = !self.points.is_empty();
-        let cancelled = AtomicBool::new(false);
-        let raw = pool.run(sessions.len() * n, |t| {
-            if fail_fast && cancelled.load(Ordering::Relaxed) {
-                return Err(CellFailure::Cancelled);
-            }
-            let (mi, li) = (t / n, t % n);
-            // Catch panics locally (before the pool's own isolation) so
-            // a panicking cell triggers cancellation exactly like an
-            // erroring one; the payload is re-raised for the pool to
-            // record as the cell's `TaskPanic`.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eval_cell(
-                    &sessions[mi],
-                    &loops[li],
-                    &self.models,
-                    &self.budgets,
-                    want_points,
-                )
-            }));
-            if fail_fast && !matches!(outcome, Ok(Ok(_))) {
-                cancelled.store(true, Ordering::Relaxed);
-            }
-            match outcome {
-                Ok(cell) => cell.map_err(CellFailure::Error),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        });
-        for (t, r) in raw.into_iter().enumerate() {
-            let (mi, li) = (t / n, t % n);
-            per_machine[mi].push(match r {
-                Ok(cell) => cell,
-                Err(p) => Err(CellFailure::Error(PipelineError::panic(
-                    loops[li].name(),
-                    p.message,
-                ))),
-            });
-        }
-        (sessions, per_machine)
-    }
-
-    /// Runs the sweep on the work-stealing executor: one [`Session`] per
-    /// machine, every `(machine, loop)` pair as an independent task. A
+    /// Runs the sweep on the work-stealing executor, every `(machine,
+    /// loop)` pair as an independent task in its own [`Session`]. A
     /// failing pair cancels the tasks that have not started yet — the
     /// all-or-nothing contract doesn't pay for a grid it is about to
     /// discard.
@@ -324,26 +241,14 @@ impl<'c> Sweep<'c> {
     /// survives individual failures, use [`Sweep::run_partial`].
     pub fn run(&self) -> Result<SweepReport, PipelineError> {
         self.validate()?;
-        let (sessions, per_machine) = self.run_grid(true);
-        let mut machine_cells = Vec::with_capacity(sessions.len());
-        for cells in per_machine {
-            let mut ok = Vec::with_capacity(cells.len());
-            for cell in cells {
-                match cell {
-                    Ok(c) => ok.push(c),
-                    Err(CellFailure::Error(e)) => return Err(e),
-                    // A cancelled cell implies a real error later in the
-                    // grid scan; keep looking for it.
-                    Err(CellFailure::Cancelled) => {}
-                }
-            }
-            machine_cells.push(ok);
+        let cells = self.run_cells(&self.all_tasks(), &HashSet::new(), &HashMap::new(), true);
+        // Cancelled cells are left out, so the first failure among the
+        // cells that ran is the first real error in grid order; without
+        // one, nothing was cancelled and the grid is complete.
+        if let Some(e) = cells.iter().find_map(|c| c.outcome.as_ref().err()) {
+            return Err(e.clone());
         }
-        let mut report = SweepReport::default();
-        for (session, cells) in sessions.iter().zip(&machine_cells) {
-            self.assemble_machine(&mut report, session, cells);
-        }
-        Ok(report)
+        Ok(assemble_grid(&self.signature(), &cells).report)
     }
 
     /// Runs the sweep fault-tolerantly: every `(machine, loop)` pair that
@@ -352,7 +257,10 @@ impl<'c> Sweep<'c> {
     /// aggregates (curves, outcomes) are computed over its surviving
     /// loops; a machine whose **every** loop failed contributes no
     /// aggregates at all (all-zero curves and vacuously-ideal outcomes
-    /// would misreport a dead machine as perfect).
+    /// would misreport a dead machine as perfect). Cells run on the same
+    /// executor as [`Sweep::shard`] and assemble through the same code as
+    /// [`crate::SweepShard::merge`], so a merge of a whole-grid shard
+    /// equals this result, counters and error list included.
     ///
     /// Configuration errors (empty machine grid / model set / workload)
     /// surface in the error list with an empty report.
@@ -363,39 +271,28 @@ impl<'c> Sweep<'c> {
                 errors: vec![e],
             };
         }
-        let (sessions, per_machine) = self.run_grid(false);
-        let mut report = SweepReport::default();
-        let mut errors = Vec::new();
-        for (session, cells) in sessions.iter().zip(per_machine) {
-            let mut ok = Vec::with_capacity(cells.len());
-            for cell in cells {
-                match cell {
-                    Ok(c) => ok.push(c),
-                    Err(CellFailure::Error(e)) => errors.push(e),
-                    Err(CellFailure::Cancelled) => {
-                        unreachable!("run_partial never cancels cells")
-                    }
-                }
-            }
-            self.assemble_machine(&mut report, session, &ok);
-        }
-        PartialSweep { report, errors }
+        let cells = self.run_cells(&self.all_tasks(), &HashSet::new(), &HashMap::new(), false);
+        assemble_grid(&self.signature(), &cells)
     }
 
     /// Reference implementation: the same grid evaluated strictly
-    /// sequentially on the calling thread (machine-major, corpus order).
-    /// [`Sweep::run`] is bit-identical to this for every worker count;
-    /// the `tests/sweep_parallel.rs` stress test asserts it.
+    /// sequentially on the calling thread (machine-major, corpus order),
+    /// with one [`Session`] per machine shared by all its loops.
+    /// [`Sweep::run`] is bit-identical to this for every worker count
+    /// (the `tests/sweep_parallel.rs` stress test and the goldens assert
+    /// it), which also checks that sharing a session across loops
+    /// changes no result.
     ///
     /// # Errors
     ///
     /// Exactly as [`Sweep::run`].
     pub fn run_sequential(&self) -> Result<SweepReport, PipelineError> {
         self.validate()?;
+        let signature = self.signature();
         let want_points = !self.points.is_empty();
         let mut report = SweepReport::default();
-        for machine in &self.machines {
-            let session = self.session_for(machine.clone());
+        for (mi, machine) in self.machines.iter().enumerate() {
+            let session = new_session(machine, self.opts, self.certifier.as_ref(), None);
             let mut cells = Vec::with_capacity(self.corpus.len());
             for l in self.corpus.iter() {
                 cells.push(eval_cell(
@@ -406,7 +303,13 @@ impl<'c> Sweep<'c> {
                     want_points,
                 )?);
             }
-            self.assemble_machine(&mut report, &session, &cells);
+            assemble_cells(
+                &mut report,
+                &signature,
+                mi,
+                &cells.iter().collect::<Vec<_>>(),
+            );
+            report.scheduling.absorb(session.cache_stats());
         }
         Ok(report)
     }
@@ -471,17 +374,12 @@ impl<'c> Sweep<'c> {
         let total = self.machines.len() * self.corpus.len();
         let tasks: Vec<u64> = shard_tasks(total, index, count).map(|t| t as u64).collect();
         let faults: HashSet<u64> = faults.iter().copied().collect();
-        let cells = self.run_cells(&tasks, &faults, &HashMap::new());
-        let mut scheduling = CacheStats::default();
-        for c in &cells {
-            scheduling.absorb(c.scheduling);
-        }
+        let cells = self.run_cells(&tasks, &faults, &HashMap::new(), false);
         Ok(crate::SweepShard::assemble_parts(
             self.signature(),
             index,
             count,
             ShardRole::Shard,
-            scheduling,
             cells,
         ))
     }
@@ -568,7 +466,7 @@ impl<'c> Sweep<'c> {
             .collect();
         // First seed naming a task wins (callers pass artifacts in
         // provenance order); a cell's own trajectories beat nothing.
-        let mut imports: HashMap<u64, &Vec<CellTrajectory>> = HashMap::new();
+        let mut imports: HashMap<u64, &[CellTrajectory]> = HashMap::new();
         for s in seeds {
             for cell in &s.cells {
                 if !cell.trajectories.is_empty() {
@@ -576,34 +474,36 @@ impl<'c> Sweep<'c> {
                 }
             }
         }
-        let cells = self.run_cells(&tasks, &faults, &imports);
-        let mut scheduling = CacheStats::default();
-        for c in &cells {
-            scheduling.absorb(c.scheduling);
-        }
+        let cells = self.run_cells(&tasks, &faults, &imports, false);
         Ok(crate::SweepShard::assemble_parts(
             signature,
             0,
             0,
             ShardRole::Heal,
-            scheduling,
             cells,
         ))
     }
 
-    /// Evaluates the given grid cells on the executor, one [`Session`]
-    /// per cell. Cache reuse is entirely per-cell (caches key on the
-    /// cell's own loop), so per-cell sessions are bit-identical to the
-    /// shared-session grid run *and* give each [`ShardCell`] its own
-    /// honest counters — which is what lets a merge drop a superseded
-    /// cell's work without arithmetic. Faulted cells are not evaluated
-    /// (zeroed counters, injected-fault error); imported trajectories
-    /// seed the cell's session before evaluation.
+    /// The one pooled executor: evaluates the given grid cells, each in
+    /// its own [`Session`] that dies with the cell, so a cell's base
+    /// schedule, descent tree and trajectories are freed as soon as it
+    /// ends. Cache reuse is entirely per-cell (caches key on the cell's
+    /// own loop), so per-cell sessions give the results of one shared
+    /// session *and* give each [`ShardCell`] its own honest counters —
+    /// which is what lets a merge drop a superseded cell's work without
+    /// arithmetic. Faulted cells are not evaluated (zeroed counters,
+    /// injected-fault error); imported trajectories seed the cell's
+    /// session before evaluation.
+    ///
+    /// With `fail_fast`, the first failing or panicking cell cancels
+    /// every cell that has not started yet, and cancelled cells are left
+    /// out of the result.
     fn run_cells(
         &self,
         tasks: &[u64],
         faults: &HashSet<u64>,
-        imports: &HashMap<u64, &Vec<CellTrajectory>>,
+        imports: &HashMap<u64, &[CellTrajectory]>,
+        fail_fast: bool,
     ) -> Vec<ShardCell> {
         let loops = self.corpus.loops();
         let n = loops.len();
@@ -611,29 +511,46 @@ impl<'c> Sweep<'c> {
             return Vec::new();
         }
         let want_points = !self.points.is_empty();
-        let pool = self.executor();
-        type CellRun = (
-            CacheStats,
-            Result<LoopCell, PipelineError>,
-            Vec<CellTrajectory>,
-        );
-        let raw = pool.run(tasks.len(), |k| -> CellRun {
+        let cancelled = AtomicBool::new(false);
+        // A cell that never ran to the end reports the failure and no
+        // work, like a crashed runner.
+        let crashed = |task: u64, message: &str| {
+            let loop_name = loops[task as usize % n].name().to_owned();
+            ShardCell {
+                task,
+                outcome: Err(PipelineError::panic(&loop_name, message)),
+                loop_name,
+                scheduling: CacheStats::default(),
+                trajectories: Vec::new(),
+            }
+        };
+        let raw = self.executor().run(tasks.len(), |k| {
+            if cancelled.load(Ordering::Relaxed) {
+                return None;
+            }
             let t = tasks[k];
+            if faults.contains(&t) {
+                return Some(crashed(t, "injected fault"));
+            }
             let (mi, li) = (t as usize / n, t as usize % n);
             let l = &loops[li];
-            if faults.contains(&t) {
-                let err = PipelineError::panic(l.name(), "injected fault");
-                return (CacheStats::default(), Err(err), Vec::new());
+            let seeds = imports.get(&t).map(|&trajectories| (l, trajectories));
+            let session = new_session(
+                &self.machines[mi],
+                self.opts,
+                self.certifier.as_ref(),
+                seeds,
+            );
+            // Catch a panic here as well as in the pool, so it cancels
+            // like an error; the payload is re-raised for the pool to
+            // record as the cell's `TaskPanic`.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                eval_cell(&session, l, &self.models, &self.budgets, want_points)
+            }));
+            if fail_fast && !matches!(outcome, Ok(Ok(_))) {
+                cancelled.store(true, Ordering::Relaxed);
             }
-            let session = self.session_for(self.machines[mi].clone());
-            if let Some(trajectories) = imports.get(&t) {
-                session.import_trajectories(trajectories.iter().map(|ct| TrajectoryExport {
-                    loop_name: l.name().to_owned(),
-                    model: ct.model,
-                    snapshot: ct.snapshot.clone(),
-                }));
-            }
-            let outcome = eval_cell(&session, l, &self.models, &self.budgets, want_points);
+            let outcome = outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
             let trajectories = if self.persist {
                 session
                     .export_trajectories()
@@ -646,32 +563,17 @@ impl<'c> Sweep<'c> {
             } else {
                 Vec::new()
             };
-            (session.cache_stats(), outcome, trajectories)
+            Some(ShardCell {
+                task: t,
+                loop_name: l.name().to_owned(),
+                scheduling: session.cache_stats(),
+                outcome,
+                trajectories,
+            })
         });
         raw.into_iter()
             .zip(tasks)
-            .map(|(r, &t)| {
-                let loop_name = loops[t as usize % n].name().to_owned();
-                match r {
-                    Ok((scheduling, outcome, trajectories)) => ShardCell {
-                        task: t,
-                        loop_name,
-                        scheduling,
-                        outcome,
-                        trajectories,
-                    },
-                    // A panicked cell's session unwound with its
-                    // counters: the cell reports the contained panic and
-                    // no work, like a crashed runner.
-                    Err(p) => ShardCell {
-                        task: t,
-                        loop_name: loop_name.clone(),
-                        scheduling: CacheStats::default(),
-                        outcome: Err(PipelineError::panic(&loop_name, p.message)),
-                        trajectories: Vec::new(),
-                    },
-                }
-            })
+            .filter_map(|(r, &t)| r.unwrap_or_else(|p| Some(crashed(t, &p.message))))
             .collect()
     }
 
@@ -697,49 +599,52 @@ impl<'c> Sweep<'c> {
             options: format!("{:?}", self.opts),
         }
     }
-
-    /// Folds one machine's surviving cells (in corpus order) into the
-    /// report and accumulates the session's cache counters.
-    fn assemble_machine(&self, report: &mut SweepReport, session: &Session, cells: &[LoopCell]) {
-        let machine = session.machine();
-        assemble_cells(
-            report,
-            machine.name(),
-            fp_latency(machine),
-            machine.memory_ports() as u32,
-            &self.models,
-            &self.points,
-            &self.budgets,
-            cells,
-            self.corpus.is_empty(),
-        );
-        report.scheduling.absorb(session.cache_stats());
-    }
 }
 
-/// Folds one machine's surviving cells (in corpus order) into a report.
-/// Shared verbatim by every assembly path — sequential, pooled and
-/// shard-merge — so they cannot drift apart; the merged report of a
-/// sharded run is bit-identical to [`Sweep::run_sequential`] because
-/// every floating-point operation happens here, over the same values in
-/// the same order.
+/// Assembles a grid from every one of its cells, given in grid
+/// (machine-major, corpus) order: per machine, the surviving cells
+/// aggregate and the failures list, and the cache counters sum over
+/// every cell. The one assembly of [`Sweep::run`], [`Sweep::run_partial`]
+/// and [`crate::SweepShard::merge`], so they cannot drift apart.
+pub(crate) fn assemble_grid<'a>(
+    signature: &GridSignature,
+    cells: impl IntoIterator<Item = &'a ShardCell>,
+) -> PartialSweep {
+    let mut cells = cells.into_iter();
+    let mut out = PartialSweep::default();
+    for mi in 0..signature.machines.len() {
+        let mut ok = Vec::with_capacity(signature.loops.len());
+        for cell in cells.by_ref().take(signature.loops.len()) {
+            out.report.scheduling.absorb(cell.scheduling);
+            match &cell.outcome {
+                Ok(c) => ok.push(c),
+                Err(e) => out.errors.push(e.clone()),
+            }
+        }
+        assemble_cells(&mut out.report, signature, mi, &ok);
+    }
+    out
+}
+
+/// Folds machine `mi`'s surviving cells (in corpus order) into a report.
+/// Shared verbatim by [`assemble_grid`] and [`Sweep::run_sequential`], so
+/// a merged or pooled report is bit-identical to the sequential one
+/// because every floating-point operation happens here, over the same
+/// values in the same order.
 ///
 /// A machine left with zero surviving cells by a non-empty corpus (i.e.
 /// every pair failed) gets no curves or outcomes. An empty corpus still
 /// assembles its (empty) aggregates, matching the sequential reference.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_cells(
+fn assemble_cells(
     report: &mut SweepReport,
-    config: &str,
-    latency: u32,
-    ports: u32,
-    models: &[ModelId],
-    points: &[u32],
-    budgets: &[u32],
-    cells: &[LoopCell],
-    corpus_is_empty: bool,
+    signature: &GridSignature,
+    mi: usize,
+    cells: &[&LoopCell],
 ) {
-    let machine_is_dead = cells.is_empty() && !corpus_is_empty;
+    let machine = &signature.machines[mi];
+    let (config, latency) = (machine.name.as_str(), machine.latency);
+    let (models, points, budgets) = (&signature.models, &signature.points, &signature.budgets);
+    let machine_is_dead = cells.is_empty() && !signature.loops.is_empty();
     if machine_is_dead {
         return;
     }
@@ -751,7 +656,7 @@ pub(crate) fn assemble_cells(
                 .push(curve_from_rows(config, model, latency, points, &rows));
         }
     }
-    let ports = ports as u128;
+    let ports = machine.ports as u128;
     for (bi, &budget) in budgets.iter().enumerate() {
         let ideal_cycles: u128 = cells.iter().map(|c| c.evals[bi].ideal.cycles()).sum();
         for (mi, &model) in models.iter().enumerate() {
@@ -862,14 +767,12 @@ pub fn certify_shard_on(
             );
             continue;
         }
-        let session = Session::new(machine.clone()).certify(Arc::clone(&certifier));
-        if !cell.trajectories.is_empty() {
-            session.import_trajectories(cell.trajectories.iter().map(|ct| TrajectoryExport {
-                loop_name: l.name().to_owned(),
-                model: ct.model,
-                snapshot: ct.snapshot.clone(),
-            }));
-        }
+        let session = new_session(
+            machine,
+            PipelineOptions::default(),
+            Some(&certifier),
+            Some((l, &cell.trajectories)),
+        );
         match eval_cell(&session, l, &sig.models, &sig.budgets, want_points) {
             Err(e) => fault(cell, machine.name(), e.to_string()),
             Ok(fresh) if &fresh != claimed => fault(
@@ -899,14 +802,28 @@ pub fn shard_tasks(total: usize, index: u32, count: u32) -> impl Iterator<Item =
     (index as usize..total).step_by(count as usize)
 }
 
-/// Why a grid cell produced no [`LoopCell`].
-#[derive(Debug, Clone)]
-enum CellFailure {
-    /// The pipeline failed (or a worker panicked) on this pair.
-    Error(PipelineError),
-    /// The cell never ran: a fail-fast run already hit an error
-    /// elsewhere in the grid.
-    Cancelled,
+/// One session over `machine` with `opts` and, when set, the certifier,
+/// seeded with a loop's persisted trajectories when `seeds` names them:
+/// the single construction point of every session a sweep or a
+/// certification builds, so certify mode cannot silently miss a path.
+fn new_session(
+    machine: &Machine,
+    opts: PipelineOptions,
+    certifier: Option<&Arc<dyn CellCertifier>>,
+    seeds: Option<(&Loop, &[CellTrajectory])>,
+) -> Session {
+    let mut session = Session::new(machine.clone()).options(opts);
+    if let Some(c) = certifier {
+        session = session.certify(Arc::clone(c));
+    }
+    if let Some((l, trajectories)) = seeds {
+        session.import_trajectories(trajectories.iter().map(|ct| TrajectoryExport {
+            loop_name: l.name().to_owned(),
+            model: ct.model,
+            snapshot: ct.snapshot.clone(),
+        }));
+    }
+    session
 }
 
 /// One `(machine, loop)` cell of the flattened grid: everything the sweep
@@ -948,23 +865,12 @@ fn descending_budget_order(budgets: &[u32]) -> Vec<usize> {
     order
 }
 
-/// Releases a loop's descent tree when dropped (see `Session::release`).
-struct ReleaseOnDrop<'a>(&'a Session, &'a Loop);
-
-impl Drop for ReleaseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.release(self.1);
-    }
-}
-
 /// Evaluates one `(machine, loop)` pair: all model analyses (when the
 /// sweep samples distribution points) and all `(budget, model)`
 /// evaluations, sharing the session's schedule and spill-trajectory
 /// caches and the loop's descent tree. Budgets are *evaluated* in
 /// descending order (see [`descending_budget_order`]) and *reported* in
-/// request order. The cell ends state sharing for its loop — also when
-/// it fails or panics — so a sweep holds the shared states of one cell
-/// per worker at a time.
+/// request order.
 fn eval_cell(
     session: &Session,
     l: &Loop,
@@ -972,7 +878,6 @@ fn eval_cell(
     budgets: &[u32],
     want_points: bool,
 ) -> Result<LoopCell, PipelineError> {
-    let _release = ReleaseOnDrop(session, l);
     let analyses = if want_points {
         models
             .iter()
@@ -984,14 +889,14 @@ fn eval_cell(
     let mut evals: Vec<Option<BudgetCell>> = budgets.iter().map(|_| None).collect();
     for bi in descending_budget_order(budgets) {
         let budget = budgets[bi];
-        let ideal = session.evaluate_in_cell(l, ModelId::IDEAL, budget)?;
+        let ideal = session.evaluate(l, ModelId::IDEAL, budget)?;
         let rows = models
             .iter()
             .map(|&m| {
                 if m == ModelId::IDEAL {
                     Ok(ideal.clone())
                 } else {
-                    session.evaluate_in_cell(l, m, budget)
+                    session.evaluate(l, m, budget)
                 }
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -1187,90 +1092,6 @@ mod tests {
 
     fn tiny() -> Corpus {
         Corpus::small().take(10)
-    }
-
-    /// Bounded retention: once a grid has run, no loop's descent tree
-    /// indexes a state, so the shared states still alive are exactly the
-    /// ones trajectories retain (their record-minima frontier and
-    /// terminal checkpoints; see `ncdrf_spill`'s release test for the
-    /// reference counts).
-    #[test]
-    fn finished_cells_release_their_descent_trees() {
-        let corpus = tiny();
-        let sweep = Sweep::new(&corpus)
-            .clustered_latencies([3, 6])
-            .models([ModelId::UNIFIED, ModelId::PORT_LIMITED, ModelId::COMPRESSED])
-            .budgets([16, 8]);
-        let (sessions, cells) = sweep.run_grid(false);
-        assert!(cells.iter().flatten().all(Result::is_ok));
-        let mut computed = 0;
-        for session in &sessions {
-            let stats = session.descent_stats();
-            assert_eq!(stats.indexed, 0, "{stats:?}");
-            computed += stats.states_computed;
-        }
-        assert!(computed > 0, "the grid must spill");
-    }
-
-    /// The release also runs when a cell panics: a certifier that panics
-    /// on the first spilled evaluation leaves no state indexed.
-    #[test]
-    fn panicking_cells_release_their_descent_trees() {
-        use crate::certify::CertifyViolation;
-        use ncdrf_ddg::Loop;
-        use ncdrf_sched::Schedule;
-
-        #[derive(Debug)]
-        struct PanicsOnSpill;
-        impl CellCertifier for PanicsOnSpill {
-            fn certify_analysis(
-                &self,
-                _: &Loop,
-                _: &Machine,
-                _: &Schedule,
-                _: &crate::LoopAnalysis,
-            ) -> Result<(), CertifyViolation> {
-                Ok(())
-            }
-            fn certify_eval(
-                &self,
-                _: &Loop,
-                _: &Machine,
-                _: &Loop,
-                _: &Schedule,
-                spilled: &[String],
-                _: usize,
-                _: usize,
-                _: &crate::LoopEval,
-            ) -> Result<(), CertifyViolation> {
-                assert!(spilled.is_empty(), "a spilled evaluation");
-                Ok(())
-            }
-            fn certify_checkpoint(
-                &self,
-                _: usize,
-                _: &Loop,
-                _: &Machine,
-                _: &Schedule,
-                _: crate::ModelId,
-                _: u32,
-            ) -> Result<(), CertifyViolation> {
-                Ok(())
-            }
-        }
-
-        let corpus = tiny();
-        let sweep = Sweep::new(&corpus)
-            .clustered_latencies([3])
-            .models([ModelId::UNIFIED, ModelId::PORT_LIMITED])
-            .budgets([8])
-            .certify(Arc::new(PanicsOnSpill));
-        let (sessions, cells) = sweep.run_grid(false);
-        let panicked = cells.iter().flatten().filter(|c| c.is_err()).count();
-        assert!(panicked > 0, "some cell must spill");
-        let stats = sessions[0].descent_stats();
-        assert!(stats.states_computed > 0, "{stats:?}");
-        assert_eq!(stats.indexed, 0, "{stats:?}");
     }
 
     /// Pins the certify wiring itself: a certify-mode sweep must invoke
@@ -1557,11 +1378,11 @@ mod tests {
             .machine(no_mul)
             .models([ModelId::UNIFIED])
             .budget(16)
-            .workers(1);
-        let (_sessions, per_machine) = sweep.run_grid(true);
-        assert!(matches!(per_machine[0][0], Err(CellFailure::Error(_))));
-        assert!(matches!(per_machine[0][1], Err(CellFailure::Cancelled)));
-        assert!(matches!(per_machine[0][2], Err(CellFailure::Cancelled)));
+            .pool(Arc::new(Pool::with_workers(1)));
+        let ran = sweep.run_cells(&sweep.all_tasks(), &HashSet::new(), &HashMap::new(), true);
+        assert_eq!(ran.len(), 1, "the cells after the failure are skipped");
+        assert_eq!(ran[0].task, 0);
+        assert_eq!(ran[0].outcome.as_ref().unwrap_err().loop_name, "vscale");
         // And the public contract still surfaces the real error.
         assert_eq!(sweep.run().unwrap_err().loop_name, "vscale");
         // Without fail-fast the same grid evaluates everything.
@@ -1599,7 +1420,7 @@ mod tests {
             .models(PAPER_MODELS)
             .points([16, 32])
             .budgets([16, 48])
-            .workers(4);
+            .pool(Arc::new(Pool::with_workers(4)));
         let par = sweep.run().unwrap();
         let seq = sweep.run_sequential().unwrap();
         assert_eq!(par, seq, "executor must be bit-identical to sequential");

@@ -5,11 +5,14 @@
 //! name.
 
 use ncdrf::corpus::{kernels, Corpus};
+use ncdrf::ddg::Loop;
 use ncdrf::machine::{FuClass, FuGroup, Machine};
+use ncdrf::sched::Schedule;
 use ncdrf::{
-    parse_sweep_shard, ConfigError, ModelId, PipelineStage, Render, ReportFormat, ShardRole, Sweep,
-    SweepShard, PAPER_MODELS,
+    parse_sweep_shard, CellCertifier, CertifyViolation, ConfigError, LoopAnalysis, LoopEval,
+    ModelId, PipelineStage, Render, ReportFormat, ShardRole, Sweep, SweepShard, PAPER_MODELS,
 };
+use std::sync::Arc;
 
 fn grid_sweep(corpus: &Corpus) -> Sweep<'_> {
     Sweep::new(corpus)
@@ -220,6 +223,75 @@ fn split_machine_failures_and_stats_merge_without_double_counting() {
                 "tasks 0 and 2 land in different shards at N=3"
             );
         }
+    }
+}
+
+/// A certifier that panics on every spilled evaluation, so each cell
+/// that spills panics part-way through its work.
+#[derive(Debug)]
+struct PanicsOnSpill;
+
+impl CellCertifier for PanicsOnSpill {
+    fn certify_analysis(
+        &self,
+        _: &Loop,
+        _: &Machine,
+        _: &Schedule,
+        _: &LoopAnalysis,
+    ) -> Result<(), CertifyViolation> {
+        Ok(())
+    }
+    fn certify_eval(
+        &self,
+        _: &Loop,
+        _: &Machine,
+        _: &Loop,
+        _: &Schedule,
+        spilled: &[String],
+        _: usize,
+        _: usize,
+        _: &LoopEval,
+    ) -> Result<(), CertifyViolation> {
+        assert!(spilled.is_empty(), "a spilled evaluation");
+        Ok(())
+    }
+    fn certify_checkpoint(
+        &self,
+        _: usize,
+        _: &Loop,
+        _: &Machine,
+        _: &Schedule,
+        _: ModelId,
+        _: u32,
+    ) -> Result<(), CertifyViolation> {
+        Ok(())
+    }
+}
+
+/// The merge of one whole-grid shard equals `run_partial` — report,
+/// cache counters and error list — on a grid whose spilling cells panic
+/// and on a clean one. Both evaluate every cell in its own session and
+/// assemble through one code path, so a panicking cell counts no work in
+/// either.
+#[test]
+fn a_whole_grid_merge_equals_run_partial() {
+    let corpus = Corpus::small().take(10);
+    let panicking = Sweep::new(&corpus)
+        .clustered_latencies([3])
+        .models([ModelId::UNIFIED, ModelId::PORT_LIMITED])
+        .budgets([8])
+        .certify(Arc::new(PanicsOnSpill));
+    let clean = grid_sweep(&corpus);
+    for (name, sweep) in [("panicking", &panicking), ("clean", &clean)] {
+        let merged = SweepShard::merge(&[sweep.shard(0, 1).unwrap()]).unwrap();
+        let partial = sweep.run_partial();
+        assert_eq!(
+            merged.report.scheduling, partial.report.scheduling,
+            "{name}: counters"
+        );
+        assert_eq!(merged.report, partial.report, "{name}: report");
+        assert_eq!(merged.errors, partial.errors, "{name}: errors");
+        assert_eq!(partial.errors.is_empty(), name == "clean", "{name}");
     }
 }
 

@@ -4,8 +4,10 @@
 //! per-pair (not per-run) under failures and panics.
 
 use ncdrf::corpus::{kernels, Corpus};
+use ncdrf::exec::Pool;
 use ncdrf::machine::{FuClass, FuGroup, Machine};
 use ncdrf::{LoopEval, PipelineStage, Session, Sweep, PAPER_FINITE_MODELS, PAPER_MODELS};
+use std::sync::Arc;
 
 /// The acceptance stress test: a multi-machine × multi-budget sweep over
 /// `Corpus::small()`, parallel vs sequential, bit-identical results,
@@ -19,7 +21,7 @@ fn stress_multi_machine_grid_is_bit_identical_and_schedules_once_per_pair() {
         .clustered_latencies([3, 6])
         .models(PAPER_MODELS)
         .budgets([24, 48])
-        .workers(4);
+        .pool(Arc::new(Pool::with_workers(4)));
 
     let par = sweep.run().expect("small corpus always schedules");
     let seq = sweep
@@ -71,7 +73,11 @@ fn every_worker_count_produces_the_same_report() {
         .budget(16);
     let reference = sweep.run_sequential().unwrap();
     for workers in [1, 2, 3, 8] {
-        let report = sweep.clone().workers(workers).run().unwrap();
+        let report = sweep
+            .clone()
+            .pool(Arc::new(Pool::with_workers(workers)))
+            .run()
+            .unwrap();
         assert_eq!(report, reference, "with {workers} workers");
     }
 }
@@ -104,7 +110,7 @@ fn one_unschedulable_pair_keeps_every_other_result() {
         .machines([no_mul, Machine::clustered(3, 1)])
         .models(PAPER_MODELS)
         .budgets([8, 32])
-        .workers(4)
+        .pool(Arc::new(Pool::with_workers(4)))
         .run_partial();
 
     assert_eq!(partial.errors.len(), 1, "{:?}", partial.errors);

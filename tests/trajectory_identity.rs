@@ -7,8 +7,10 @@
 //! end-to-end oracle checks against the sequential reference.
 
 use ncdrf::corpus::Corpus;
+use ncdrf::exec::Pool;
 use ncdrf::machine::Machine;
 use ncdrf::{evaluate, ModelId, PipelineOptions, Session, Sweep, SweepShard, PAPER_MODELS};
+use std::sync::Arc;
 
 /// The fig8/9 budgets (64, 32) extended into a descending ladder so the
 /// differential grid exercises checkpoint hits *and* resumed descents.
@@ -85,7 +87,7 @@ fn ladder_sweep_is_deterministic_and_spills_less_than_from_scratch() {
         .clustered_latencies([6])
         .models(PAPER_MODELS)
         .budgets(LADDER)
-        .workers(4);
+        .pool(Arc::new(Pool::with_workers(4)));
 
     let seq = sweep.run_sequential().unwrap();
     let par = sweep.run().unwrap();
