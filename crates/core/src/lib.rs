@@ -105,8 +105,8 @@ pub use model::{
     PORT_LIMITED_READ_PORTS,
 };
 pub use pipeline::{
-    analyze, evaluate, requirement, ConfigError, LoopAnalysis, LoopEval, PipelineError,
-    PipelineOptions, PipelineStage,
+    analyze, evaluate, requirement, ConfigError, LoopAnalysis, LoopEval, ModelRequirement,
+    PipelineError, PipelineOptions, PipelineStage,
 };
 pub use report::{
     parse_grid_signature, parse_partial_sweep, parse_sweep_report, parse_sweep_shard,

@@ -97,7 +97,7 @@ impl RequirementCtx<'_> {
     /// Total register-operand reads in the loop body: every
     /// producer-to-consumer edge counts once per consuming operand slot.
     pub fn total_reads(&self) -> u64 {
-        self.l.consumers().iter().map(|c| c.len() as u64).sum()
+        self.l.operand_reads()
     }
 }
 
@@ -135,7 +135,11 @@ pub trait ModelSpec: Send + Sync {
     /// Transforms the base allocated requirement into the model's effective
     /// requirement. The default is the identity, which every paper model
     /// uses; the hook must be a pure function of its arguments (bit-identity
-    /// across shards depends on it).
+    /// across shards depends on it), and monotone non-decreasing in `raw`
+    /// for a fixed `ctx`. The escalation ladder applies the hook to a class
+    /// lower bound (MaxLive, or the larger subfile pressure) to skip rungs
+    /// without allocating them; monotonicity makes the result a lower
+    /// bound on the model's requirement, so a skipped rung cannot fit.
     fn effective_requirement(&self, raw: u32, ctx: &RequirementCtx<'_>) -> u32 {
         let _ = ctx;
         raw
@@ -518,7 +522,11 @@ mod tests {
     #[test]
     fn port_limited_charges_excess_reads() {
         let l = ncdrf_corpus::kernels::blas::daxpy();
-        let reads: u64 = l.consumers().iter().map(|c| c.len() as u64).sum();
+        let reads = l.operand_reads();
+        assert_eq!(
+            reads,
+            l.consumers().iter().map(|c| c.len() as u64).sum::<u64>()
+        );
         assert!(reads > 0, "example loop must have register reads");
         let ctx = RequirementCtx {
             l: &l,

@@ -344,13 +344,36 @@ fn allocate_class(
     dual: bool,
 ) -> Result<(Vec<Lifetime>, u32), MachineError> {
     let lts = lifetimes(l, machine, sched)?;
-    let raw = if dual {
-        let classes = classify(l, machine, sched, &lts);
-        allocate_dual(&lts, &classes, sched.ii()).regs
-    } else {
-        allocate_unified(&lts, sched.ii()).regs
-    };
+    let raw = allocate_raw(l, machine, sched, &lts, dual);
     Ok((lts, raw))
+}
+
+/// The raw unified or dual allocation of `lts`, the lifetimes of `sched`.
+fn allocate_raw(
+    l: &Loop,
+    machine: &Machine,
+    sched: &Schedule,
+    lts: &[Lifetime],
+    dual: bool,
+) -> u32 {
+    if dual {
+        let classes = classify(l, machine, sched, lts);
+        allocate_dual(lts, &classes, sched.ii()).regs
+    } else {
+        allocate_unified(lts, sched.ii()).regs
+    }
+}
+
+/// Where [`allocate_raw`]'s First-Fit search starts, so a lower bound on
+/// it: MaxLive on the unified file, the larger subfile pressure on the
+/// dual one.
+fn class_bound(l: &Loop, machine: &Machine, sched: &Schedule, lts: &[Lifetime], dual: bool) -> u32 {
+    if dual {
+        let classes = classify(l, machine, sched, lts);
+        DualPressure::new(lts, &classes, sched.ii()).requirement_bound()
+    } else {
+        max_live(lts, sched.ii())
+    }
 }
 
 /// The per-model hook: the model's effective requirement from a raw one.
@@ -362,14 +385,17 @@ fn effective(spec: &dyn ModelSpec, l: &Loop, ii: u32, raw: u32, lifetimes: &[Lif
 /// part (swap pass, lifetimes, unified or dual allocation) is memoised
 /// per descent state and shared by every model of the same class, and
 /// the model's [`ModelSpec::effective_requirement`] hook runs on top.
-/// Equal to [`requirement`] on every schedule.
-pub(crate) struct ModelRequirement {
+/// Equal to [`requirement`] on every schedule. The non-swapping classes
+/// also have a class lower bound, which lets an escalation ladder skip
+/// allocating rungs that cannot fit.
+pub struct ModelRequirement {
     spec: Arc<dyn ModelSpec>,
     swap: SwapOptions,
 }
 
 impl ModelRequirement {
-    pub(crate) fn new(model: ModelId, opts: &PipelineOptions) -> ModelRequirement {
+    /// The requirement of `model` under `opts`' swap options.
+    pub fn new(model: ModelId, opts: &PipelineOptions) -> ModelRequirement {
         ModelRequirement {
             spec: model.spec(),
             swap: opts.swap,
@@ -426,6 +452,44 @@ impl Requirement for ModelRequirement {
             class.raw,
             &class.lifetimes,
         )
+    }
+
+    /// Where the allocator's search starts, on the lifetimes `allocate`
+    /// computes: MaxLive on the unified file, the larger subfile
+    /// pressure on the dual one. The swapping classes, whose cost is the
+    /// swap pass itself, and the ideal model have none.
+    fn bound(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+    ) -> Result<Option<ClassRequirement>, MachineError> {
+        if self.spec.is_ideal() || self.spec.swaps() {
+            return Ok(None);
+        }
+        let lifetimes = lifetimes(l, machine, sched)?;
+        let raw = class_bound(l, machine, sched, &lifetimes, self.spec.is_dual());
+        Ok(Some(ClassRequirement {
+            sched: Arc::clone(sched),
+            lifetimes,
+            raw,
+        }))
+    }
+
+    /// The allocation on the bound's lifetimes, which are computed once.
+    fn tighten(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+        bound: &ClassRequirement,
+    ) -> Result<ClassRequirement, MachineError> {
+        let raw = allocate_raw(l, machine, sched, &bound.lifetimes, self.spec.is_dual());
+        Ok(ClassRequirement {
+            sched: Arc::clone(sched),
+            lifetimes: bound.lifetimes.clone(),
+            raw,
+        })
     }
 }
 

@@ -241,6 +241,17 @@ impl Loop {
         }
     }
 
+    /// Register-operand reads per iteration: the [`ValueRef::Op`]
+    /// operands of every op, one per consuming operand slot (the total
+    /// length of [`Loop::consumers`]), counted without allocating.
+    pub fn operand_reads(&self) -> u64 {
+        self.ops
+            .iter()
+            .flat_map(|op| &op.inputs)
+            .filter(|input| matches!(input, ValueRef::Op { .. }))
+            .count() as u64
+    }
+
     /// Count of operations of the given kind.
     pub fn count_kind(&self, kind: OpKind) -> usize {
         self.ops.iter().filter(|op| op.kind == kind).count()

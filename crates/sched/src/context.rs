@@ -64,6 +64,9 @@ pub struct SchedContext {
     succ_off: Vec<u32>,
     succ_edge: Vec<u32>,
     cursor: Vec<u32>,
+    /// The ops, every op after its zero-distance successors: the sweep
+    /// order of the height fixpoint.
+    order: Vec<u32>,
     // Per-attempt scratch.
     height: Vec<i64>,
     start: Vec<u32>,
@@ -210,7 +213,45 @@ impl SchedContext {
             self.succ_edge[self.cursor[f] as usize] = idx32(e);
             self.cursor[f] += 1;
         }
+        self.sink_first_order(n);
         Ok(())
+    }
+
+    /// Fills `order` with the ops in reverse topological order of the
+    /// zero-distance edges (Kahn's algorithm from the sinks, self-edges
+    /// ignored), so one height sweep carries every intra-iteration
+    /// chain. Ops on a zero-distance cycle, which a valid loop has none
+    /// of, follow in index order. The order does not depend on II.
+    fn sink_first_order(&mut self, n: usize) {
+        // `cursor[v]`: v's zero-distance successors not yet ordered.
+        self.cursor.clear();
+        self.cursor.resize(n, 0);
+        for &(f, t, d) in &self.edges {
+            if d == 0 && f != t {
+                self.cursor[f as usize] += 1;
+            }
+        }
+        self.order.clear();
+        self.order
+            .extend((0..n).filter(|&v| self.cursor[v] == 0).map(idx32));
+        let mut next = 0;
+        while next < self.order.len() {
+            let w = self.order[next] as usize;
+            next += 1;
+            for k in self.pred_off[w]..self.pred_off[w + 1] {
+                let (v, _, d) = self.edges[self.pred_edge[k as usize] as usize];
+                if d == 0 && v as usize != w {
+                    self.cursor[v as usize] -= 1;
+                    if self.cursor[v as usize] == 0 {
+                        self.order.push(v);
+                    }
+                }
+            }
+        }
+        if self.order.len() < n {
+            self.order
+                .extend((0..n).filter(|&v| self.cursor[v] > 0).map(idx32));
+        }
     }
 
     /// One IMS attempt at `ii` over the analyzed loop, using the arena
@@ -368,8 +409,12 @@ impl SchedContext {
 
     /// Priorities into the arena. [`Priority::Height`]: `height[v] = max
     /// over edges v->w of lat(v) - II*dist + height[w]`, clamped at 0 and
-    /// relaxed to a fixpoint, bounded by `n` passes (heights diverge only
-    /// when II < RecMII, in which case the attempt fails anyway).
+    /// relaxed to a fixpoint, bounded by `n + 1` passes. Each pass sweeps
+    /// `order`, successors first, so an acyclic loop settles in one pass
+    /// and only loop-carried edges need more. At II >= RecMII there is no
+    /// positive cycle, and every sweep order reaches the same least
+    /// fixpoint within the cap; below RecMII heights diverge, but no
+    /// valid schedule exists and the attempt fails under any order.
     /// [`Priority::InputOrder`]: earlier ops first.
     fn compute_heights(&mut self, n: usize, ii: u32, priority: Priority) {
         self.height.clear();
@@ -383,7 +428,8 @@ impl SchedContext {
                 self.height.resize(n, 0);
                 for _ in 0..=n {
                     let mut changed = false;
-                    for v in 0..n {
+                    for &v in &self.order {
+                        let v = v as usize;
                         for k in self.succ_off[v]..self.succ_off[v + 1] {
                             let (_, w, dist) = self.edges[self.succ_edge[k as usize] as usize];
                             let cand = self.lat[v] as i64 - ii as i64 * dist as i64
@@ -535,5 +581,69 @@ mod tests {
             SchedContext::new().schedule(&l, &m, SchedulerOptions::default())
         );
         assert_eq!(after.unwrap().ii(), 4);
+    }
+
+    /// Sets `ctx`'s sweep order to the identity: [`SchedContext::compute_heights`]
+    /// then runs the index-order sweep it ran before the sink-first
+    /// order, the oracle of the tests below.
+    fn sweep_in_index_order(ctx: &mut SchedContext) {
+        let n = ctx.group.len();
+        ctx.order.clear();
+        ctx.order.extend((0..n).map(idx32));
+    }
+
+    /// On every loop of the small corpus, at every II from RecMII to
+    /// MII + 8, the sink-first sweep reaches the heights of the
+    /// index-order sweep and the attempt schedules identically.
+    #[test]
+    fn sink_first_heights_equal_the_index_order_sweep_on_the_corpus() {
+        let opts = SchedulerOptions::default();
+        let mut checked = 0;
+        for machine in [Machine::clustered(3, 1), Machine::clustered(6, 1)] {
+            for l in ncdrf_corpus::Corpus::small().iter() {
+                let info = mii(l, &machine).unwrap();
+                let n = l.ops().len();
+                let (mut ctx, mut oracle) = (SchedContext::new(), SchedContext::new());
+                for ii in info.rec.max(1)..=info.mii + 8 {
+                    ctx.analyze(l, &machine).unwrap();
+                    oracle.analyze(l, &machine).unwrap();
+                    sweep_in_index_order(&mut oracle);
+                    ctx.compute_heights(n, ii, Priority::Height);
+                    oracle.compute_heights(n, ii, Priority::Height);
+                    let at = format!("{} `{}` II {ii}", machine.name(), l.name());
+                    assert_eq!(ctx.height, oracle.height, "{at}");
+                    let ours = ctx.attempt(ii, opts).then(|| ctx.commit(l, &machine, ii));
+                    let want = oracle
+                        .attempt(ii, opts)
+                        .then(|| oracle.commit(l, &machine, ii));
+                    assert_eq!(ours, want, "{at}");
+                    let entry = SchedContext::new().schedule_at_ii(l, &machine, ii, opts);
+                    assert_eq!(entry.unwrap(), ours, "{at}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    /// The sweep order puts every op after its zero-distance successors,
+    /// so one pass carries a whole intra-iteration chain.
+    #[test]
+    fn sink_first_order_puts_every_op_after_its_successors() {
+        for machine in machines() {
+            for l in [chain(6), wide()] {
+                let mut ctx = SchedContext::new();
+                ctx.analyze(&l, &machine).unwrap();
+                let mut pos = vec![0; l.ops().len()];
+                for (i, &v) in ctx.order.iter().enumerate() {
+                    pos[v as usize] = i;
+                }
+                for &(f, t, d) in &ctx.edges {
+                    if d == 0 && f != t {
+                        assert!(pos[t as usize] < pos[f as usize], "{f} -> {t}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,6 +20,15 @@
 //! hook. A requirement without a class (every plain closure) is
 //! recomputed on each call and never memoised.
 //!
+//! A rung may also hold the class's lower bound
+//! ([`Requirement::bound`]), memoised next to the class memo. An
+//! escalation ladder asks `DescentTree::requirement_within` whether a
+//! rung can fit a budget; when the bound, through the model's monotone
+//! hook, already exceeds it, the rung is settled as at-least-the-bound
+//! with no allocation. A bound never enters the class memo, and an
+//! exact allocation that follows reuses its lifetimes, so each rung and
+//! class computes lifetimes once.
+//!
 //! States are keyed by their parent's tree-local id, never by a loop
 //! name, so two loops that share a name cannot share states. A tree owns
 //! the machine and the scheduler options its states are built with, so
@@ -85,8 +94,64 @@ pub trait Requirement {
     ) -> Result<ClassRequirement, MachineError>;
 
     /// The model's requirement from its class result. Must be a pure
-    /// function of its arguments.
+    /// function of its arguments, monotone non-decreasing in
+    /// `class.raw`: applied to a [`Requirement::bound`] it then bounds
+    /// the model's requirement from below.
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32;
+
+    /// A lower bound on the class part on `sched`, cheaper than
+    /// [`Requirement::allocate`]: its `sched` and `lifetimes` are exactly
+    /// what `allocate` returns, and its `raw` is at most `allocate`'s.
+    /// `None` (the default) when the class has no such bound. Must fail
+    /// exactly when `allocate` fails on `sched`, with the same error, so a
+    /// ladder that skips a rung on its bound fails where an allocating
+    /// one would.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError`] when the machine cannot serve the loop.
+    fn bound(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+    ) -> Result<Option<ClassRequirement>, MachineError> {
+        let _ = (l, machine, sched);
+        Ok(None)
+    }
+
+    /// The class part on `sched` from `bound`, a result of
+    /// [`Requirement::bound`] on the same loop and schedule: equal to
+    /// `allocate` on `sched`. The default ignores the bound.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError`] when the machine cannot serve the loop.
+    fn tighten(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+        bound: &ClassRequirement,
+    ) -> Result<ClassRequirement, MachineError> {
+        let _ = bound;
+        self.allocate(l, machine, sched)
+    }
+}
+
+/// A requirement as far as it is known: exact, or bounded from below by
+/// a [`Requirement::bound`] that already exceeds the budget asked about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Regs {
+    Exact(u32),
+    AtLeast(u32),
+}
+
+/// A requirement settled against a budget: exact, with its class part,
+/// or a lower bound above the budget.
+pub(crate) enum Settled {
+    Exact(Arc<ClassRequirement>, u32),
+    AtLeast(u32),
 }
 
 impl<F> Requirement for F
@@ -123,11 +188,24 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Class results memoised on one schedule, one per [`ClassKey`].
+type ClassMemo = Mutex<Vec<(ClassKey, Arc<ClassRequirement>)>>;
+
+fn find(memo: &ClassMemo, key: ClassKey) -> Option<Arc<ClassRequirement>> {
+    lock(memo)
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, c)| Arc::clone(c))
+}
+
 /// A schedule and the class requirements memoised on it.
 #[derive(Debug)]
 pub(crate) struct Scheduled {
     pub(crate) sched: Arc<Schedule>,
-    classes: Mutex<Vec<(ClassKey, Arc<ClassRequirement>)>>,
+    classes: ClassMemo,
+    /// Class lower bounds ([`Requirement::bound`]) not yet tightened to
+    /// an exact entry of `classes`; never read as exact.
+    bounds: ClassMemo,
 }
 
 impl Scheduled {
@@ -135,14 +213,12 @@ impl Scheduled {
         Scheduled {
             sched: Arc::new(sched),
             classes: Mutex::default(),
+            bounds: Mutex::default(),
         }
     }
 
     fn memoised(&self, key: ClassKey) -> Option<Arc<ClassRequirement>> {
-        lock(&self.classes)
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, c)| Arc::clone(c))
+        find(&self.classes, key)
     }
 }
 
@@ -199,6 +275,9 @@ pub struct DescentStats {
     pub classes_computed: u64,
     /// Class requirements served from a memo.
     pub classes_reused: u64,
+    /// Rung requirements settled by a class lower bound above the
+    /// budget, with no allocation.
+    pub classes_bounded: u64,
     /// States the index holds right now (the root is not counted).
     pub indexed: u64,
 }
@@ -212,6 +291,7 @@ impl DescentStats {
         self.rungs_reused += other.rungs_reused;
         self.classes_computed += other.classes_computed;
         self.classes_reused += other.classes_reused;
+        self.classes_bounded += other.classes_bounded;
         self.indexed += other.indexed;
     }
 }
@@ -232,6 +312,7 @@ struct Counters {
     rungs_reused: AtomicU64,
     classes_computed: AtomicU64,
     classes_reused: AtomicU64,
+    classes_bounded: AtomicU64,
 }
 
 fn bump(c: &AtomicU64) {
@@ -326,6 +407,7 @@ impl DescentTree {
             lock(&state.rungs).clear();
             if !Arc::ptr_eq(&state, &self.root) {
                 lock(&state.fresh.classes).clear();
+                lock(&state.fresh.bounds).clear();
             }
         }
         drop(children);
@@ -355,6 +437,7 @@ impl DescentTree {
             rungs_reused: get(&c.rungs_reused),
             classes_computed: get(&c.classes_computed),
             classes_reused: get(&c.classes_reused),
+            classes_bounded: get(&c.classes_bounded),
             indexed: lock(&self.index).children.len() as u64,
         }
     }
@@ -399,36 +482,117 @@ impl DescentTree {
         at: &Scheduled,
         requirement: &mut dyn Requirement,
     ) -> Result<(Arc<ClassRequirement>, u32), MachineError> {
-        let l = &state.l;
         let key = requirement.class();
-        let memoised = key.and_then(|k| at.memoised(k));
-        let class = match memoised {
+        let class = match key.and_then(|k| at.memoised(k)) {
             Some(class) => {
                 bump(&self.counters.classes_reused);
                 class
             }
             None => {
-                let class = Arc::new(requirement.allocate(l, &self.machine, &at.sched)?);
-                bump(&self.counters.classes_computed);
-                match key {
-                    Some(k) => {
-                        let mut classes = lock(&at.classes);
-                        match classes.iter().find(|(c, _)| *c == k) {
-                            Some((_, raced)) => Arc::clone(raced),
-                            None => {
-                                classes.push((k, Arc::clone(&class)));
-                                drop(classes);
-                                self.memoise(state);
-                                class
-                            }
-                        }
-                    }
-                    None => class,
-                }
+                let bound = key.and_then(|k| find(&at.bounds, k));
+                self.allocate(state, at, requirement, bound.as_deref())?
             }
         };
-        let regs = requirement.effective(l, &class);
+        let regs = requirement.effective(&state.l, &class);
         Ok((class, regs))
+    }
+
+    /// `requirement` on `at` when all that matters yet is whether it fits
+    /// `budget`: [`Settled::AtLeast`] when the class bound already puts
+    /// the model's requirement above `budget` (nothing is allocated), the
+    /// exact requirement otherwise. The bound is memoised next to the
+    /// class memo, and an exact allocation that follows reuses its
+    /// lifetimes.
+    pub(crate) fn requirement_within(
+        &self,
+        state: &Arc<DescentState>,
+        at: &Scheduled,
+        requirement: &mut dyn Requirement,
+        budget: u32,
+    ) -> Result<Settled, MachineError> {
+        let (l, key) = (&state.l, requirement.class());
+        if let Some(class) = key.and_then(|k| at.memoised(k)) {
+            bump(&self.counters.classes_reused);
+            let regs = requirement.effective(l, &class);
+            return Ok(Settled::Exact(class, regs));
+        }
+        let bound = match key.and_then(|k| find(&at.bounds, k)) {
+            Some(bound) => Some(bound),
+            None => requirement
+                .bound(l, &self.machine, &at.sched)?
+                .map(|bound| match key {
+                    Some(k) => self.insert(state, &at.bounds, k, Arc::new(bound)),
+                    None => Arc::new(bound),
+                }),
+        };
+        let lb = bound.as_deref().map(|b| requirement.effective(l, b));
+        if let Some(lb) = lb.filter(|&lb| lb > budget) {
+            bump(&self.counters.classes_bounded);
+            return Ok(Settled::AtLeast(lb));
+        }
+        let class = self.allocate(state, at, requirement, bound.as_deref())?;
+        let regs = requirement.effective(l, &class);
+        debug_assert!(
+            lb.is_none_or(|lb| lb <= regs),
+            "bound {lb:?} above the exact requirement {regs}"
+        );
+        Ok(Settled::Exact(class, regs))
+    }
+
+    /// Computes the class part on `at` (tightening `bound` when one is
+    /// known) and memoises it when the requirement has a class; a
+    /// racing insert wins.
+    fn allocate(
+        &self,
+        state: &Arc<DescentState>,
+        at: &Scheduled,
+        requirement: &mut dyn Requirement,
+        bound: Option<&ClassRequirement>,
+    ) -> Result<Arc<ClassRequirement>, MachineError> {
+        let (l, machine) = (&state.l, &self.machine);
+        let class = match bound {
+            Some(bound) => {
+                let class = requirement.tighten(l, machine, &at.sched, bound)?;
+                debug_assert!(
+                    bound.raw <= class.raw,
+                    "class bound {} above the exact {}",
+                    bound.raw,
+                    class.raw
+                );
+                class
+            }
+            None => requirement.allocate(l, machine, &at.sched)?,
+        };
+        bump(&self.counters.classes_computed);
+        let class = Arc::new(class);
+        let Some(key) = requirement.class() else {
+            return Ok(class);
+        };
+        let class = self.insert(state, &at.classes, key, class);
+        if bound.is_some() {
+            lock(&at.bounds).retain(|(k, _)| *k != key);
+        }
+        Ok(class)
+    }
+
+    /// Inserts `class` under `key` into `memo`, a memo of a schedule of
+    /// `state`, unless a racing insert got there first; returns the
+    /// entry that stays.
+    fn insert(
+        &self,
+        state: &Arc<DescentState>,
+        memo: &ClassMemo,
+        key: ClassKey,
+        class: Arc<ClassRequirement>,
+    ) -> Arc<ClassRequirement> {
+        let mut entries = lock(memo);
+        if let Some((_, raced)) = entries.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(raced);
+        }
+        entries.push((key, Arc::clone(&class)));
+        drop(entries);
+        self.memoise(state);
+        class
     }
 
     /// The escalation rung of `state` at `ii`: its schedule, or `None`

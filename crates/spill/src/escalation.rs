@@ -15,13 +15,22 @@
 //! none does. The rung schedules themselves live in the terminal state's
 //! rung table of the [`DescentTree`], so every model whose descent ends
 //! in that state schedules each rung once, and a memoised requirement
-//! class allocates each rung once. Results are bit-identical to a full
-//! scan from the base II at every budget, in any order. The fresh driver
-//! [`crate::spill_until_fits`] serves its one budget from a one-shot
-//! ladder on a tree rooted at its exhausted loop.
+//! class allocates each rung once.
+//!
+//! A rung is allocated only when it might fit. Where the requirement has
+//! a class lower bound ([`crate::Requirement::bound`]: MaxLive for the
+//! unified class), a rung whose bound, through the model's monotone hook,
+//! already exceeds the budget is recorded as `AtLeast(lb)` and the scan
+//! moves on; it is resolved to its exact requirement, in II order, only
+//! when a later budget reaches `lb`, or when it is the last rung that
+//! scheduled and no rung fits. A rung the bound skips cannot fit, so the
+//! served rung — and every result — is bit-identical to a full
+//! allocating scan from the base II at every budget, in any order. The
+//! fresh driver [`crate::spill_until_fits`] serves its one budget from a
+//! one-shot ladder on a tree rooted at its exhausted loop.
 
-use crate::descent::{DescentState, DescentTree};
-use crate::{Requirement, SpillError, SpillResult};
+use crate::descent::{DescentState, DescentTree, Regs, Settled};
+use crate::{ClassRequirement, Requirement, SpillError, SpillResult};
 use ncdrf_sched::{SchedContext, Schedule};
 use std::sync::Arc;
 
@@ -34,6 +43,10 @@ pub(crate) struct SpillTally {
     pub(crate) rounds: usize,
 }
 
+/// A recorded rung by index, with its class part and requirement when
+/// the call that returns it computed them.
+type Rung = (usize, Option<(Arc<ClassRequirement>, u32)>);
+
 /// One trajectory's II-escalation rungs of its terminal state. Scalars
 /// only: the schedules are in the state's rung table.
 #[derive(Debug, Clone)]
@@ -45,12 +58,11 @@ pub(crate) struct EscalationLadder {
     end_ii: u32,
     /// The next II to compute; `end_ii + 1` once the ladder is complete.
     next_ii: u32,
-    /// `(ii, regs)` of every computed II that scheduled, ascending.
-    rungs: Vec<(u32, u32)>,
+    /// `(ii, regs)` of every computed II that scheduled, ascending; a
+    /// rung is [`Regs::AtLeast`] until a budget its bound admits
+    /// resolves it.
+    rungs: Vec<(u32, Regs)>,
 }
-
-/// A served rung: its II, post-requirement schedule and requirement.
-type Rung = (u32, Arc<Schedule>, u32);
 
 impl EscalationLadder {
     /// Starts the ladder of `state`, a state of `tree`, bounding the
@@ -92,47 +104,73 @@ impl EscalationLadder {
         tally: SpillTally,
     ) -> Result<SpillResult, SpillError> {
         let mut ctx = SchedContext::new();
-        let cached = self
-            .rungs
-            .iter()
-            .find(|&&(_, regs)| regs <= budget)
-            .map(|&(ii, _)| ii);
-        let rung = match cached {
-            Some(ii) => Some(self.recompute(&mut ctx, tree, state, ii, requirement)?),
-            None => match self.extend(&mut ctx, tree, state, budget, requirement)? {
-                extended @ Some(_) => extended,
-                None => self
-                    .rungs
-                    .last()
-                    .map(|&(ii, _)| self.recompute(&mut ctx, tree, state, ii, requirement))
-                    .transpose()?,
-            },
+        let served = match self.first_recorded_fit(&mut ctx, tree, state, budget, requirement)? {
+            Some(hit) => Some(hit),
+            None => self
+                .extend(&mut ctx, tree, state, budget, requirement)?
+                .or_else(|| self.rungs.len().checked_sub(1).map(|last| (last, None))),
         };
-        let tried = |ii: u32| tally.rounds + (ii - self.base_ii) as usize;
-        let (sched, regs, rounds) = match rung {
-            Some((ii, sched, regs)) if regs <= budget => (sched, regs, tried(ii)),
-            Some((_, sched, regs)) => (sched, regs, tried(self.end_ii)),
-            None => {
-                let (class, regs) = tree.requirement(state, &state.fresh, requirement)?;
-                (Arc::clone(&class.sched), regs, tried(self.end_ii))
+        let ((class, regs), tried) = match served {
+            Some((i, known)) => {
+                let known = match known {
+                    Some(known) => known,
+                    None => self.resolve(&mut ctx, tree, state, i, requirement)?,
+                };
+                let tried = if known.1 <= budget {
+                    self.rungs[i].0
+                } else {
+                    self.end_ii
+                };
+                (known, tried)
             }
+            None => (
+                tree.requirement(state, &state.fresh, requirement)?,
+                self.end_ii,
+            ),
         };
         Ok(SpillResult {
             l: state.l.to_owned(),
-            sched: Schedule::to_owned(&sched),
+            sched: Schedule::to_owned(&class.sched),
             regs,
             fits: regs <= budget,
             spilled: tally.spilled,
             spill_stores: tally.spill_stores,
             spill_loads: tally.spill_loads,
-            rounds,
+            rounds: tally.rounds + (tried - self.base_ii) as usize,
         })
+    }
+
+    /// The first recorded rung that fits `budget`, resolving in II order
+    /// every [`Regs::AtLeast`] rung whose bound `budget` reaches.
+    fn first_recorded_fit(
+        &mut self,
+        ctx: &mut SchedContext,
+        tree: &DescentTree,
+        state: &Arc<DescentState>,
+        budget: u32,
+        requirement: &mut dyn Requirement,
+    ) -> Result<Option<Rung>, SpillError> {
+        for i in 0..self.rungs.len() {
+            let (regs, known) = match self.rungs[i].1 {
+                Regs::Exact(regs) => (regs, None),
+                Regs::AtLeast(lb) if lb > budget => continue,
+                Regs::AtLeast(_) => {
+                    let (class, regs) = self.resolve(ctx, tree, state, i, requirement)?;
+                    (regs, Some((class, regs)))
+                }
+            };
+            if regs <= budget {
+                return Ok(Some((i, known)));
+            }
+        }
+        Ok(None)
     }
 
     /// Computes rungs from `next_ii` on, recording each one that
     /// schedules, and stops at the first that fits `budget`. Returns the
-    /// last rung this call scheduled — the fitting one, or the final rung
-    /// when the ladder ran out — or `None` if it scheduled none.
+    /// last rung this call recorded — the fitting one, or the final rung
+    /// when the ladder ran out — or `None` if it recorded none. A rung
+    /// is allocated only when its bound admits `budget`.
     fn extend(
         &mut self,
         ctx: &mut SchedContext,
@@ -144,36 +182,47 @@ impl EscalationLadder {
         let mut last = None;
         while self.next_ii <= self.end_ii {
             let ii = self.next_ii;
-            if let Some(rung) = tree.rung(state, ii, ctx)? {
-                let (class, regs) = tree.requirement(state, &rung, requirement)?;
-                self.rungs.push((ii, regs));
-                last = Some((ii, Arc::clone(&class.sched), regs));
-            }
+            let settled = match tree.rung(state, ii, ctx)? {
+                Some(rung) => Some(tree.requirement_within(state, &rung, requirement, budget)?),
+                None => None,
+            };
             self.next_ii = ii + 1;
-            if last.as_ref().is_some_and(|&(_, _, regs)| regs <= budget) {
+            let Some(settled) = settled else { continue };
+            let (regs, known) = match settled {
+                Settled::Exact(class, regs) => (Regs::Exact(regs), Some((class, regs))),
+                Settled::AtLeast(lb) => (Regs::AtLeast(lb), None),
+            };
+            self.rungs.push((ii, regs));
+            last = Some((self.rungs.len() - 1, known));
+            if matches!(regs, Regs::Exact(r) if r <= budget) {
                 break;
             }
         }
         Ok(last)
     }
 
-    /// The schedule and requirement of the recorded rung at `ii`.
-    fn recompute(
-        &self,
+    /// The exact requirement of recorded rung `i`, which it records.
+    fn resolve(
+        &mut self,
         ctx: &mut SchedContext,
         tree: &DescentTree,
         state: &Arc<DescentState>,
-        ii: u32,
+        i: usize,
         requirement: &mut dyn Requirement,
-    ) -> Result<Rung, SpillError> {
+    ) -> Result<(Arc<ClassRequirement>, u32), SpillError> {
+        let (ii, recorded) = self.rungs[i];
         let rung = tree
             .rung(state, ii, ctx)?
             .expect("a recorded rung schedules again at the same II");
         let (class, regs) = tree.requirement(state, &rung, requirement)?;
         debug_assert!(
-            self.rungs.contains(&(ii, regs)),
-            "rung at II {ii} recomputed to {regs} registers"
+            match recorded {
+                Regs::Exact(r) => r == regs,
+                Regs::AtLeast(lb) => lb <= regs,
+            },
+            "rung at II {ii} recorded as {recorded:?}, recomputed to {regs} registers"
         );
-        Ok((ii, Arc::clone(&class.sched), regs))
+        self.rungs[i].1 = Regs::Exact(regs);
+        Ok((class, regs))
     }
 }

@@ -42,6 +42,23 @@ fn a_truncated_artifact_is_a_parse_error_naming_the_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A million unclosed `[` is a named parse error, not a stack overflow:
+/// parsed on a 2 MiB thread, the stack a farm connection thread has.
+#[test]
+fn a_deeply_nested_artifact_is_a_named_parse_error() {
+    let err = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| ncdrf::parse_sweep_shard(&"[".repeat(1_000_000)).map(|_| ()))
+        .expect("spawn")
+        .join()
+        .expect("no panic")
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("recursion limit exceeded"),
+        "{err}"
+    );
+}
+
 #[test]
 fn a_missing_file_is_an_io_error_naming_the_file() {
     let path = std::env::temp_dir().join("ncdrf-artifact-io-definitely-missing.json");

@@ -60,6 +60,41 @@ fn drain_with(farm: &Farm, mut now: u64, mut seen: impl FnMut(&LeaseOffer, &Swee
     now
 }
 
+/// Runs `f` on a thread with a 2 MiB stack, the size of a farm
+/// connection thread's default stack.
+fn on_connection_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("no panic")
+}
+
+/// A job body nested 10,000 deep is refused with a named 400 instead of
+/// overflowing the stack it is parsed on, and the farm then accepts a
+/// valid job as if nothing happened.
+#[test]
+fn deeply_nested_job_json_is_400_and_the_farm_still_serves() {
+    let (before, refused, after, accepted) = on_connection_stack(|| {
+        let farm = farm();
+        let before = stats(&farm);
+        let deep = r#"{"grid":"#.to_owned() + &"[".repeat(10_000) + &"]".repeat(10_000) + "}";
+        let refused = route(&farm, "POST", "/jobs", &deep, 0);
+        let after = stats(&farm);
+        let accepted = route(&farm, "POST", "/jobs", SPEC, 1);
+        (before, refused, after, accepted)
+    });
+    assert_eq!(refused.0, 400, "{}", refused.1);
+    assert!(
+        refused.1.contains("recursion limit exceeded"),
+        "{}",
+        refused.1
+    );
+    assert_eq!(before, after, "a refusal mutates nothing");
+    assert_eq!(accepted.0, 202, "{}", accepted.1);
+}
+
 #[test]
 fn malformed_job_json_is_400_and_mutates_nothing() {
     let farm = farm();

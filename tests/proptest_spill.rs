@@ -25,9 +25,12 @@ use ncdrf::corpus::{generate, kernels, GenConfig};
 use ncdrf::machine::Machine;
 use ncdrf::sched::{modulo_schedule, SchedContext, SchedulerOptions};
 use ncdrf::spill::{
-    requirement_unified, spill_until_fits_seeded, SpillOptions, SpillPolicy, SpillTrajectory,
+    requirement_unified, spill_until_fits_seeded, Requirement, SpillOptions, SpillPolicy,
+    SpillTrajectory,
 };
+use ncdrf::{ModelId, ModelRequirement, PipelineOptions};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_config() -> impl Strategy<Value = GenConfig> {
     (2usize..10, 1usize..4, 0.0f64..0.4, 0.0f64..0.9).prop_map(|(arith, loads, rec, chain)| {
@@ -55,6 +58,49 @@ fn deep_trajectory(l: &ncdrf::ddg::Loop, machine: &Machine, opts: SpillOptions) 
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // The escalation ladder skips a rung on its class bound, so every
+    // bound must be at most the exact class requirement — and, through
+    // each model's monotone hook, at most the model's requirement — on
+    // the base schedule and on the rungs above it. Tightening the bound
+    // gives exactly the allocation.
+    #[test]
+    fn class_bounds_never_exceed_exact_requirements(seed in 0u64..5_000, cfg in arb_config(), lat in prop_oneof![Just(3u32), Just(6u32)]) {
+        let l = generate("prop", seed, &cfg);
+        let machine = Machine::clustered(lat, 1);
+        let opts = PipelineOptions::default();
+        let base = modulo_schedule(&l, &machine).unwrap();
+        let mut ctx = SchedContext::new();
+        let mut bounded = 0;
+        for ii in base.ii()..base.ii() + 24 {
+            let Some(sched) = ctx
+                .schedule_at_ii(&l, &machine, ii, SchedulerOptions::default())
+                .unwrap()
+            else {
+                continue;
+            };
+            let sched = Arc::new(sched);
+            for model in [
+                ModelId::IDEAL,
+                ModelId::UNIFIED,
+                ModelId::PARTITIONED,
+                ModelId::SWAPPED,
+                ModelId::PORT_LIMITED,
+                ModelId::COMPRESSED,
+            ] {
+                let mut req = ModelRequirement::new(model, &opts);
+                let Some(bound) = req.bound(&l, &machine, &sched).unwrap() else {
+                    continue;
+                };
+                let exact = req.allocate(&l, &machine, &sched).unwrap();
+                prop_assert!(bound.raw <= exact.raw, "{} II {}: {} > {}", model, ii, bound.raw, exact.raw);
+                prop_assert!(req.effective(&l, &bound) <= req.effective(&l, &exact));
+                prop_assert_eq!(req.tighten(&l, &machine, &sched, &bound).unwrap(), exact);
+                bounded += 1;
+            }
+        }
+        prop_assert!(bounded > 0);
+    }
 
     // The user-visible monotonicity theorem: as the budget descends,
     // the requirement a fitting (non-escalated) evaluation serves never

@@ -10,12 +10,15 @@
 
 use ncdrf::corpus::Corpus;
 use ncdrf::ddg::Loop;
-use ncdrf::machine::Machine;
-use ncdrf::sched::modulo_schedule_with;
-use ncdrf::spill::{requirement_unified, DescentTree, SpillOptions, SpillPolicy, SpillTrajectory};
+use ncdrf::machine::{Machine, MachineError};
+use ncdrf::sched::{modulo_schedule_with, Schedule};
+use ncdrf::spill::{
+    requirement_unified, ClassKey, ClassRequirement, DescentStats, DescentTree, Requirement,
+    SpillOptions, SpillPolicy, SpillTrajectory,
+};
 use ncdrf::{
-    CacheStats, LoopAnalysis, LoopEval, ModelId, PipelineOptions, Session, TrajectoryExport,
-    PAPER_MODELS,
+    CacheStats, LoopAnalysis, LoopEval, ModelId, ModelRequirement, PipelineOptions, Session,
+    TrajectoryExport, PAPER_MODELS,
 };
 use ncdrf_certify::ScheduleCertifier;
 use std::sync::Arc;
@@ -234,13 +237,79 @@ fn imported_snapshots_replay_into_the_shared_tree_invisibly() {
     assert_sharing_is_invisible(3, 4, true, &[32]);
 }
 
+/// A requirement with its class bound hidden, so every escalation rung
+/// it reaches is allocated.
+struct Unbounded(ModelRequirement);
+
+impl Requirement for Unbounded {
+    fn class(&self) -> Option<ClassKey> {
+        self.0.class()
+    }
+
+    fn allocate(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+    ) -> Result<ClassRequirement, MachineError> {
+        self.0.allocate(l, machine, sched)
+    }
+
+    fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
+        self.0.effective(l, class)
+    }
+}
+
+/// The descent counts of [`drive`]'s walk — every budget of `ladder` in
+/// order, all finite `models` per budget — on one tree per loop, with the
+/// requirements `requirement` makes.
+fn tree_stats<R: Requirement>(
+    machine: &Machine,
+    loops: &[Loop],
+    models: &[ModelId],
+    ladder: &[u32],
+    requirement: impl Fn(ModelId) -> R,
+) -> DescentStats {
+    let opts = SpillOptions::default();
+    let models: Vec<ModelId> = models
+        .iter()
+        .copied()
+        .filter(|m| !m.spec().is_ideal())
+        .collect();
+    let mut stats = DescentStats::default();
+    for l in loops {
+        let base = modulo_schedule_with(l, machine, opts.scheduler).unwrap();
+        let tree = Arc::new(DescentTree::new(
+            l.clone(),
+            base,
+            machine.clone(),
+            opts.scheduler,
+        ));
+        let mut reqs: Vec<R> = models.iter().map(|&m| requirement(m)).collect();
+        let mut trajs: Vec<SpillTrajectory> = reqs
+            .iter_mut()
+            .map(|r| SpillTrajectory::in_tree(&tree, r, opts).unwrap())
+            .collect();
+        for &budget in ladder {
+            for (traj, req) in trajs.iter_mut().zip(&mut reqs) {
+                traj.evaluate(machine, budget, req).unwrap();
+            }
+        }
+        stats.absorb(tree.stats());
+    }
+    stats
+}
+
 /// The sharing is real: on the `extended` models, whose three finite
 /// models allocate the same unified class, the tree computes fewer
 /// states than the trajectories take steps, and serves rungs and class
-/// requirements from its memos.
+/// requirements from its memos. The ladders' class bounds settle rungs
+/// without allocating them: the same walk with the bounds hidden
+/// allocates more class requirements.
 #[test]
 fn extended_models_share_states_rungs_and_classes() {
-    let session = Session::new(Machine::clustered(3, 1));
+    let machine = Machine::clustered(3, 1);
+    let session = Session::new(machine.clone());
     let loops: Vec<Loop> = Corpus::small().take(8).iter().cloned().collect();
     drive(&session, &loops, &EXTENDED, &DESCENDING, false);
     let steps = session.cache_stats().spill_steps;
@@ -253,6 +322,28 @@ fn extended_models_share_states_rungs_and_classes() {
     assert!(tree.states_reused > 0, "{tree:?}");
     assert!(tree.rungs_reused > 0, "{tree:?}");
     assert!(tree.classes_reused > 0, "{tree:?}");
+    assert!(tree.classes_bounded > 0, "{tree:?}");
+
+    let opts = PipelineOptions::default();
+    let model = |m| ModelRequirement::new(m, &opts);
+    let bounded = tree_stats(&machine, &loops, &EXTENDED, &DESCENDING, model);
+    let unbounded = tree_stats(&machine, &loops, &EXTENDED, &DESCENDING, |m| {
+        Unbounded(model(m))
+    });
+    let computed = |s: DescentStats| (s.states_computed, s.rungs_computed, s.classes_computed);
+    assert_eq!(
+        computed(bounded),
+        computed(tree),
+        "the walk is the session's"
+    );
+    assert_eq!(bounded.classes_bounded, tree.classes_bounded);
+    assert_eq!(unbounded.classes_bounded, 0);
+    assert!(
+        tree.classes_computed < unbounded.classes_computed,
+        "{} class requirements computed with bounds, {} without",
+        tree.classes_computed,
+        unbounded.classes_computed
+    );
 }
 
 /// States are keyed by `(parent, victim)`: trajectories under different
