@@ -140,6 +140,15 @@ pub trait ModelSpec: Send + Sync {
     /// lower bound (MaxLive, or the larger subfile pressure) to skip rungs
     /// without allocating them; monotonicity makes the result a lower
     /// bound on the model's requirement, so a skipped rung cannot fit.
+    ///
+    /// The hook must also be non-increasing in `ctx.ii` for a fixed `raw`
+    /// and fixed lifetimes. Above a flat rung (a schedule that repeats at
+    /// every higher II with every lifetime ending by its II) every rung
+    /// has the same raw requirement and lifetimes, so the ladder's last
+    /// rung has the least requirement of that tail; when it cannot fit,
+    /// the ladder records the tail without scheduling it. `port-limited`
+    /// (`ceil(reads / II)` staging registers) and `compressed` (no II
+    /// term) both qualify.
     fn effective_requirement(&self, raw: u32, ctx: &RequirementCtx<'_>) -> u32 {
         let _ = ctx;
         raw
@@ -541,6 +550,50 @@ mod tests {
         // With zero ports every steady-state read is charged.
         let starved = PortLimitedSpec { read_ports: 0 };
         assert_eq!(starved.effective_requirement(7, &ctx), 7 + reads as u32);
+    }
+
+    /// The built-in hooks keep the ladder's contract on every loop of the
+    /// small corpus: non-decreasing in `raw` and non-increasing in II.
+    #[test]
+    fn builtin_hooks_rise_with_raw_and_fall_with_ii() {
+        let specs: Vec<Arc<dyn ModelSpec>> = vec![
+            ModelId::PORT_LIMITED.spec(),
+            ModelId::COMPRESSED.spec(),
+            Arc::new(PortLimitedSpec { read_ports: 0 }),
+            Arc::new(PortLimitedSpec { read_ports: 3 }),
+            Arc::new(CompressedSpec {
+                capacity_num: 5,
+                capacity_den: 2,
+            }),
+        ];
+        let corpus = ncdrf_corpus::Corpus::small();
+        let mut reads_seen = Vec::new();
+        for l in corpus.iter() {
+            let reads = l.operand_reads();
+            if reads_seen.contains(&reads) {
+                continue;
+            }
+            reads_seen.push(reads);
+            for spec in &specs {
+                let at = |raw, ii| {
+                    let ctx = RequirementCtx {
+                        l,
+                        ii,
+                        lifetimes: &[],
+                    };
+                    spec.effective_requirement(raw, &ctx)
+                };
+                for raw in 0..48 {
+                    for ii in 1..64 {
+                        let here = at(raw, ii);
+                        let name = spec.name();
+                        assert!(at(raw + 1, ii) >= here, "{name}: raw {raw} II {ii}");
+                        assert!(at(raw, ii + 1) <= here, "{name}: raw {raw} II {ii}");
+                    }
+                }
+            }
+        }
+        assert!(reads_seen.len() > 4, "reads {reads_seen:?}");
     }
 
     #[test]

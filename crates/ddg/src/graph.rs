@@ -252,6 +252,17 @@ impl Loop {
             .count() as u64
     }
 
+    /// Whether some op reads a register operand produced in an earlier
+    /// iteration (a [`ValueRef::Op`] at distance > 0). Without one, every
+    /// value dies in the iteration that produced it, so no lifetime
+    /// stretches with the II.
+    pub fn has_carried_operand(&self) -> bool {
+        self.ops
+            .iter()
+            .flat_map(|op| &op.inputs)
+            .any(|input| matches!(input, ValueRef::Op { dist, .. } if *dist > 0))
+    }
+
     /// Count of operations of the given kind.
     pub fn count_kind(&self, kind: OpKind) -> usize {
         self.ops.iter().filter(|op| op.kind == kind).count()

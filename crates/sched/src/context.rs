@@ -2,8 +2,10 @@
 //!
 //! This is the crate's only IMS attempt loop. [`modulo_schedule`],
 //! [`modulo_schedule_with`] and [`schedule_at_ii`] run it on a fresh
-//! context; callers that schedule many loops in a row (the II-escalation
-//! scan, benchmarks) keep one context and reuse its arenas.
+//! context; callers that schedule many loops in a row (benchmarks) keep
+//! one context and reuse its arenas. A caller that schedules one loop at
+//! many IIs (the spill escalation's rung ladder) analyses it once into a
+//! [`PreparedLoop`] and attempts each II on that.
 //!
 //! All scheduling state — the modulo reservation table, CSR
 //! predecessor/successor lists, heights, start/instance arrays and the
@@ -11,6 +13,29 @@
 //! context. Every call rebuilds that state from the loop it is given, so
 //! a reused context computes exactly what a fresh one does and, once its
 //! buffers are sized, allocates nothing per II attempt.
+//!
+//! # Flat attempts
+//!
+//! A successful attempt at II is *flat* when it evicted nothing, every
+//! op ends by II (`start + latency <= II`), and its heights equal the
+//! zero-distance heights `h0` (the heights with every loop-carried edge
+//! left out, which do not depend on II; under [`Priority::InputOrder`]
+//! no priority depends on II). A flat attempt makes exactly the same
+//! picks, slots and units at every II' >= II, so its schedule differs
+//! from theirs only in II:
+//!
+//! - heights only fall as II grows (each carried edge's term `lat -
+//!   II * dist` falls) and never below `h0`, so they stay `h0` and the
+//!   pick order is the same;
+//! - with no eviction, no op has a previous time and each op's window
+//!   starts at its earliest start, whose carried terms `start + lat -
+//!   II * dist` are at most 0 (every op ends by II) and only fall, so the
+//!   earliest start is the same;
+//! - every slot the attempt tried lies below II, where a reservation
+//!   table row is the time itself at every II' >= II, so the first free
+//!   slot is the same, and no placement violates a successor at II'
+//!   that it did not violate at II;
+//! - every start lies below II, so `commit` shifts by 0 at both.
 //!
 //! [`modulo_schedule`]: crate::modulo_schedule
 //! [`modulo_schedule_with`]: crate::modulo_schedule_with
@@ -67,8 +92,13 @@ pub struct SchedContext {
     /// The ops, every op after its zero-distance successors: the sweep
     /// order of the height fixpoint.
     order: Vec<u32>,
+    /// Heights over the zero-distance edges alone: the floor every
+    /// II's heights reach as II grows.
+    h0: Vec<i64>,
     // Per-attempt scratch.
     height: Vec<i64>,
+    /// Whether the last attempt evicted an op.
+    evicted: bool,
     start: Vec<u32>,
     instance: Vec<u32>,
     prev_time: Vec<u32>,
@@ -148,8 +178,10 @@ impl SchedContext {
         Ok(self.attempt(ii, opts).then(|| self.commit(l, machine, ii)))
     }
 
-    /// Builds per-op groups/latencies, the flat edge list and the CSR
-    /// predecessor/successor indices for `l` into the arenas.
+    /// Builds per-op groups/latencies, the flat edge list, the CSR
+    /// predecessor/successor indices, the sweep order and the
+    /// zero-distance heights of `l` into the arenas. None of it depends
+    /// on II.
     fn analyze(&mut self, l: &Loop, machine: &Machine) -> Result<(), MachineError> {
         let n = l.ops().len();
         self.group.clear();
@@ -214,7 +246,24 @@ impl SchedContext {
             self.cursor[f] += 1;
         }
         self.sink_first_order(n);
+        self.zero_distance_heights(n);
         Ok(())
+    }
+
+    /// Fills `h0` with the heights over the zero-distance edges alone
+    /// (self-edges ignored), in one sweep of the sink-first `order`.
+    fn zero_distance_heights(&mut self, n: usize) {
+        self.h0.clear();
+        self.h0.resize(n, 0);
+        for &v in &self.order {
+            let v = v as usize;
+            for k in self.succ_off[v]..self.succ_off[v + 1] {
+                let (_, w, dist) = self.edges[self.succ_edge[k as usize] as usize];
+                if dist == 0 && w as usize != v {
+                    self.h0[v] = self.h0[v].max(self.lat[v] as i64 + self.h0[w as usize]);
+                }
+            }
+        }
     }
 
     /// Fills `order` with the ops in reverse topological order of the
@@ -274,6 +323,7 @@ impl SchedContext {
         }
         let n = self.group.len();
         let mut budget: u64 = (opts.budget_ratio as u64).saturating_mul(n as u64).max(64);
+        self.evicted = false;
         self.compute_heights(n, ii, opts.priority);
         self.start.clear();
         self.start.resize(n, UNSCHED);
@@ -357,6 +407,7 @@ impl SchedContext {
                     self.mrt[(row + evict_inst) as usize] = UNSCHED;
                     self.start[eop] = UNSCHED;
                     self.heap.push((self.height[eop], Reverse(evict_op)));
+                    self.evicted = true;
                     (min_t, evict_inst)
                 }
             };
@@ -384,10 +435,21 @@ impl SchedContext {
                     self.mrt[cell as usize] = UNSCHED;
                     self.start[s] = UNSCHED;
                     self.heap.push((self.height[s], Reverse(sid)));
+                    self.evicted = true;
                 }
             }
         }
         true
+    }
+
+    /// Whether the successful attempt at `ii` is flat (see the module
+    /// docs): nothing evicted, every op ends by `ii`, and no priority
+    /// depends on II.
+    fn flat(&self, ii: u32, priority: Priority) -> bool {
+        let n = self.group.len();
+        !self.evicted
+            && (0..n).all(|v| self.start[v] + self.lat[v] <= ii)
+            && (priority == Priority::InputOrder || self.height == self.h0)
     }
 
     /// Normalizes the successful attempt into a [`Schedule`]: the
@@ -446,6 +508,56 @@ impl SchedContext {
                 }
             }
         }
+    }
+}
+
+/// One loop analysed once, for IMS attempts at any number of IIs: the
+/// per-loop half of [`SchedContext::schedule_at_ii`], which re-analyses
+/// its loop on every call.
+#[derive(Debug)]
+pub struct PreparedLoop<'a> {
+    ctx: SchedContext,
+    l: &'a Loop,
+    machine: &'a Machine,
+}
+
+/// A schedule at one exact II, and whether its attempt was flat: a flat
+/// schedule is, up to its II, the schedule of every higher II (see the
+/// module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rung {
+    /// The schedule.
+    pub sched: Schedule,
+    /// Whether the attempt was flat.
+    pub flat: bool,
+}
+
+impl<'a> PreparedLoop<'a> {
+    /// Analyses `l` on `machine` into a fresh context.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MachineError::Unserved`] if the machine cannot execute
+    /// some operation.
+    pub fn new(l: &'a Loop, machine: &'a Machine) -> Result<PreparedLoop<'a>, MachineError> {
+        let mut ctx = SchedContext::new();
+        ctx.analyze(l, machine)?;
+        Ok(PreparedLoop { ctx, l, machine })
+    }
+
+    /// One IMS attempt at exactly `ii`: the schedule
+    /// [`SchedContext::schedule_at_ii`] returns, with its flat flag.
+    ///
+    /// # Panics
+    ///
+    /// If `ii` is zero.
+    pub fn schedule_at_ii(&mut self, ii: u32, opts: SchedulerOptions) -> Option<Rung> {
+        assert!(ii > 0, "II must be positive");
+        let ctx = &mut self.ctx;
+        ctx.attempt(ii, opts).then(|| Rung {
+            sched: ctx.commit(self.l, self.machine, ii),
+            flat: ctx.flat(ii, opts.priority),
+        })
     }
 }
 
@@ -541,12 +653,15 @@ mod tests {
                     let base = SchedContext::new().schedule(&l, &machine, opts).unwrap();
                     let mut ctx = SchedContext::new();
                     ctx.schedule(&l, &machine, opts).unwrap();
+                    let mut prepared = PreparedLoop::new(&l, &machine).unwrap();
                     for ii in base.ii()..base.ii() + 12 {
                         let fresh = SchedContext::new()
                             .schedule_at_ii(&l, &machine, ii, opts)
                             .unwrap();
                         let reused = ctx.schedule_at_ii(&l, &machine, ii, opts).unwrap();
                         assert_eq!(reused, fresh, "{} `{}` II {ii}", machine.name(), l.name());
+                        let once = prepared.schedule_at_ii(ii, opts).map(|r| r.sched);
+                        assert_eq!(once, fresh, "{} `{}` II {ii}", machine.name(), l.name());
                         if let Some(s) = reused {
                             assert_eq!(s.ii(), ii);
                         }
@@ -624,6 +739,134 @@ mod tests {
             }
         }
         assert!(checked > 0);
+    }
+
+    /// The sequential length the escalation ladder scans up to.
+    fn seq_len(l: &Loop, machine: &Machine) -> u32 {
+        l.ops()
+            .iter()
+            .map(|op| machine.latency(op.kind()).unwrap() + 1)
+            .sum::<u32>()
+            + 1
+    }
+
+    /// On every loop of the small corpus, for every machine and option
+    /// set, the first flat rung above the base II repeats at every II up
+    /// to the sequential length: the same starts, units and kernel slots,
+    /// and every higher rung is flat too.
+    #[test]
+    fn a_flat_rung_repeats_up_to_the_sequential_length() {
+        let corpus = ncdrf_corpus::Corpus::small();
+        let (mut flat_loops, mut repeats) = (0, 0);
+        for machine in machines() {
+            for opts in all_options() {
+                let mut ctx = SchedContext::new();
+                for l in corpus.iter() {
+                    let base = ctx.schedule(l, &machine, opts).unwrap().ii();
+                    let mut prepared = PreparedLoop::new(l, &machine).unwrap();
+                    let mut flat: Option<Schedule> = None;
+                    for ii in base..=seq_len(l, &machine).max(base + 1) {
+                        let at =
+                            format!("{} `{}` II {ii} under {opts:?}", machine.name(), l.name());
+                        let rung = prepared.schedule_at_ii(ii, opts);
+                        let Some(first) = &flat else {
+                            if let Some(rung) = rung.filter(|r| r.flat) {
+                                let entry = ctx.schedule_at_ii(l, &machine, ii, opts).unwrap();
+                                assert_eq!(entry.as_ref(), Some(&rung.sched), "{at}");
+                                flat = Some(rung.sched);
+                                flat_loops += 1;
+                            }
+                            continue;
+                        };
+                        let rung = rung.unwrap_or_else(|| panic!("{at}: no schedule"));
+                        assert!(rung.flat, "{at}");
+                        for (id, _) in l.iter_ops() {
+                            let (got, want) = (&rung.sched, first);
+                            assert_eq!(got.start(id), want.start(id), "{at}");
+                            assert_eq!(got.unit(id), want.unit(id), "{at}");
+                            assert_eq!(got.kernel_slot(id), want.kernel_slot(id), "{at}");
+                        }
+                        repeats += 1;
+                    }
+                }
+            }
+        }
+        assert!(flat_loops > 0 && repeats > 0);
+    }
+
+    /// Which flatness conditions the last attempt of `p` broke:
+    /// `(evicted, heights above h0, an op ending after ii)`.
+    fn broken(p: &PreparedLoop<'_>, ii: u32, priority: Priority) -> (bool, bool, bool) {
+        let ctx = &p.ctx;
+        let n = ctx.group.len();
+        let late = (0..n).any(|v| ctx.start[v] + ctx.lat[v] > ii);
+        let raised = priority == Priority::Height && ctx.height != ctx.h0;
+        (ctx.evicted, raised, late)
+    }
+
+    /// The attempt of `l` at `ii`: scheduled, not flat, for exactly the
+    /// reasons `want`.
+    fn assert_not_flat(l: &Loop, ii: u32, opts: SchedulerOptions, want: (bool, bool, bool)) {
+        let machine = Machine::clustered(3, 1);
+        let mut p = PreparedLoop::new(l, &machine).unwrap();
+        let rung = p.schedule_at_ii(ii, opts).expect("schedules");
+        assert!(!rung.flat, "`{}` II {ii}", l.name());
+        assert_eq!(
+            broken(&p, ii, opts.priority),
+            want,
+            "`{}` II {ii}",
+            l.name()
+        );
+    }
+
+    /// A forced eviction alone makes a rung not flat: under input order
+    /// a consumer bound before its producer is placed first and evicted
+    /// when the producer lands.
+    #[test]
+    fn an_eviction_makes_a_rung_not_flat() {
+        let mut b = LoopBuilder::new("forward");
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let a = b.reserve_add("A");
+        let ld = b.load("L", x, 0);
+        b.bind(a, [ld.now(), ValueRef::Const(1.0)]);
+        b.store("S", z, 0, a.now());
+        let l = b.finish(Weight::default()).unwrap();
+        let opts = SchedulerOptions {
+            priority: Priority::InputOrder,
+            ..SchedulerOptions::default()
+        };
+        assert_not_flat(&l, 20, opts, (true, false, false));
+    }
+
+    /// A carried edge tight enough to raise a height alone makes a rung
+    /// not flat; one II later it no longer binds and the rung is flat.
+    #[test]
+    fn a_tight_carried_edge_makes_a_rung_not_flat() {
+        let mut b = LoopBuilder::new("carried");
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let ld = b.load("L", x, 0);
+        let a = b.add("X", ld.now(), ValueRef::Const(1.0));
+        let m = b.mul("Y", a.prev(1), ValueRef::Const(2.0));
+        b.store("S", z, 0, m.now());
+        let l = b.finish(Weight::default()).unwrap();
+        let opts = SchedulerOptions::default();
+        // X's height is lat(X) - II + h(Y) = 6 - II above its h0 of 0.
+        assert_not_flat(&l, 5, opts, (false, true, false));
+        let machine = Machine::clustered(3, 1);
+        let mut p = PreparedLoop::new(&l, &machine).unwrap();
+        assert!(p.schedule_at_ii(6, opts).unwrap().flat);
+    }
+
+    /// An op ending after II alone makes a rung not flat: a chain longer
+    /// than its II.
+    #[test]
+    fn an_op_ending_after_ii_makes_a_rung_not_flat() {
+        let l = chain(6);
+        let machine = Machine::clustered(3, 1);
+        let ii = mii(&l, &machine).unwrap().mii;
+        assert_not_flat(&l, ii, SchedulerOptions::default(), (false, false, true));
     }
 
     /// The sweep order puts every op after its zero-distance successors,

@@ -12,7 +12,9 @@
 //!   [`schedule_at_ii`]) following Rau's IMS: height-based priorities,
 //!   earliest-start windows of II slots, budgeted eviction, and II escalation
 //!   when the budget is exhausted — one arena-backed implementation,
-//!   [`SchedContext`], that the free functions run on a fresh context;
+//!   [`SchedContext`], that the free functions run on a fresh context,
+//!   and [`PreparedLoop`], one loop analysed once for attempts at many
+//!   IIs, each with a flat flag saying whether higher IIs repeat it;
 //! * the resulting [`Schedule`]: per-operation start cycles and
 //!   functional-unit bindings, from which kernel slot, stage and — on a
 //!   clustered machine — the operation's *cluster* are derived.
@@ -53,7 +55,7 @@ mod mii;
 mod schedule;
 mod table;
 
-pub use context::SchedContext;
+pub use context::{PreparedLoop, Rung, SchedContext};
 pub use ims::{
     modulo_schedule, modulo_schedule_with, schedule_at_ii, Priority, ScheduleError,
     SchedulerOptions,

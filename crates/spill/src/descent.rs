@@ -29,6 +29,14 @@
 //! exact allocation that follows reuses its lifetimes, so each rung and
 //! class computes lifetimes once.
 //!
+//! A rung is *flat* when its IMS attempt was flat (its schedule is, up to
+//! its II, the schedule of every higher II; see `ncdrf_sched`'s
+//! [`Rung`]) and the loop reads no register operand of an earlier
+//! iteration, so every lifetime ends by the rung's II at every higher II
+//! too. The class contract of [`Requirement`] then makes the class part
+//! the same on every rung above a flat one, which lets an escalation
+//! ladder record that tail without scheduling it.
+//!
 //! States are keyed by their parent's tree-local id, never by a loop
 //! name, so two loops that share a name cannot share states. A tree owns
 //! the machine and the scheduler options its states are built with, so
@@ -43,7 +51,7 @@ use crate::SpillError;
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::Lifetime;
-use ncdrf_sched::{modulo_schedule_with, SchedContext, Schedule, SchedulerOptions};
+use ncdrf_sched::{modulo_schedule_with, PreparedLoop, Rung, Schedule, SchedulerOptions};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -79,6 +87,13 @@ pub struct ClassRequirement {
 pub trait Requirement {
     /// The allocation class whose result the tree may memoise and share,
     /// or `None` when nothing may be memoised.
+    ///
+    /// A requirement with a class also promises that its class part —
+    /// `raw` and `lifetimes`, and its errors — is the same on two
+    /// schedules of a loop that differ only in II when every lifetime
+    /// ends by the smaller II. An escalation ladder relies on it to
+    /// record the rungs above a flat rung without scheduling them; a
+    /// requirement without a class scans every rung.
     fn class(&self) -> Option<ClassKey>;
 
     /// The class part on `sched`, a schedule of `l` on `machine`.
@@ -96,7 +111,10 @@ pub trait Requirement {
     /// The model's requirement from its class result. Must be a pure
     /// function of its arguments, monotone non-decreasing in
     /// `class.raw`: applied to a [`Requirement::bound`] it then bounds
-    /// the model's requirement from below.
+    /// the model's requirement from below. Must also be non-increasing
+    /// in the II of `class.sched` for a fixed `raw` and fixed lifetimes:
+    /// on the rungs above a flat rung, whose class parts are equal, the
+    /// last rung's requirement is then the least.
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32;
 
     /// A lower bound on the class part on `sched`, cheaper than
@@ -140,7 +158,9 @@ pub trait Requirement {
 }
 
 /// A requirement as far as it is known: exact, or bounded from below by
-/// a [`Requirement::bound`] that already exceeds the budget asked about.
+/// a floor that already exceeds the budget asked about — a
+/// [`Requirement::bound`], or the end rung's requirement for a rung an
+/// escalation ladder skipped above a flat rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Regs {
     Exact(u32),
@@ -202,6 +222,10 @@ fn find(memo: &ClassMemo, key: ClassKey) -> Option<Arc<ClassRequirement>> {
 #[derive(Debug)]
 pub(crate) struct Scheduled {
     pub(crate) sched: Arc<Schedule>,
+    /// Whether this is a flat rung (see the module docs): every higher
+    /// II schedules the same starts and units, and every lifetime ends
+    /// by this II. Never set on a fresh schedule.
+    pub(crate) flat: bool,
     classes: ClassMemo,
     /// Class lower bounds ([`Requirement::bound`]) not yet tightened to
     /// an exact entry of `classes`; never read as exact.
@@ -209,9 +233,10 @@ pub(crate) struct Scheduled {
 }
 
 impl Scheduled {
-    fn new(sched: Schedule) -> Scheduled {
+    fn new(sched: Schedule, flat: bool) -> Scheduled {
         Scheduled {
             sched: Arc::new(sched),
+            flat,
             classes: Mutex::default(),
             bounds: Mutex::default(),
         }
@@ -250,7 +275,7 @@ impl DescentState {
         DescentState {
             id,
             l,
-            fresh: Scheduled::new(fresh),
+            fresh: Scheduled::new(fresh, false),
             reloads,
             stats,
             rungs: Mutex::default(),
@@ -270,6 +295,9 @@ pub struct DescentStats {
     pub rungs_computed: u64,
     /// Escalation rungs served from the rung table.
     pub rungs_reused: u64,
+    /// Escalation rungs a ladder recorded without scheduling them: the
+    /// tail above a flat rung that cannot fit its budget.
+    pub rungs_skipped: u64,
     /// Class requirements computed (every call of an unshared class
     /// counts here).
     pub classes_computed: u64,
@@ -289,6 +317,7 @@ impl DescentStats {
         self.states_reused += other.states_reused;
         self.rungs_computed += other.rungs_computed;
         self.rungs_reused += other.rungs_reused;
+        self.rungs_skipped += other.rungs_skipped;
         self.classes_computed += other.classes_computed;
         self.classes_reused += other.classes_reused;
         self.classes_bounded += other.classes_bounded;
@@ -310,6 +339,7 @@ struct Counters {
     states_reused: AtomicU64,
     rungs_computed: AtomicU64,
     rungs_reused: AtomicU64,
+    rungs_skipped: AtomicU64,
     classes_computed: AtomicU64,
     classes_reused: AtomicU64,
     classes_bounded: AtomicU64,
@@ -435,11 +465,17 @@ impl DescentTree {
             states_reused: get(&c.states_reused),
             rungs_computed: get(&c.rungs_computed),
             rungs_reused: get(&c.rungs_reused),
+            rungs_skipped: get(&c.rungs_skipped),
             classes_computed: get(&c.classes_computed),
             classes_reused: get(&c.classes_reused),
             classes_bounded: get(&c.classes_bounded),
             indexed: lock(&self.index).children.len() as u64,
         }
+    }
+
+    /// Counts `n` escalation rungs a ladder recorded without scheduling.
+    pub(crate) fn skipped(&self, n: u64) {
+        self.counters.rungs_skipped.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn root(&self) -> &Arc<DescentState> {
@@ -596,21 +632,31 @@ impl DescentTree {
     }
 
     /// The escalation rung of `state` at `ii`: its schedule, or `None`
-    /// when the loop does not schedule there. `ctx` is the arena a miss
-    /// schedules in.
-    pub(crate) fn rung(
-        &self,
-        state: &Arc<DescentState>,
+    /// when the loop does not schedule there. A miss schedules on
+    /// `prepared`, the state's loop analysed once, which the first miss
+    /// of a caller fills in.
+    pub(crate) fn rung<'s>(
+        &'s self,
+        state: &'s Arc<DescentState>,
         ii: u32,
-        ctx: &mut SchedContext,
+        prepared: &mut Option<PreparedLoop<'s>>,
     ) -> Result<Option<Arc<Scheduled>>, MachineError> {
         if let Some(hit) = lock(&state.rungs).get(&ii) {
             bump(&self.counters.rungs_reused);
             return Ok(hit.clone());
         }
-        let rung = ctx
-            .schedule_at_ii(&state.l, &self.machine, ii, self.scheduler)?
-            .map(|s| Arc::new(Scheduled::new(s)));
+        let prepared = match prepared {
+            Some(prepared) => prepared,
+            None => prepared.insert(PreparedLoop::new(&state.l, &self.machine)?),
+        };
+        let rung = prepared
+            .schedule_at_ii(ii, self.scheduler)
+            .map(|Rung { sched, flat }| {
+                Arc::new(Scheduled::new(
+                    sched,
+                    flat && !state.l.has_carried_operand(),
+                ))
+            });
         bump(&self.counters.rungs_computed);
         let rung = lock(&state.rungs).entry(ii).or_insert(rung).clone();
         self.memoise(state);

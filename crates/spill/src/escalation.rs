@@ -15,7 +15,8 @@
 //! none does. The rung schedules themselves live in the terminal state's
 //! rung table of the [`DescentTree`], so every model whose descent ends
 //! in that state schedules each rung once, and a memoised requirement
-//! class allocates each rung once.
+//! class allocates each rung once. A serve analyses the terminal loop
+//! for IMS once, on the first rung it schedules.
 //!
 //! A rung is allocated only when it might fit. Where the requirement has
 //! a class lower bound ([`crate::Requirement::bound`]: MaxLive for the
@@ -23,15 +24,30 @@
 //! already exceeds the budget is recorded as `AtLeast(lb)` and the scan
 //! moves on; it is resolved to its exact requirement, in II order, only
 //! when a later budget reaches `lb`, or when it is the last rung that
-//! scheduled and no rung fits. A rung the bound skips cannot fit, so the
-//! served rung — and every result — is bit-identical to a full
-//! allocating scan from the base II at every budget, in any order. The
-//! fresh driver [`crate::spill_until_fits`] serves its one budget from a
-//! one-shot ladder on a tree rooted at its exhausted loop.
+//! scheduled and no rung fits. A rung the bound skips cannot fit.
+//!
+//! A rung is scheduled only when it might fit. Above a *flat* rung (its
+//! IMS attempt repeats, up to II, at every higher II, and every lifetime
+//! ends by its II; see the descent module) every rung has the same
+//! schedule and, by the class contract of [`crate::Requirement::class`],
+//! the same class part, and the model's hook only falls as II grows. So
+//! when a flat rung of a classed requirement does not fit, the ladder
+//! settles the end rung: if that does not fit either, no rung of the tail
+//! can, and the rungs between are recorded as at least the end rung's
+//! requirement without being scheduled; a later budget that reaches it
+//! resolves them in II order like any `AtLeast` rung. If the end rung
+//! fits, the tail is scanned rung by rung. A requirement without a class
+//! always scans.
+//!
+//! Neither shortcut changes a result: the served rung — and every result
+//! — is bit-identical to a full allocating scan from the base II at every
+//! budget, in any order. The fresh driver [`crate::spill_until_fits`]
+//! serves its one budget from a one-shot ladder on a tree rooted at its
+//! exhausted loop.
 
 use crate::descent::{DescentState, DescentTree, Regs, Settled};
 use crate::{ClassRequirement, Requirement, SpillError, SpillResult};
-use ncdrf_sched::{SchedContext, Schedule};
+use ncdrf_sched::{PreparedLoop, Schedule};
 use std::sync::Arc;
 
 /// What the exhausted descent contributes to an escalated result: the
@@ -45,7 +61,11 @@ pub(crate) struct SpillTally {
 
 /// A recorded rung by index, with its class part and requirement when
 /// the call that returns it computed them.
-type Rung = (usize, Option<(Arc<ClassRequirement>, u32)>);
+type Recorded = (usize, Option<(Arc<ClassRequirement>, u32)>);
+
+/// The terminal loop, analysed for IMS on the first rung a serve
+/// schedules.
+type Prepared<'s> = Option<PreparedLoop<'s>>;
 
 /// One trajectory's II-escalation rungs of its terminal state. Scalars
 /// only: the schedules are in the state's rung table.
@@ -58,9 +78,9 @@ pub(crate) struct EscalationLadder {
     end_ii: u32,
     /// The next II to compute; `end_ii + 1` once the ladder is complete.
     next_ii: u32,
-    /// `(ii, regs)` of every computed II that scheduled, ascending; a
-    /// rung is [`Regs::AtLeast`] until a budget its bound admits
-    /// resolves it.
+    /// `(ii, regs)` of every computed or skipped II that schedules,
+    /// ascending; a rung is [`Regs::AtLeast`] until a budget that
+    /// reaches its floor resolves it.
     rungs: Vec<(u32, Regs)>,
 }
 
@@ -95,26 +115,27 @@ impl EscalationLadder {
     /// The scheduling or requirement error of the first rung that fails;
     /// the rungs before it stay recorded, and a retry re-fails the same
     /// rung.
-    pub(crate) fn serve(
+    pub(crate) fn serve<'s>(
         &mut self,
-        tree: &DescentTree,
-        state: &Arc<DescentState>,
+        tree: &'s DescentTree,
+        state: &'s Arc<DescentState>,
         budget: u32,
         requirement: &mut dyn Requirement,
         tally: SpillTally,
     ) -> Result<SpillResult, SpillError> {
-        let mut ctx = SchedContext::new();
-        let served = match self.first_recorded_fit(&mut ctx, tree, state, budget, requirement)? {
+        let mut prepared: Prepared<'s> = None;
+        let p = &mut prepared;
+        let served = match self.first_recorded_fit(p, tree, state, budget, requirement)? {
             Some(hit) => Some(hit),
             None => self
-                .extend(&mut ctx, tree, state, budget, requirement)?
+                .extend(p, tree, state, budget, requirement)?
                 .or_else(|| self.rungs.len().checked_sub(1).map(|last| (last, None))),
         };
         let ((class, regs), tried) = match served {
             Some((i, known)) => {
                 let known = match known {
                     Some(known) => known,
-                    None => self.resolve(&mut ctx, tree, state, i, requirement)?,
+                    None => self.resolve(p, tree, state, i, requirement)?,
                 };
                 let tried = if known.1 <= budget {
                     self.rungs[i].0
@@ -142,20 +163,20 @@ impl EscalationLadder {
 
     /// The first recorded rung that fits `budget`, resolving in II order
     /// every [`Regs::AtLeast`] rung whose bound `budget` reaches.
-    fn first_recorded_fit(
+    fn first_recorded_fit<'s>(
         &mut self,
-        ctx: &mut SchedContext,
-        tree: &DescentTree,
-        state: &Arc<DescentState>,
+        prepared: &mut Prepared<'s>,
+        tree: &'s DescentTree,
+        state: &'s Arc<DescentState>,
         budget: u32,
         requirement: &mut dyn Requirement,
-    ) -> Result<Option<Rung>, SpillError> {
+    ) -> Result<Option<Recorded>, SpillError> {
         for i in 0..self.rungs.len() {
             let (regs, known) = match self.rungs[i].1 {
                 Regs::Exact(regs) => (regs, None),
                 Regs::AtLeast(lb) if lb > budget => continue,
                 Regs::AtLeast(_) => {
-                    let (class, regs) = self.resolve(ctx, tree, state, i, requirement)?;
+                    let (class, regs) = self.resolve(prepared, tree, state, i, requirement)?;
                     (regs, Some((class, regs)))
                 }
             };
@@ -170,24 +191,30 @@ impl EscalationLadder {
     /// schedules, and stops at the first that fits `budget`. Returns the
     /// last rung this call recorded — the fitting one, or the final rung
     /// when the ladder ran out — or `None` if it recorded none. A rung
-    /// is allocated only when its bound admits `budget`.
-    fn extend(
+    /// is allocated only when its bound admits `budget`, and the tail
+    /// above a flat rung is scheduled only when its end rung fits.
+    fn extend<'s>(
         &mut self,
-        ctx: &mut SchedContext,
-        tree: &DescentTree,
-        state: &Arc<DescentState>,
+        prepared: &mut Prepared<'s>,
+        tree: &'s DescentTree,
+        state: &'s Arc<DescentState>,
         budget: u32,
         requirement: &mut dyn Requirement,
-    ) -> Result<Option<Rung>, SpillError> {
+    ) -> Result<Option<Recorded>, SpillError> {
         let mut last = None;
+        // Set once the end rung fits `budget`: the tail is then scanned.
+        let mut end_fits = false;
         while self.next_ii <= self.end_ii {
             let ii = self.next_ii;
-            let settled = match tree.rung(state, ii, ctx)? {
-                Some(rung) => Some(tree.requirement_within(state, &rung, requirement, budget)?),
+            let rung = tree.rung(state, ii, prepared)?;
+            let settled = match &rung {
+                Some(rung) => Some(tree.requirement_within(state, rung, requirement, budget)?),
                 None => None,
             };
             self.next_ii = ii + 1;
-            let Some(settled) = settled else { continue };
+            let (Some(rung), Some(settled)) = (rung, settled) else {
+                continue;
+            };
             let (regs, known) = match settled {
                 Settled::Exact(class, regs) => (Regs::Exact(regs), Some((class, regs))),
                 Settled::AtLeast(lb) => (Regs::AtLeast(lb), None),
@@ -197,24 +224,64 @@ impl EscalationLadder {
             if matches!(regs, Regs::Exact(r) if r <= budget) {
                 break;
             }
+            if rung.flat && !end_fits && ii < self.end_ii && requirement.class().is_some() {
+                match self.skip_tail(prepared, tree, state, ii, budget, requirement)? {
+                    Some(end) => return Ok(Some(end)),
+                    None => end_fits = true,
+                }
+            }
         }
         Ok(last)
     }
 
-    /// The exact requirement of recorded rung `i`, which it records.
-    fn resolve(
+    /// Rung `ii` is flat and does not fit `budget`. Settles the end rung,
+    /// whose requirement is the least of the tail above `ii`; when it
+    /// does not fit either, records the rungs between as at least that
+    /// requirement without scheduling them, records the end rung, and
+    /// returns it. Returns `None` when the end rung fits: the tail must
+    /// be scanned.
+    fn skip_tail<'s>(
         &mut self,
-        ctx: &mut SchedContext,
-        tree: &DescentTree,
-        state: &Arc<DescentState>,
+        prepared: &mut Prepared<'s>,
+        tree: &'s DescentTree,
+        state: &'s Arc<DescentState>,
+        ii: u32,
+        budget: u32,
+        requirement: &mut dyn Requirement,
+    ) -> Result<Option<Recorded>, SpillError> {
+        let end = tree
+            .rung(state, self.end_ii, prepared)?
+            .expect("a flat rung schedules at every higher II");
+        let (regs, floor, known) =
+            match tree.requirement_within(state, &end, requirement, budget)? {
+                Settled::Exact(_, r) if r <= budget => return Ok(None),
+                Settled::Exact(class, r) => (Regs::Exact(r), r, Some((class, r))),
+                Settled::AtLeast(lb) => (Regs::AtLeast(lb), lb, None),
+            };
+        tree.skipped(u64::from(self.end_ii - ii - 1));
+        self.rungs
+            .extend((ii + 1..self.end_ii).map(|skip| (skip, Regs::AtLeast(floor))));
+        self.rungs.push((self.end_ii, regs));
+        self.next_ii = self.end_ii + 1;
+        Ok(Some((self.rungs.len() - 1, known)))
+    }
+
+    /// The exact requirement of recorded rung `i`, which it records.
+    fn resolve<'s>(
+        &mut self,
+        prepared: &mut Prepared<'s>,
+        tree: &'s DescentTree,
+        state: &'s Arc<DescentState>,
         i: usize,
         requirement: &mut dyn Requirement,
     ) -> Result<(Arc<ClassRequirement>, u32), SpillError> {
         let (ii, recorded) = self.rungs[i];
         let rung = tree
-            .rung(state, ii, ctx)?
+            .rung(state, ii, prepared)?
             .expect("a recorded rung schedules again at the same II");
         let (class, regs) = tree.requirement(state, &rung, requirement)?;
+        // An `AtLeast` rung was settled by its class bound or skipped
+        // above a flat rung; either floor is at most its requirement.
         debug_assert!(
             match recorded {
                 Regs::Exact(r) => r == regs,

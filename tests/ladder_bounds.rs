@@ -1,20 +1,27 @@
-//! The escalation ladder's class bounds change no result. A ladder
-//! records a rung whose class lower bound (MaxLive, or the larger subfile
+//! The escalation ladder's shortcuts change no result. A ladder records
+//! a rung whose class lower bound (MaxLive, or the larger subfile
 //! pressure) already exceeds the budget as `AtLeast` and allocates it
-//! only when a later budget reaches the bound. Two checks pin that down:
+//! only when a later budget reaches the bound; above a flat rung that
+//! does not fit, it records the tail up to an unfit end rung as `AtLeast`
+//! without scheduling it. These checks pin that down:
 //!
 //! - every bound the ladders of the `extended` preset hand out is at most
 //!   the exact requirement, on the class and through the model's hook;
 //! - every ladder serve — regs, II, `rounds`, `fits` and errors — equals
-//!   the allocating scan of the same requirement with its bound hidden,
-//!   over descending and ascending budget ladders, for every built-in
-//!   model, with and without a class part that fails on some rungs.
+//!   a classless scan that schedules and allocates every rung, over
+//!   descending and ascending budget ladders, for every built-in model,
+//!   with and without a class part that fails on some rungs;
+//! - above the first flat rung of every terminal loop an unfit serve
+//!   escalates, every rung has the flat rung's schedule and class part,
+//!   and the model's requirement never rises.
 
 use ncdrf::corpus::Corpus;
 use ncdrf::ddg::{Loop, OpKind};
 use ncdrf::machine::{Machine, MachineError};
-use ncdrf::sched::{modulo_schedule_with, Schedule};
-use ncdrf::spill::{ClassKey, ClassRequirement, Requirement, SpillOptions, SpillTrajectory};
+use ncdrf::sched::{modulo_schedule_with, PreparedLoop, Schedule};
+use ncdrf::spill::{
+    ClassKey, ClassRequirement, DescentTree, Requirement, SpillOptions, SpillTrajectory,
+};
 use ncdrf::{ModelId, ModelRequirement, PipelineOptions};
 use std::sync::Arc;
 
@@ -55,8 +62,53 @@ impl<R: Requirement> Requirement for Unbounded<R> {
     }
 }
 
+/// `R` without a class: nothing is memoised and no flat tail is
+/// skipped, so its ladder schedules every rung it passes.
+struct Classless<R>(R);
+
+impl<R: Requirement> Requirement for Classless<R> {
+    fn class(&self) -> Option<ClassKey> {
+        None
+    }
+
+    fn allocate(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+    ) -> Result<ClassRequirement, MachineError> {
+        self.0.allocate(l, machine, sched)
+    }
+
+    fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
+        self.0.effective(l, class)
+    }
+
+    fn bound(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+    ) -> Result<Option<ClassRequirement>, MachineError> {
+        self.0.bound(l, machine, sched)
+    }
+
+    fn tighten(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+        bound: &ClassRequirement,
+    ) -> Result<ClassRequirement, MachineError> {
+        self.0.tighten(l, machine, sched, bound)
+    }
+}
+
 /// `R` whose class part — bound and allocation alike — fails on every
-/// schedule whose II is a multiple of `every`.
+/// schedule whose II is a multiple of `every`. A class part that fails
+/// on some rungs of a flat tail and not on others breaks the class
+/// contract, so a classed `Faulty` ladder may skip the rung the scan
+/// fails on; the tests run it classless.
 struct Faulty<R> {
     inner: R,
     every: u32,
@@ -173,15 +225,22 @@ impl Requirement for Checked {
     }
 }
 
-/// A fresh trajectory of `l` on its own tree.
-fn trajectory(
+/// A trajectory of `l` on a tree of its own, and the tree.
+fn in_own_tree(
     l: &Loop,
     machine: &Machine,
     requirement: &mut dyn Requirement,
     opts: SpillOptions,
-) -> Result<SpillTrajectory, String> {
+) -> Result<(SpillTrajectory, Arc<DescentTree>), String> {
     let base = modulo_schedule_with(l, machine, opts.scheduler).map_err(|e| e.to_string())?;
-    SpillTrajectory::from_base(l, machine, base, requirement, opts).map_err(|e| e.to_string())
+    let tree = Arc::new(DescentTree::new(
+        l.clone(),
+        base,
+        machine.clone(),
+        opts.scheduler,
+    ));
+    let traj = SpillTrajectory::in_tree(&tree, requirement, opts).map_err(|e| e.to_string())?;
+    Ok((traj, tree))
 }
 
 /// Every bound the `extended` preset's ladders compute on the small
@@ -199,7 +258,7 @@ fn every_extended_rung_bound_is_at_most_the_exact_requirement() {
             checked: 0,
         };
         for l in Corpus::small().iter() {
-            let mut traj = trajectory(l, &machine, &mut check, opts.spill).unwrap();
+            let (mut traj, _) = in_own_tree(l, &machine, &mut check, opts.spill).unwrap();
             for budget in [16, 8, 0] {
                 traj.evaluate(&machine, budget, &mut check).unwrap();
             }
@@ -208,16 +267,23 @@ fn every_extended_rung_bound_is_at_most_the_exact_requirement() {
     }
 }
 
-/// How many serves escalated, and how many failed.
+/// What the serves of [`assert_serves_match`] did: how many escalated
+/// and how many failed, the escalation rungs the subject's trees skipped,
+/// and the terminal loops of its unfit escalated serves.
 #[derive(Default)]
 struct Served {
     escalated: u64,
     failed: u64,
+    skipped: u64,
+    unfit: Vec<(Loop, ModelId)>,
 }
 
-/// Serves every budget of `ladder` from a bounded and an unbounded
-/// trajectory of each built-in model and asserts equal results and
-/// errors.
+/// Serves every budget of `ladder` from a trajectory of each built-in
+/// model and from the oracle — the classless scan of the same model with
+/// its bound hidden, which schedules and allocates every rung — and
+/// asserts equal results and errors. With `fault`, both class parts fail
+/// on every II that is a multiple of it, and the subject is classless too
+/// (see [`Faulty`]).
 fn assert_serves_match(
     machine: &Machine,
     loops: &[Loop],
@@ -230,12 +296,15 @@ fn assert_serves_match(
         for model in MODELS {
             let every = fault.unwrap_or(u32::MAX);
             let inner = ModelRequirement::new(model, &opts);
-            let mut bounded = Faulty { inner, every };
+            let mut subject: Box<dyn Requirement> = match fault {
+                Some(_) => Box::new(Classless(Faulty { inner, every })),
+                None => Box::new(inner),
+            };
             let inner = Unbounded(ModelRequirement::new(model, &opts));
-            let mut unbounded = Faulty { inner, every };
-            let b = trajectory(l, machine, &mut bounded, opts.spill);
-            let u = trajectory(l, machine, &mut unbounded, opts.spill);
-            let (mut b, mut u) = match (b, u) {
+            let mut oracle = Classless(Faulty { inner, every });
+            let b = in_own_tree(l, machine, &mut *subject, opts.spill);
+            let u = in_own_tree(l, machine, &mut oracle, opts.spill);
+            let ((mut b, tree), (mut u, _)) = match (b, u) {
                 (Ok(b), Ok(u)) => (b, u),
                 (b, u) => {
                     assert_eq!(b.err(), u.err(), "`{}` {model}", l.name());
@@ -243,22 +312,31 @@ fn assert_serves_match(
                 }
             };
             for &budget in ladder {
-                let want = u.evaluate(machine, budget, &mut unbounded);
-                let got = b.evaluate(machine, budget, &mut bounded);
+                let want = u.evaluate(machine, budget, &mut oracle);
+                let got = b.evaluate(machine, budget, &mut *subject);
                 assert_eq!(got, want, "`{}` {model} @{budget}", l.name());
                 match want {
-                    Ok((_, stats)) => served.escalated += u64::from(stats.escalated),
+                    Ok((result, stats)) => {
+                        served.escalated += u64::from(stats.escalated);
+                        let terminal = (result.l, model);
+                        if stats.escalated && !result.fits && !served.unfit.contains(&terminal) {
+                            served.unfit.push(terminal);
+                        }
+                    }
                     Err(_) => served.failed += 1,
                 }
             }
             assert_eq!(b.snapshot(), u.snapshot(), "`{}` {model}", l.name());
+            served.skipped += tree.stats().rungs_skipped;
         }
     }
     served
 }
 
-/// Bounded ladders serve exactly what allocating ladders serve, budget
-/// by budget, in both ladder directions, on both clustered machines.
+/// Ladders with class bounds and flat-tail skipping serve exactly what
+/// the classless scan of every rung serves, budget by budget, in both
+/// ladder directions, on the clustered machines of the `extended` and
+/// `fig89` presets; the skipping is real.
 #[test]
 fn bounded_ladders_serve_what_allocating_ladders_serve() {
     let loops: Vec<Loop> = Corpus::small().take(16).iter().cloned().collect();
@@ -268,8 +346,10 @@ fn bounded_ladders_serve_what_allocating_ladders_serve() {
         for ladder in [&DESCENDING[..], &ascending[..]] {
             let served = assert_serves_match(&machine, &loops, ladder, None);
             assert!(
-                served.escalated > 0,
-                "L{lat} {ladder:?}: no serve escalated"
+                served.escalated > 0 && served.skipped > 0,
+                "L{lat} {ladder:?}: {} serves escalated, {} rungs skipped",
+                served.escalated,
+                served.skipped
             );
             assert_eq!(served.failed, 0);
         }
@@ -278,6 +358,8 @@ fn bounded_ladders_serve_what_allocating_ladders_serve() {
 
 /// A class part that fails on some rungs fails the bounded ladder
 /// exactly where it fails the allocating one, and retries re-fail alike.
+/// Such a class part breaks the class contract, so both sides run
+/// classless and no tail is skipped.
 #[test]
 fn bounded_ladders_fail_where_allocating_ladders_fail() {
     let loops: Vec<Loop> = Corpus::small().take(16).iter().cloned().collect();
@@ -286,5 +368,71 @@ fn bounded_ladders_fail_where_allocating_ladders_fail() {
     for every in [7, 11] {
         let served = assert_serves_match(&machine, &loops, &twice, Some(every));
         assert!(served.failed > 0 && served.escalated > 0, "every {every}");
+        assert_eq!(served.skipped, 0);
     }
+}
+
+/// The sequential length an escalation ladder scans up to.
+fn end_ii(l: &Loop, machine: &Machine) -> u32 {
+    l.ops()
+        .iter()
+        .map(|op| machine.latency(op.kind()).unwrap() + 1)
+        .sum::<u32>()
+        + 1
+}
+
+/// The flat-tail contract on the loops it is used on: for every terminal
+/// loop an unfit serve escalated on, every rung above its first flat rung
+/// up to the ladder's end has the flat rung's starts and units and its
+/// class part — `raw` and lifetimes — and the model's requirement never
+/// rises along the tail, so the end rung's is the tail's least.
+#[test]
+fn a_skipped_tail_has_its_flat_rungs_class_part() {
+    let loops: Vec<Loop> = Corpus::small().take(16).iter().cloned().collect();
+    let opts = PipelineOptions::default();
+    let scheduler = opts.spill.scheduler;
+    let mut tails = 0;
+    for lat in [3, 6] {
+        let machine = Machine::clustered(lat, 1);
+        let served = assert_serves_match(&machine, &loops, &DESCENDING, None);
+        for (l, model) in &served.unfit {
+            let mut requirement = ModelRequirement::new(*model, &opts);
+            if requirement.class().is_none() || l.has_carried_operand() {
+                continue;
+            }
+            let base = modulo_schedule_with(l, &machine, scheduler).unwrap().ii();
+            let end = end_ii(l, &machine).max(base + 1);
+            let mut prepared = PreparedLoop::new(l, &machine).unwrap();
+            let Some((flat_ii, flat)) = (base + 1..end).find_map(|ii| {
+                let rung = prepared.schedule_at_ii(ii, scheduler)?;
+                rung.flat.then(|| (ii, Arc::new(rung.sched)))
+            }) else {
+                continue;
+            };
+            let want = requirement.allocate(l, &machine, &flat).unwrap();
+            let mut regs = requirement.effective(l, &want);
+            for ii in flat_ii + 1..=end {
+                let at = format!("L{lat} `{}` {model} II {ii} above {flat_ii}", l.name());
+                let rung = prepared.schedule_at_ii(ii, scheduler).expect(&at);
+                for (id, _) in l.iter_ops() {
+                    let (got, want) = (&rung.sched, &flat);
+                    assert_eq!(got.start(id), want.start(id), "{at}");
+                    assert_eq!(got.unit(id), want.unit(id), "{at}");
+                }
+                let got = requirement
+                    .allocate(l, &machine, &Arc::new(rung.sched))
+                    .unwrap();
+                assert_eq!(
+                    (got.raw, &got.lifetimes),
+                    (want.raw, &want.lifetimes),
+                    "{at}"
+                );
+                let next = requirement.effective(l, &got);
+                assert!(next <= regs, "{at}: requirement rose from {regs} to {next}");
+                regs = next;
+            }
+            tails += 1;
+        }
+    }
+    assert!(tails > 0, "no unfit serve ended above a flat rung");
 }

@@ -260,6 +260,29 @@ impl Requirement for Unbounded {
     }
 }
 
+/// A requirement without a class: nothing is memoised and no flat tail
+/// is skipped, so its ladders schedule every rung they pass.
+struct Classless(ModelRequirement);
+
+impl Requirement for Classless {
+    fn class(&self) -> Option<ClassKey> {
+        None
+    }
+
+    fn allocate(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Arc<Schedule>,
+    ) -> Result<ClassRequirement, MachineError> {
+        self.0.allocate(l, machine, sched)
+    }
+
+    fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
+        self.0.effective(l, class)
+    }
+}
+
 /// The descent counts of [`drive`]'s walk — every budget of `ladder` in
 /// order, all finite `models` per budget — on one tree per loop, with the
 /// requirements `requirement` makes.
@@ -305,7 +328,9 @@ fn tree_stats<R: Requirement>(
 /// states than the trajectories take steps, and serves rungs and class
 /// requirements from its memos. The ladders' class bounds settle rungs
 /// without allocating them: the same walk with the bounds hidden
-/// allocates more class requirements.
+/// allocates more class requirements. The ladders record the tails above
+/// flat rungs without scheduling them: the same walk without classes
+/// schedules more rungs.
 #[test]
 fn extended_models_share_states_rungs_and_classes() {
     let machine = Machine::clustered(3, 1);
@@ -323,6 +348,7 @@ fn extended_models_share_states_rungs_and_classes() {
     assert!(tree.rungs_reused > 0, "{tree:?}");
     assert!(tree.classes_reused > 0, "{tree:?}");
     assert!(tree.classes_bounded > 0, "{tree:?}");
+    assert!(tree.rungs_skipped > 0, "{tree:?}");
 
     let opts = PipelineOptions::default();
     let model = |m| ModelRequirement::new(m, &opts);
@@ -337,12 +363,23 @@ fn extended_models_share_states_rungs_and_classes() {
         "the walk is the session's"
     );
     assert_eq!(bounded.classes_bounded, tree.classes_bounded);
+    assert_eq!(bounded.rungs_skipped, tree.rungs_skipped);
     assert_eq!(unbounded.classes_bounded, 0);
     assert!(
         tree.classes_computed < unbounded.classes_computed,
         "{} class requirements computed with bounds, {} without",
         tree.classes_computed,
         unbounded.classes_computed
+    );
+    let classless = tree_stats(&machine, &loops, &EXTENDED, &DESCENDING, |m| {
+        Classless(model(m))
+    });
+    assert_eq!(classless.rungs_skipped, 0);
+    assert!(
+        tree.rungs_computed < classless.rungs_computed,
+        "{} rungs computed with classes, {} without",
+        tree.rungs_computed,
+        classless.rungs_computed
     );
 }
 
