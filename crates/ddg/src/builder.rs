@@ -3,6 +3,7 @@
 use crate::graph::{ArrayDecl, ArrayRole, Dep, DepKind, Invariant, Loop, MemRef, Weight};
 use crate::op::{ArrayId, InvId, Op, OpId, OpKind, ValueRef};
 use crate::validate::{validate, ValidateError};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Error produced while building or finishing a loop.
@@ -72,6 +73,9 @@ pub struct LoopBuilder {
     deps: Vec<Dep>,
     invariants: Vec<Invariant>,
     arrays: Vec<ArrayDecl>,
+    /// Explicit edges [`LoopBuilder::finish`] appends after `deps`: the
+    /// parent's, for a builder made by [`LoopBuilder::extending`].
+    inherited_deps: Vec<Dep>,
 }
 
 impl LoopBuilder {
@@ -83,6 +87,25 @@ impl LoopBuilder {
             deps: Vec::new(),
             invariants: Vec::new(),
             arrays: Vec::new(),
+            inherited_deps: Vec::new(),
+        }
+    }
+
+    /// A builder that extends `parent`: it starts from the parent's name,
+    /// ops, invariants and arrays with their ids, so appended ops and
+    /// arrays take the next ids and [`LoopBuilder::bind`] re-binds a
+    /// parent op's operands. Explicit edges added to it come before the
+    /// parent's, which [`LoopBuilder::finish`] appends: the order a
+    /// rebuild that re-adds the parent's edges last would give. This is
+    /// how the spiller appends spill code without rebuilding the loop.
+    pub fn extending(parent: &Loop) -> Self {
+        LoopBuilder {
+            name: parent.name.clone(),
+            ops: parent.ops.clone(),
+            deps: Vec::new(),
+            invariants: parent.invariants.clone(),
+            arrays: parent.arrays.clone(),
+            inherited_deps: parent.deps.clone(),
         }
     }
 
@@ -265,32 +288,39 @@ impl LoopBuilder {
     /// invariant (unconsumed values, zero-distance cycles, arity mismatches,
     /// ...), or a duplicate-name error if names collide.
     pub fn finish(self, weight: Weight) -> Result<Loop, BuildError> {
-        for (i, op) in self.ops.iter().enumerate() {
-            if self.ops[..i].iter().any(|o| o.name == op.name) {
-                return Err(BuildError::DuplicateOpName(op.name.clone()));
-            }
+        if let Some(name) = first_repeat(self.ops.iter().map(|op| op.name.as_str())) {
+            return Err(BuildError::DuplicateOpName(name.to_owned()));
         }
-        for (i, inv) in self.invariants.iter().enumerate() {
-            if self.invariants[..i].iter().any(|o| o.name == inv.name) {
-                return Err(BuildError::DuplicateInvariantName(inv.name.clone()));
-            }
+        if let Some(name) = first_repeat(self.invariants.iter().map(|inv| inv.name.as_str())) {
+            return Err(BuildError::DuplicateInvariantName(name.to_owned()));
         }
-        for (i, arr) in self.arrays.iter().enumerate() {
-            if self.arrays[..i].iter().any(|o| o.name == arr.name) {
-                return Err(BuildError::DuplicateArrayName(arr.name.clone()));
-            }
+        if let Some(name) = first_repeat(self.arrays.iter().map(|arr| arr.name.as_str())) {
+            return Err(BuildError::DuplicateArrayName(name.to_owned()));
         }
-        let l = Loop {
+        let mut deps = self.deps;
+        deps.extend(self.inherited_deps);
+        let mut l = Loop {
             name: self.name,
             ops: self.ops,
-            deps: self.deps,
+            deps,
             invariants: self.invariants,
             arrays: self.arrays,
             weight,
         };
+        // No spare capacity: a spill descent keeps every state's loop.
+        l.ops.shrink_to_fit();
+        l.deps.shrink_to_fit();
+        l.arrays.shrink_to_fit();
         validate(&l)?;
         Ok(l)
     }
+}
+
+/// The first name that an earlier name already took, found with one
+/// hash set.
+fn first_repeat<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> Option<&'a str> {
+    let mut seen = HashSet::with_capacity(names.len());
+    names.into_iter().find(|&name| !seen.insert(name))
 }
 
 #[cfg(test)]

@@ -89,6 +89,42 @@ pub struct Dep {
     pub dist: u32,
 }
 
+/// The consumer lists of every op of a loop in compressed sparse row
+/// form (see [`Loop::consumers`]): two flat arrays, indexed by op index,
+/// where `consumers[v]` is the slice of op `v`'s `(consumer, dist)` pairs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Consumers {
+    /// `off[v]..off[v + 1]` is op `v`'s range of `list`.
+    off: Vec<u32>,
+    list: Vec<(OpId, u32)>,
+}
+
+impl Consumers {
+    /// The number of ops.
+    pub fn len(&self) -> usize {
+        self.off.len().saturating_sub(1)
+    }
+
+    /// Whether there are no ops.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The consumer lists in op order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(OpId, u32)]> {
+        (0..self.len()).map(|v| &self[v])
+    }
+}
+
+impl std::ops::Index<usize> for Consumers {
+    type Output = [(OpId, u32)];
+
+    /// The `(consumer, dist)` pairs of the op with index `v`.
+    fn index(&self, v: usize) -> &[(OpId, u32)] {
+        &self.list[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+}
+
 /// Execution weight of a loop, used for the dynamic (cycle-weighted)
 /// figures. The paper measured these with the CONVEX CXpa profiler; we carry
 /// synthetic but deterministic weights (see `ncdrf-corpus`).
@@ -214,31 +250,49 @@ impl Loop {
         }
     }
 
-    /// The consumers of each op's value: for op `p`, a list of
+    /// The consumers of each op's value: for op `p`, `consumers[p]` lists
     /// `(consumer, dist)` pairs (one entry per *operand slot* that reads
-    /// `p`, so an op reading `p` twice appears twice).
-    pub fn consumers(&self) -> Vec<Vec<(OpId, u32)>> {
-        let mut cons = Vec::new();
+    /// `p`, so an op reading `p` twice appears twice), in consumer order
+    /// and, within a consumer, in operand order.
+    pub fn consumers(&self) -> Consumers {
+        let mut cons = Consumers::default();
         self.consumers_into(&mut cons);
         cons
     }
 
-    /// [`Loop::consumers`] into a caller-owned buffer: the outer vec is
-    /// resized to the op count and every inner vec is cleared (keeping
-    /// its capacity), so repeated calls on same-shaped loops allocate
-    /// nothing. Contents are identical to [`Loop::consumers`].
-    pub fn consumers_into(&self, out: &mut Vec<Vec<(OpId, u32)>>) {
-        for inner in out.iter_mut() {
-            inner.clear();
-        }
-        out.resize_with(self.ops.len(), Vec::new);
-        for (id, op) in self.iter_ops() {
+    /// [`Loop::consumers`] into a caller-owned buffer, reusing its two
+    /// arrays, so repeated calls on same-shaped loops allocate nothing.
+    /// Contents are identical to [`Loop::consumers`].
+    pub fn consumers_into(&self, out: &mut Consumers) {
+        let n = self.ops.len();
+        let off = &mut out.off;
+        off.clear();
+        off.resize(n + 1, 0);
+        for op in &self.ops {
             for input in &op.inputs {
-                if let ValueRef::Op { id: from, dist } = *input {
-                    out[from.index()].push((id, dist));
+                if let ValueRef::Op { id: from, .. } = *input {
+                    off[from.index() + 1] += 1;
                 }
             }
         }
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        out.list.clear();
+        out.list.resize(off[n] as usize, (OpId(0), 0));
+        // `off[v]` is v's write cursor during the fill and ends at v's
+        // end, the start of v + 1; the shift restores the starts.
+        for (id, op) in self.iter_ops() {
+            for input in &op.inputs {
+                if let ValueRef::Op { id: from, dist } = *input {
+                    let at = &mut off[from.index()];
+                    out.list[*at as usize] = (id, dist);
+                    *at += 1;
+                }
+            }
+        }
+        off.copy_within(0..n, 1);
+        off[0] = 0;
     }
 
     /// Register-operand reads per iteration: the [`ValueRef::Op`]

@@ -48,7 +48,7 @@ mod stats;
 mod validate;
 
 pub use builder::{BuildError, LoopBuilder};
-pub use graph::{ArrayDecl, ArrayRole, Dep, DepKind, Invariant, Loop, MemRef, Weight};
+pub use graph::{ArrayDecl, ArrayRole, Consumers, Dep, DepKind, Invariant, Loop, MemRef, Weight};
 pub use op::{ArrayId, InvId, Op, OpId, OpKind, ValueRef};
 pub use stats::LoopStats;
 pub use validate::ValidateError;

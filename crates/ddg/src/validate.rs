@@ -101,6 +101,8 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
     }
 
     let n = l.ops.len();
+    // Which ops some operand reads, for the dead-value check below.
+    let mut consumed = vec![false; n];
     for op in &l.ops {
         if op.inputs.len() != op.kind.arity() {
             return Err(ValidateError::Arity {
@@ -127,6 +129,7 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
                             op: op.name.clone(),
                         });
                     }
+                    consumed[id.index()] = true;
                 }
                 ValueRef::Inv(inv) => {
                     if inv.index() >= l.invariants.len() {
@@ -173,13 +176,15 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
     }
 
     // Dead values: every value-producing op must have at least one consumer.
-    let consumers = l.consumers();
-    for (id, op) in l.iter_ops() {
-        if op.kind.produces_value() && consumers[id.index()].is_empty() {
-            return Err(ValidateError::DeadValue {
-                op: op.name.clone(),
-            });
-        }
+    if let Some(op) = l
+        .ops
+        .iter()
+        .zip(&consumed)
+        .find_map(|(op, &used)| (op.kind.produces_value() && !used).then_some(op))
+    {
+        return Err(ValidateError::DeadValue {
+            op: op.name.clone(),
+        });
     }
 
     // Zero-distance cycles: DFS over edges with dist == 0.
@@ -193,14 +198,43 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
 }
 
 /// Returns the index of an op on a zero-distance cycle, if one exists.
+///
+/// The zero-distance edges go into a CSR by source whose buckets keep
+/// [`Loop::sched_edges`] order, so the search visits successors in that
+/// order and names the op it meets first.
 fn find_zero_distance_cycle(l: &Loop) -> Option<usize> {
     let n = l.ops.len();
-    let mut adj = vec![Vec::new(); n];
-    for (from, to, dist) in l.sched_edges() {
-        if dist == 0 {
-            adj[from.index()].push(to.index());
-        }
+    // Every zero-distance edge `(from, to)`, in `sched_edges` order.
+    let edges = || {
+        let flow = l.ops.iter().enumerate().flat_map(|(to, op)| {
+            op.inputs.iter().filter_map(move |input| match *input {
+                ValueRef::Op { id, dist: 0 } => Some((id.index(), to)),
+                _ => None,
+            })
+        });
+        let deps = l
+            .deps
+            .iter()
+            .filter(|dep| dep.dist == 0)
+            .map(|dep| (dep.from.index(), dep.to.index()));
+        flow.chain(deps)
+    };
+
+    let mut off = vec![0u32; n + 1];
+    for (from, _) in edges() {
+        off[from + 1] += 1;
     }
+    for v in 0..n {
+        off[v + 1] += off[v];
+    }
+    let mut adj = vec![0u32; off[n] as usize];
+    let mut cursor = off[..n].to_vec();
+    for (from, to) in edges() {
+        adj[cursor[from] as usize] = to as u32;
+        cursor[from] += 1;
+    }
+    let succs = |v: usize| &adj[off[v] as usize..off[v + 1] as usize];
+
     // Iterative three-color DFS.
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
@@ -209,15 +243,16 @@ fn find_zero_distance_cycle(l: &Loop) -> Option<usize> {
         Black,
     }
     let mut color = vec![Color::White; n];
+    let mut stack = Vec::new();
     for root in 0..n {
         if color[root] != Color::White {
             continue;
         }
-        let mut stack = vec![(root, 0usize)];
+        stack.push((root, 0usize));
         color[root] = Color::Gray;
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if *i < adj[v].len() {
-                let w = adj[v][*i];
+            if let Some(&w) = succs(v).get(*i) {
+                let w = w as usize;
                 *i += 1;
                 match color[w] {
                     Color::White => {
@@ -303,6 +338,105 @@ mod tests {
             b.finish(Weight::default()),
             Err(BuildError::Invalid(ValidateError::StoreConsumed { .. }))
         ));
+    }
+
+    /// Among several duplicated names, the error names the first op whose
+    /// name an earlier op already took: `Y` (op 2), not `X`, although `X`
+    /// is the first name that repeats.
+    #[test]
+    fn duplicate_op_name_names_the_first_repeat() {
+        let mut b = LoopBuilder::new("dups");
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let l0 = b.load("X", x, 0);
+        let l1 = b.load("Y", x, 1);
+        let l2 = b.load("Y", x, 2);
+        let l3 = b.load("X", x, 3);
+        let a = b.add("A", l0.now(), l1.now());
+        let c = b.add("C", l2.now(), l3.now());
+        let d = b.add("D", a.now(), c.now());
+        b.store("S", z, 0, d.now());
+        assert_eq!(
+            b.finish(Weight::default()),
+            Err(BuildError::DuplicateOpName("Y".into()))
+        );
+    }
+
+    /// Duplicate invariant and array names name their first repeat too.
+    #[test]
+    fn duplicate_invariant_and_array_names_name_the_first_repeat() {
+        let mut b = LoopBuilder::new("dups");
+        for name in ["p", "q", "q", "p"] {
+            b.invariant(name, 1.0);
+        }
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let l = b.load("L", x, 0);
+        b.store("S", z, 0, l.now());
+        assert_eq!(
+            b.finish(Weight::default()),
+            Err(BuildError::DuplicateInvariantName("q".into()))
+        );
+
+        let mut b = LoopBuilder::new("dups");
+        let x = b.array_in("x");
+        b.array_in("u");
+        b.array_out("u");
+        let z = b.array_out("x");
+        let l = b.load("L", x, 0);
+        b.store("S", z, 0, l.now());
+        assert_eq!(
+            b.finish(Weight::default()),
+            Err(BuildError::DuplicateArrayName("u".into()))
+        );
+    }
+
+    /// With several unconsumed values, the error names the first in op
+    /// order.
+    #[test]
+    fn dead_value_names_the_first_unconsumed_op() {
+        let mut b = LoopBuilder::new("dead2");
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let l = b.load("L", x, 0);
+        let m = b.load("M", x, 1);
+        b.add("D2", m.now(), l.now());
+        b.add("D1", l.now(), ValueRef::Const(1.0));
+        b.store("S", z, 0, l.now());
+        assert_eq!(
+            b.finish(Weight::default()),
+            Err(BuildError::Invalid(ValidateError::DeadValue {
+                op: "D2".into()
+            }))
+        );
+    }
+
+    /// With several zero-distance cycles (two through flow edges, one
+    /// through a memory dependence), the error names the op at which the
+    /// depth-first search over the edges in `sched_edges` order first
+    /// meets a grey op.
+    #[test]
+    fn zero_distance_cycle_names_the_op_the_search_meets_first() {
+        let mut b = LoopBuilder::new("cycles");
+        let x = b.array_inout("x");
+        let z = b.array_out("z");
+        let l = b.load("L", x, -1);
+        let c = b.reserve_add("C");
+        let d = b.add("D", c.now(), l.now());
+        b.bind(c, [d.now(), ValueRef::Const(1.0)]);
+        let a = b.reserve_mul("A");
+        let e = b.mul("E", a.now(), ValueRef::Const(2.0));
+        b.bind(a, [e.now(), l.now()]);
+        let s = b.store("S", x, 0, a.now());
+        b.store("T", z, 0, d.now());
+        // S -> L at distance 0 closes L -> A -> S -> L.
+        b.mem_dep(s, l, 0);
+        assert_eq!(
+            b.finish(Weight::default()),
+            Err(BuildError::Invalid(ValidateError::ZeroDistanceCycle {
+                op: "D".into()
+            }))
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Value lifetimes and the MaxLive lower bound.
 
-use ncdrf_ddg::{Loop, OpId};
+use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_sched::Schedule;
 use serde::{Deserialize, Serialize};
@@ -72,7 +72,7 @@ pub fn lifetimes_into(
     l: &Loop,
     machine: &Machine,
     sched: &Schedule,
-    consumers: &[Vec<(OpId, u32)>],
+    consumers: &Consumers,
     out: &mut Vec<Lifetime>,
 ) -> Result<(), MachineError> {
     let ii = sched.ii();

@@ -171,9 +171,8 @@ pub fn single_use_fraction(l: &Loop, lifetimes: &[Lifetime]) -> f64 {
 
 /// A reference to the consuming op of a value — helper for tests.
 pub fn sole_consumer(l: &Loop, op: OpId) -> Option<OpId> {
-    let cons = &l.consumers()[op.index()];
-    match cons.as_slice() {
-        [(c, _)] => Some(*c),
+    match l.consumers()[op.index()] {
+        [(c, _)] => Some(c),
         _ => None,
     }
 }

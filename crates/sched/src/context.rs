@@ -8,11 +8,13 @@
 //! [`PreparedLoop`] and attempts each II on that.
 //!
 //! All scheduling state — the modulo reservation table, CSR
-//! predecessor/successor lists, heights, start/instance arrays and the
-//! priority heap — lives in flat, `u32`-indexed buffers owned by the
-//! context. Every call rebuilds that state from the loop it is given, so
-//! a reused context computes exactly what a fresh one does and, once its
-//! buffers are sized, allocates nothing per II attempt.
+//! predecessor/successor lists, heights, start/instance arrays, the
+//! priority heap and the scratch of the II lower bounds, which
+//! [`SchedContext::schedule`] reads off the same CSR — lives in flat,
+//! `u32`-indexed buffers owned by the context. Every call rebuilds that
+//! state from the loop it is given, so a reused context computes exactly
+//! what a fresh one does and, once its buffers are sized, allocates
+//! nothing per II attempt.
 //!
 //! # Flat attempts
 //!
@@ -42,7 +44,7 @@
 //! [`schedule_at_ii`]: crate::schedule_at_ii
 
 use crate::ims::{ScheduleError, SchedulerOptions};
-use crate::mii::mii;
+use crate::mii::{Graph, MiiInfo, RecScratch};
 use crate::schedule::Schedule;
 use crate::Priority;
 use ncdrf_ddg::{Loop, OpId};
@@ -95,6 +97,9 @@ pub struct SchedContext {
     /// Heights over the zero-distance edges alone: the floor every
     /// II's heights reach as II grows.
     h0: Vec<i64>,
+    // II lower-bound scratch.
+    per_group: Vec<u32>,
+    rec: RecScratch,
     // Per-attempt scratch.
     height: Vec<i64>,
     /// Whether the last attempt evicted an op.
@@ -130,19 +135,12 @@ impl SchedContext {
         machine: &Machine,
         opts: SchedulerOptions,
     ) -> Result<Schedule, ScheduleError> {
-        let info = mii(l, machine)?;
-        let seq_len: u32 = l
-            .ops()
-            .iter()
-            .map(|op| machine.latency(op.kind()).unwrap_or(1))
-            .sum::<u32>()
-            + idx32(l.ops().len())
-            + 1;
+        let info = self.mii(l, machine)?;
+        let seq_len: u32 = self.lat.iter().sum::<u32>() + idx32(l.ops().len()) + 1;
         let max_ii = match opts.max_ii {
             Some(cap) => cap,
             None => seq_len.max(info.mii),
         };
-        self.analyze(l, machine)?;
         for ii in info.mii..=max_ii {
             if self.attempt(ii, opts) {
                 return Ok(self.commit(l, machine, ii));
@@ -176,6 +174,27 @@ impl SchedContext {
         assert!(ii > 0, "II must be positive");
         self.analyze(l, machine)?;
         Ok(self.attempt(ii, opts).then(|| self.commit(l, machine, ii)))
+    }
+
+    /// Analyses `l` into the arenas and returns its II lower bounds,
+    /// read off the analysed graph (see [`crate::mii`]).
+    pub(crate) fn mii(&mut self, l: &Loop, machine: &Machine) -> Result<MiiInfo, MachineError> {
+        self.analyze(l, machine)?;
+        let g = Graph {
+            group: &self.group,
+            units: &self.mrt_cnt,
+            lat: &self.lat,
+            edges: &self.edges,
+            succ_off: &self.succ_off,
+            succ_edge: &self.succ_edge,
+        };
+        let res = g.res_mii(&mut self.per_group);
+        let rec = g.rec_mii(&mut self.rec);
+        Ok(MiiInfo {
+            res,
+            rec,
+            mii: res.max(rec).max(1),
+        })
     }
 
     /// Builds per-op groups/latencies, the flat edge list, the CSR
@@ -564,6 +583,7 @@ impl<'a> PreparedLoop<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mii::mii;
     use ncdrf_ddg::{LoopBuilder, ValueRef, Weight};
 
     fn chain(n_mults: usize) -> Loop {

@@ -6,8 +6,11 @@
 //! reservation table* of II rows. This crate implements:
 //!
 //! * the **lower bounds** on the II — [`res_mii`] (resource-constrained)
-//!   and [`rec_mii`] (recurrence-constrained, via positive-cycle detection
-//!   on the dependence graph) — combined by [`mii`];
+//!   and [`rec_mii`] (recurrence-constrained: per strongly connected
+//!   component of the dependence graph, in closed form for a one-op
+//!   component and by positive-cycle detection otherwise) — combined by
+//!   [`mii`], which [`SchedContext`] reads off the graph it analyses for
+//!   scheduling;
 //! * **iterative modulo scheduling** ([`modulo_schedule`],
 //!   [`schedule_at_ii`]) following Rau's IMS: height-based priorities,
 //!   earliest-start windows of II slots, budgeted eviction, and II escalation

@@ -1,6 +1,6 @@
 //! Dependence-graph rewriting: inserting spill code for one value.
 
-use ncdrf_ddg::{BuildError, Loop, LoopBuilder, OpId, OpKind, ValueRef};
+use ncdrf_ddg::{BuildError, Loop, LoopBuilder, OpId, ValueRef};
 
 /// Statistics of one spill rewrite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,49 +61,11 @@ pub(crate) fn rewrite(
         vop.name()
     );
 
-    let mut b = LoopBuilder::new(l.name());
-
-    // Re-declare invariants and arrays, preserving ids.
-    for inv in l.invariants() {
-        b.invariant(inv.name(), inv.value());
-    }
-    for arr in l.arrays() {
-        match arr.role() {
-            ncdrf_ddg::ArrayRole::Input => b.array_in(arr.name()),
-            ncdrf_ddg::ArrayRole::Output => b.array_out(arr.name()),
-            ncdrf_ddg::ArrayRole::InOut => b.array_inout(arr.name()),
-        };
-    }
-    // The spill slot array. Spill arrays are written then read, at
-    // distances >= 0: InOut.
+    // Append to the parent: its ops, invariants and arrays keep their ids,
+    // and its explicit edges follow the memory dependences added here.
+    // The spill slot array is written then read, at distances >= 0: InOut.
+    let mut b = LoopBuilder::extending(l);
     let slot = b.array_inout(format!("spill.{}", vop.name()));
-
-    // Recreate every original op with its original inputs (patched below),
-    // preserving ids. Reserve-then-bind handles recurrences uniformly.
-    for (_, op) in l.iter_ops() {
-        let id = match op.kind() {
-            OpKind::FpAdd => b.reserve_add(op.name()),
-            OpKind::FpSub => b.reserve_sub(op.name()),
-            OpKind::FpMul => b.reserve_mul(op.name()),
-            OpKind::FpDiv => b.reserve_div(op.name()),
-            OpKind::Conv => {
-                let id = b.conv(op.name(), ValueRef::Const(0.0));
-                b.bind(id, []); // operands patched below
-                id
-            }
-            OpKind::Load => {
-                let mem = op.mem().expect("loads carry a memory reference");
-                b.load(op.name(), mem.array, mem.offset)
-            }
-            OpKind::Store => {
-                let mem = op.mem().expect("stores carry a memory reference");
-                let id = b.store(op.name(), mem.array, mem.offset, ValueRef::Const(0.0));
-                b.bind(id, []); // operand patched below
-                id
-            }
-        };
-        b.set_init(id, op.init());
-    }
 
     // The spill store, fed by the victim's value in the same iteration.
     let spill_store = b.store(format!("SS.{}", vop.name()), slot, 0, victim.now());
@@ -111,6 +73,11 @@ pub(crate) fn rewrite(
 
     // Patch consumers: each op that read the victim gets reload(s).
     for (id, op) in l.iter_ops() {
+        let reads_victim =
+            |input: &ValueRef| matches!(*input, ValueRef::Op { id, .. } if id == victim);
+        if !op.inputs().iter().any(reads_victim) {
+            continue;
+        }
         let mut inputs: Vec<ValueRef> = op.inputs().to_vec();
         let mut reload_for_dist: Vec<(u32, OpId)> = Vec::new();
         for input in inputs.iter_mut() {
@@ -136,14 +103,6 @@ pub(crate) fn rewrite(
             *input = reload.now();
         }
         b.bind(id, inputs);
-    }
-
-    // Carry over explicit dependence edges (ids are unchanged).
-    for dep in l.deps() {
-        match dep.kind {
-            ncdrf_ddg::DepKind::Mem => b.mem_dep(dep.from, dep.to, dep.dist),
-            ncdrf_ddg::DepKind::Order => b.order_dep(dep.from, dep.to, dep.dist),
-        }
     }
 
     let stats = RewriteStats {

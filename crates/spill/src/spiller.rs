@@ -3,7 +3,7 @@
 use crate::descent::DescentTree;
 use crate::escalation::{EscalationLadder, SpillTally};
 use crate::rewrite::rewrite;
-use ncdrf_ddg::{Loop, OpId};
+use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{lifetimes, lifetimes_into, Lifetime};
 use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError, SchedulerOptions};
@@ -360,7 +360,7 @@ impl Exclusion {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct VictimScratch {
     lts: Vec<Lifetime>,
-    consumers: Vec<Vec<(OpId, u32)>>,
+    consumers: Consumers,
     candidates: Vec<u32>,
 }
 

@@ -51,7 +51,7 @@
 
 #![warn(missing_docs)]
 
-use ncdrf_ddg::{Loop, OpId};
+use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{ClusterId, Machine, MachineError, UnitRef};
 use ncdrf_regalloc::{allocate_dual, lifetimes, max_live_subset, Lifetime, ValueClass};
 use ncdrf_sched::Schedule;
@@ -225,7 +225,7 @@ pub fn swap_pass_with(
 /// hypothetical assignments without mutating the schedule.
 pub fn classify_with_clusters(
     lifetimes: &[Lifetime],
-    consumers: &[Vec<(OpId, u32)>],
+    consumers: &Consumers,
     clusters: &[ClusterId],
 ) -> Vec<ValueClass> {
     lifetimes
@@ -271,7 +271,7 @@ impl BoundScorer {
     fn new(
         l: &Loop,
         lts: &[Lifetime],
-        consumers: &[Vec<(OpId, u32)>],
+        consumers: &Consumers,
         clusters: &[ClusterId],
         ii: u32,
     ) -> Self {
@@ -327,7 +327,7 @@ impl BoundScorer {
     fn class_changes(
         &self,
         lts: &[Lifetime],
-        consumers: &[Vec<(OpId, u32)>],
+        consumers: &Consumers,
         clusters: &[ClusterId],
         changed_ops: &[usize],
     ) -> Vec<(usize, ValueClass, ValueClass)> {
@@ -352,7 +352,7 @@ impl BoundScorer {
     fn score_candidate(
         &mut self,
         lts: &[Lifetime],
-        consumers: &[Vec<(OpId, u32)>],
+        consumers: &Consumers,
         clusters: &[ClusterId],
         changed_ops: &[usize],
     ) -> u32 {
@@ -374,7 +374,7 @@ impl BoundScorer {
     fn commit(
         &mut self,
         lts: &[Lifetime],
-        consumers: &[Vec<(OpId, u32)>],
+        consumers: &Consumers,
         clusters: &[ClusterId],
         changed_ops: &[usize],
     ) {
@@ -403,7 +403,7 @@ fn cluster_vec(l: &Loop, machine: &Machine, sched: &Schedule) -> Vec<ClusterId> 
 
 fn score_from(
     lts: &[Lifetime],
-    consumers: &[Vec<(OpId, u32)>],
+    consumers: &Consumers,
     clusters: &[ClusterId],
     ii: u32,
     scoring: Scoring,
@@ -433,7 +433,7 @@ fn best_candidate(
     machine: &Machine,
     sched: &Schedule,
     lts: &[Lifetime],
-    consumers: &[Vec<(OpId, u32)>],
+    consumers: &Consumers,
     clusters: &[ClusterId],
     current: u32,
     opts: SwapOptions,
