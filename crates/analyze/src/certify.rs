@@ -19,8 +19,8 @@
 
 use ncdrf::corpus::Corpus;
 use ncdrf::{
-    default_points, scan_artifacts, ArtifactError, CellFault, ModelId, Render, ReportFormat, Sweep,
-    SweepReport, PAPER_FINITE_MODELS, PAPER_MODELS, TABLE1_POINTS,
+    scan_artifacts, ArtifactError, CellFault, Render, ReportFormat, Sweep, SweepReport,
+    PAPER_MODELS,
 };
 use ncdrf_certify::ScheduleCertifier;
 use std::path::{Path, PathBuf};
@@ -118,18 +118,13 @@ pub fn certify_golden(dir: &Path) -> Vec<GoldenCheck> {
     let text: &dyn Fn(&SweepReport) -> String = &|r| r.render(ReportFormat::Text);
     let table1_text: &dyn Fn(&SweepReport) -> String = &|r| r.table1().render(ReportFormat::Text);
 
-    check_report(
-        dir,
-        certified(
-            Sweep::new(&corpus)
-                .clustered_latencies([3, 6])
-                .models(PAPER_FINITE_MODELS)
-                .points(default_points()),
-        )
-        .run_sequential(),
-        &[("fig67.json", json)],
-        &mut out,
-    );
+    // The fig6/7, Table 1 and `extended` fixtures pin their presets; the
+    // fig8/9 fixture's 64/48/32/16 ladder is not a preset.
+    let preset = |grid: &str| match ncdrf::preset_sweep(&corpus, grid) {
+        Some(sweep) => certified(sweep).run_sequential().map_err(|e| e.to_string()),
+        None => Err(format!("unknown preset `{grid}`")),
+    };
+    check_report(dir, preset("fig67"), &[("fig67.json", json)], &mut out);
     check_report(
         dir,
         certified(
@@ -144,23 +139,13 @@ pub fn certify_golden(dir: &Path) -> Vec<GoldenCheck> {
     );
     check_report(
         dir,
-        certified(
-            Sweep::new(&corpus)
-                .pxly_configs([(1, 3), (2, 3), (1, 6), (2, 6)])
-                .models([ModelId::UNIFIED])
-                .points(TABLE1_POINTS),
-        )
-        .run_sequential(),
+        preset("table1"),
         &[("table1.json", json), ("table1.txt", table1_text)],
         &mut out,
     );
-    let extended = match ncdrf::preset_sweep(&corpus, "extended") {
-        Some(sweep) => certified(sweep).run_sequential().map_err(|e| e.to_string()),
-        None => Err("unknown preset `extended`".to_owned()),
-    };
     check_report(
         dir,
-        extended,
+        preset("extended"),
         &[("extended.json", json), ("extended.txt", text)],
         &mut out,
     );

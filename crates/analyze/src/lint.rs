@@ -980,7 +980,7 @@ mod tests {
     #[test]
     fn model_name_literals_are_flagged_outside_the_registry() {
         let src = "fn pick() -> &'static str { \"port-limited\" }";
-        let found = lint_source("crates/experiments/src/bin/fig8.rs", src);
+        let found = lint_source("crates/experiments/src/bin/shard_runner.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "model-name-literal");
         assert!(found[0].detail.contains("port-limited"));

@@ -1,9 +1,12 @@
 //! Shared helpers for the Criterion benchmark suite.
 //!
-//! The benches mirror the experiment binaries one-to-one (`table1`,
-//! `fig67`, `fig89`) plus micro-benchmarks of the individual passes and
-//! the ablation studies listed in `DESIGN.md` §5. They run on reduced
-//! corpora so a full `cargo bench` stays in the minutes range.
+//! The benches cover the §4 worked example (`example_loop`),
+//! micro-benchmarks of the individual passes (`micro`) and the design
+//! ablations (`ablation_*`: scheduling priority, allocation fit, spill
+//! victim policy, swap scoring), which print what each variant reaches
+//! (registers, spill counts, IIs). They run on reduced corpora so a full
+//! `cargo bench` stays in the minutes range. The paper's figure grids
+//! are timed end to end by `perfbench`, not here.
 
 use ncdrf::corpus::Corpus;
 

@@ -1,20 +1,18 @@
-//! Shared plumbing for the experiment binaries (one per paper
-//! table/figure).
+//! Shared plumbing for the experiment binaries. The paper's Figures 6–9
+//! and Table 1 are drawn by `shard_runner render`; the other binaries
+//! cover the worked example, the related-work comparison and the
+//! extension studies.
 //!
-//! Every binary accepts:
+//! Every binary built on [`Cli`] accepts exactly:
 //!
 //! * `--standard` — run on the full 795-loop corpus (minutes in release
 //!   mode); the default is the fast `small` corpus (~100 loops), which
 //!   already reproduces every qualitative shape;
-//! * `--out <dir>` — where to write CSV results (default `results/`);
-//! * `--shard <i>/<n>` — evaluate only shard `i` of `n` of the figure's
-//!   `(machine, loop)` grid and write a mergeable JSON artifact instead
-//!   of rendering the figure (see [`run_or_shard`] and the `shard_runner`
-//!   binary, which merges such artifacts and can verify them against an
-//!   unsharded sequential run).
+//! * `--out <dir>` — where to write CSV results (default `results/`).
+//!
+//! Any other argument is a usage error (exit 2).
 
 use ncdrf::corpus::Corpus;
-use ncdrf::{PartialSweep, Render, ReportFormat, Sweep};
 use std::path::PathBuf;
 
 /// Parsed common command-line options.
@@ -24,8 +22,6 @@ pub struct Cli {
     pub corpus: Corpus,
     /// Output directory for CSV results (default `results/`).
     pub out: PathBuf,
-    /// `--shard i/n`: run only that shard of the experiment grid.
-    pub shard: Option<(u32, u32)>,
 }
 
 /// Parses `"i/n"` into a shard spec.
@@ -43,30 +39,29 @@ pub fn parse_shard_spec(spec: &str) -> Result<(u32, u32), String> {
 }
 
 impl Cli {
-    /// Parses `std::env::args`, exiting with a usage message on a
-    /// malformed `--shard` spec.
+    /// Parses `std::env::args`, exiting 2 with a usage message on an
+    /// unknown argument or a `--out` without a value.
     pub fn parse() -> Cli {
-        let args: Vec<String> = std::env::args().collect();
-        let corpus = if args.iter().any(|a| a == "--standard") {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let mut standard = false;
+        let mut out = PathBuf::from("results");
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--standard" => standard = true,
+                "--out" => match args.next() {
+                    Some(dir) => out = PathBuf::from(dir),
+                    None => usage_error(&program, "`--out` needs a directory"),
+                },
+                other => usage_error(&program, &format!("unknown argument `{other}`")),
+            }
+        }
+        let corpus = if standard {
             Corpus::standard()
         } else {
             Corpus::small()
         };
-        let flag_value = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-        };
-        let out = flag_value("--out")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results"));
-        let shard = flag_value("--shard").map(|spec| {
-            parse_shard_spec(spec).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            })
-        });
-        Cli { corpus, out, shard }
+        Cli { corpus, out }
     }
 
     /// Writes `contents` to `<out>/<name>`, creating the directory.
@@ -82,6 +77,12 @@ impl Cli {
     }
 }
 
+fn usage_error(program: &str, message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("usage: {program} [--standard] [--out DIR]");
+    std::process::exit(2);
+}
+
 /// Banner line identifying a run.
 pub fn banner(what: &str, cli: &Cli) {
     println!(
@@ -89,34 +90,4 @@ pub fn banner(what: &str, cli: &Cli) {
         cli.corpus.name(),
         cli.corpus.len()
     );
-}
-
-/// Runs `sweep` the way the CLI asked: fault-tolerantly in-process
-/// (returns the partial result; skipped pairs already reported on
-/// stderr), or — under `--shard i/n` — evaluates only that shard, writes
-/// `<stem>.shard-<i>-of-<n>.json` to the output directory and returns
-/// `None` (the caller renders nothing; `shard_runner merge` reassembles
-/// the figure from all `n` artifacts).
-pub fn run_or_shard(cli: &Cli, sweep: &Sweep<'_>, stem: &str) -> Option<PartialSweep> {
-    match cli.shard {
-        None => {
-            let partial = sweep.run_partial();
-            for e in &partial.errors {
-                eprintln!("[skipped] {e}");
-            }
-            Some(partial)
-        }
-        Some((index, count)) => {
-            let shard = sweep.shard(index, count).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            println!("{}", shard.render(ReportFormat::Text));
-            cli.write(
-                &format!("{stem}.shard-{index}-of-{count}.json"),
-                &shard.render(ReportFormat::Json),
-            );
-            None
-        }
-    }
 }

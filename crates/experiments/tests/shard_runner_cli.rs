@@ -1,5 +1,6 @@
 //! `shard_runner` CLI contract: the run → (inject) → merge → reissue →
-//! merge-verify pipeline across real processes and files, and the exit
+//! merge-verify pipeline across real processes and files, the figures
+//! `render` draws (pinned under `tests/figures/`), and the exit
 //! codes schedulers key on — `0` ok, `1` verification mismatch, `2`
 //! usage error, `3` bad artifact. A parse failure must *not* exit
 //! through the usage path: a retrying scheduler treats 2 as "operator
@@ -48,6 +49,10 @@ fn usage_errors_exit_2() {
         &["merge"][..],
         &["merge", "--bogus-flag", "x.json"][..],
         &["reissue"][..],
+        &["render"][..],
+        &["render", "--grid", "full"][..],
+        &["render", "--grid", "fig67", "--bogus-flag"][..],
+        &["render", "--grid", "fig89", "--standard", "x.json"][..],
     ] {
         let out = run_in(&dir, args);
         assert_eq!(code(&out), 2, "args {args:?}: {}", stderr(&out));
@@ -73,6 +78,78 @@ fn bad_artifacts_exit_3() {
     // Reissue inherits the same artifact discipline.
     let out = run_in(&dir, &["reissue", "--from", "garbage.json"]);
     assert_eq!(code(&out), 3, "{}", stderr(&out));
+    // A valid artifact set whose grid is not the named figure preset.
+    let out = run_in(
+        &dir,
+        &[
+            "run", "--grid", "extended", "--shard", "0/1", "--take", "2", "--out", "ext.json",
+        ],
+    );
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    for grid in ["fig67", "fig89", "table1"] {
+        let out = run_in(&dir, &["render", "--grid", grid, "ext.json"]);
+        assert_eq!(code(&out), 3, "{grid}: {}", stderr(&out));
+        assert!(stderr(&out).contains("preset"), "{}", stderr(&out));
+    }
+}
+
+/// The figures `render` must reproduce: per preset, the stdout of the
+/// figures it draws (without `[wrote …]` lines) and its one CSV, on the
+/// `small` corpus.
+fn figure_fixture(grid: &str) -> (String, String) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/figures");
+    let read = |name: &str| {
+        std::fs::read_to_string(dir.join(name))
+            .unwrap_or_else(|e| panic!("figure fixture `{name}`: {e}"))
+    };
+    let figures: &[&str] = match grid {
+        "fig67" => &["fig6.txt", "fig7.txt"],
+        "fig89" => &["fig8.txt", "fig9.txt"],
+        _ => &["table1.txt"],
+    };
+    let stdout = figures.iter().map(|f| read(f)).collect();
+    (stdout, read(&format!("{grid}.csv")))
+}
+
+/// Runs `render` in `dir` and checks its stdout and CSV against the
+/// preset's figure fixture.
+fn assert_renders_fixture(dir: &Path, grid: &str, files: &[&str]) {
+    let (stdout, csv) = figure_fixture(grid);
+    let mut args = vec!["render", "--grid", grid, "--out", "figs"];
+    args.extend_from_slice(files);
+    let out = run_in(dir, &args);
+    assert_eq!(code(&out), 0, "{grid} {files:?}: {}", stderr(&out));
+    assert_eq!(stderr(&out), "", "{grid} {files:?}: skipped pairs");
+    let printed = String::from_utf8_lossy(&out.stdout);
+    let (wrote, figures): (Vec<&str>, Vec<&str>) = printed
+        .split_inclusive('\n')
+        .partition(|line| line.starts_with("[wrote "));
+    assert_eq!(figures.concat(), stdout, "{grid} {files:?}: stdout drifted");
+    assert_eq!(wrote.len(), 1, "{grid} {files:?}: {wrote:?}");
+    let written = std::fs::read_to_string(dir.join("figs").join(format!("{grid}.csv")))
+        .expect("render wrote the preset's CSV");
+    assert_eq!(written, csv, "{grid} {files:?}: CSV drifted");
+}
+
+/// `render` draws Figures 6–9 and Table 1 byte for byte as the fixtures
+/// pin them — run in process, and merged from a 2-way artifact set.
+#[test]
+fn render_reproduces_the_figure_fixtures() {
+    let dir = scratch("render");
+    for grid in ["fig67", "fig89", "table1"] {
+        assert_renders_fixture(&dir, grid, &[]);
+        let shards: Vec<String> = (0..2).map(|i| format!("{grid}-{i}.json")).collect();
+        for (i, file) in shards.iter().enumerate() {
+            let spec = format!("{i}/2");
+            let out = run_in(
+                &dir,
+                &["run", "--grid", grid, "--shard", &spec, "--out", file],
+            );
+            assert_eq!(code(&out), 0, "{grid} shard {i}: {}", stderr(&out));
+        }
+        let files: Vec<&str> = shards.iter().map(String::as_str).collect();
+        assert_renders_fixture(&dir, grid, &files);
+    }
 }
 
 /// One real artifact, duplicated into a merge: a *valid* artifact in an

@@ -19,10 +19,7 @@
 //! and review the fixture diff like any other code change.
 
 use ncdrf::corpus::Corpus;
-use ncdrf::{
-    default_points, ModelId, Render, ReportFormat, Sweep, SweepReport, PAPER_FINITE_MODELS,
-    PAPER_MODELS, TABLE1_POINTS,
-};
+use ncdrf::{Render, ReportFormat, Sweep, SweepReport, PAPER_MODELS};
 use std::path::PathBuf;
 
 /// The corpus slice the fixtures pin. Small enough to keep artifacts
@@ -73,17 +70,16 @@ fn rendered(sweep: &Sweep<'_>, render: impl Fn(&SweepReport) -> String) -> Strin
 }
 
 /// Figures 6/7: cumulative register-requirement distributions on the
-/// clustered machines (finite models, no spilling).
+/// clustered machines (finite models, no spilling) — the `fig67` preset,
+/// so a change to the preset moves this fixture.
 fn fig67(corpus: &Corpus) -> Sweep<'_> {
-    Sweep::new(corpus)
-        .clustered_latencies([3, 6])
-        .models(PAPER_FINITE_MODELS)
-        .points(default_points())
+    ncdrf::preset_sweep(corpus, "fig67").unwrap()
 }
 
 /// Figures 8/9: performance and traffic density under finite files —
 /// the grid trajectory continuation rewires, pinned across a descending
-/// budget ladder that includes the paper's 64/32 points.
+/// budget ladder that includes the paper's 64/32 points. The ladder is
+/// not the `fig89` preset's (64/32 only), so this grid is built here.
 fn fig89(corpus: &Corpus) -> Sweep<'_> {
     Sweep::new(corpus)
         .clustered_latencies([3, 6])
@@ -91,12 +87,10 @@ fn fig89(corpus: &Corpus) -> Sweep<'_> {
         .budgets([64, 48, 32, 16])
 }
 
-/// Table 1: allocatable percentages on the unified PxLy machines.
+/// Table 1: allocatable percentages on the unified PxLy machines — the
+/// `table1` preset.
 fn table1(corpus: &Corpus) -> Sweep<'_> {
-    Sweep::new(corpus)
-        .pxly_configs([(1, 3), (2, 3), (1, 6), (2, 6)])
-        .models([ModelId::UNIFIED])
-        .points(TABLE1_POINTS)
+    ncdrf::preset_sweep(corpus, "table1").unwrap()
 }
 
 /// The `extended` preset: the registry's non-paper built-ins
