@@ -11,14 +11,15 @@ use crate::model::{ModelId, ModelSpec, RequirementCtx};
 use ncdrf_ddg::Loop;
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{
-    allocate_dual, allocate_unified, classify, lifetimes, max_live, DualPressure, Lifetime,
+    allocate_dual_in, allocate_unified_in, classify, classify_from, lifetimes, max_live,
+    DualPressure, FitPolicy, Lifetime,
 };
 use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError};
 use ncdrf_spill::{
-    spill_until_fits, ClassKey, ClassRequirement, Requirement, SpillError, SpillOptions,
-    SpillResult,
+    spill_until_fits, ClassInput, ClassKey, ClassRequirement, Requirement, ScheduleFacts,
+    SpillError, SpillOptions, SpillResult,
 };
-use ncdrf_swap::{swap_pass_with, SwapOptions};
+use ncdrf_swap::{swap_pass_on, SwapOptions};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -324,56 +325,18 @@ pub fn requirement(
     model: ModelId,
     opts: &PipelineOptions,
 ) -> Result<u32, MachineError> {
-    let spec = model.spec();
-    if spec.is_ideal() {
+    let mut req = ModelRequirement::new(model, opts);
+    if req.spec.is_ideal() {
         return Ok(0);
     }
-    if spec.swaps() {
-        swap_pass_with(l, machine, sched, opts.swap)?;
+    let (consumers, facts) = (l.consumers(), ScheduleFacts::default());
+    let shared = Arc::new(sched.clone());
+    let class = req.allocate(&ClassInput::new(l, machine, &shared, &consumers, &facts))?;
+    let regs = req.effective(l, &class);
+    if !Arc::ptr_eq(&class.sched, &shared) {
+        *sched = Arc::unwrap_or_clone(class.sched);
     }
-    let (lifetimes, raw) = allocate_class(l, machine, sched, spec.is_dual())?;
-    Ok(effective(&*spec, l, sched.ii(), raw, &lifetimes))
-}
-
-/// The class part of a requirement after any swap pass: the lifetimes of
-/// `sched` and the raw unified or dual allocation.
-fn allocate_class(
-    l: &Loop,
-    machine: &Machine,
-    sched: &Schedule,
-    dual: bool,
-) -> Result<(Vec<Lifetime>, u32), MachineError> {
-    let lts = lifetimes(l, machine, sched)?;
-    let raw = allocate_raw(l, machine, sched, &lts, dual);
-    Ok((lts, raw))
-}
-
-/// The raw unified or dual allocation of `lts`, the lifetimes of `sched`.
-fn allocate_raw(
-    l: &Loop,
-    machine: &Machine,
-    sched: &Schedule,
-    lts: &[Lifetime],
-    dual: bool,
-) -> u32 {
-    if dual {
-        let classes = classify(l, machine, sched, lts);
-        allocate_dual(lts, &classes, sched.ii()).regs
-    } else {
-        allocate_unified(lts, sched.ii()).regs
-    }
-}
-
-/// Where [`allocate_raw`]'s First-Fit search starts, so a lower bound on
-/// it: MaxLive on the unified file, the larger subfile pressure on the
-/// dual one.
-fn class_bound(l: &Loop, machine: &Machine, sched: &Schedule, lts: &[Lifetime], dual: bool) -> u32 {
-    if dual {
-        let classes = classify(l, machine, sched, lts);
-        DualPressure::new(lts, &classes, sched.ii()).requirement_bound()
-    } else {
-        max_live(lts, sched.ii())
-    }
+    Ok(regs)
 }
 
 /// The per-model hook: the model's effective requirement from a raw one.
@@ -382,11 +345,12 @@ fn effective(spec: &dyn ModelSpec, l: &Loop, ii: u32, raw: u32, lifetimes: &[Lif
 }
 
 /// The requirement of one model, split for the spill descent: the class
-/// part (swap pass, lifetimes, unified or dual allocation) is memoised
-/// per descent state and shared by every model of the same class, and
-/// the model's [`ModelSpec::effective_requirement`] hook runs on top.
-/// Equal to [`requirement`] on every schedule. The non-swapping classes
-/// also have a class lower bound, which lets an escalation ladder skip
+/// part (swap pass, unified or dual allocation, on the schedule's shared
+/// lifetimes and placement order) is memoised per descent state and
+/// shared by every model of the same class, and the model's
+/// [`ModelSpec::effective_requirement`] hook runs on top. [`requirement`]
+/// is this on a one-off [`ClassInput`]. The non-swapping classes also
+/// have a class lower bound, which lets an escalation ladder skip
 /// allocating rungs that cannot fit.
 pub struct ModelRequirement {
     spec: Arc<dyn ModelSpec>,
@@ -413,27 +377,32 @@ impl Requirement for ModelRequirement {
             .then(|| ClassKey(u32::from(spec.swaps()) << 1 | u32::from(spec.is_dual())))
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
         if self.spec.is_ideal() {
             return Ok(ClassRequirement {
-                sched: Arc::clone(sched),
-                lifetimes: Vec::new(),
+                sched: Arc::clone(input.sched),
+                lifetimes: Arc::new([]),
                 raw: 0,
             });
         }
+        let lifetimes = input.lifetimes()?;
         let sched = if self.spec.swaps() {
-            let mut swapped = Schedule::clone(sched);
-            swap_pass_with(l, machine, &mut swapped, self.swap)?;
+            let (mut swapped, swap) = (Schedule::clone(input.sched), self.swap);
+            let (l, machine, consumers) = (input.l, input.machine, input.consumers);
+            swap_pass_on(l, machine, &mut swapped, swap, &lifetimes, consumers);
             Arc::new(swapped)
         } else {
-            Arc::clone(sched)
+            Arc::clone(input.sched)
         };
-        let (lifetimes, raw) = allocate_class(l, machine, &sched, self.spec.is_dual())?;
+        // The swap pass moves no lifetime, so the placement order of the
+        // input schedule is that of the swapped one.
+        let order = input.order()?;
+        let raw = if self.spec.is_dual() {
+            let classes = classify_from(input.consumers, input.machine, &sched, &lifetimes);
+            allocate_dual_in(&order, &lifetimes, &classes).regs
+        } else {
+            allocate_unified_in(&order, &lifetimes, FitPolicy::FirstFit).regs
+        };
         Ok(ClassRequirement {
             sched,
             lifetimes,
@@ -455,41 +424,25 @@ impl Requirement for ModelRequirement {
     }
 
     /// Where the allocator's search starts, on the lifetimes `allocate`
-    /// computes: MaxLive on the unified file, the larger subfile
-    /// pressure on the dual one. The swapping classes, whose cost is the
-    /// swap pass itself, and the ideal model have none.
-    fn bound(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<Option<ClassRequirement>, MachineError> {
+    /// reads: MaxLive on the unified file, the larger subfile pressure on
+    /// the dual one. The swapping classes, whose cost is the swap pass
+    /// itself, and the ideal model have none.
+    fn bound(&mut self, input: &ClassInput<'_>) -> Result<Option<ClassRequirement>, MachineError> {
         if self.spec.is_ideal() || self.spec.swaps() {
             return Ok(None);
         }
-        let lifetimes = lifetimes(l, machine, sched)?;
-        let raw = class_bound(l, machine, sched, &lifetimes, self.spec.is_dual());
+        let (sched, lifetimes) = (input.sched, input.lifetimes()?);
+        let raw = if self.spec.is_dual() {
+            let classes = classify_from(input.consumers, input.machine, sched, &lifetimes);
+            DualPressure::new(&lifetimes, &classes, sched.ii()).requirement_bound()
+        } else {
+            max_live(&lifetimes, sched.ii())
+        };
         Ok(Some(ClassRequirement {
             sched: Arc::clone(sched),
             lifetimes,
             raw,
         }))
-    }
-
-    /// The allocation on the bound's lifetimes, which are computed once.
-    fn tighten(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-        bound: &ClassRequirement,
-    ) -> Result<ClassRequirement, MachineError> {
-        let raw = allocate_raw(l, machine, sched, &bound.lifetimes, self.spec.is_dual());
-        Ok(ClassRequirement {
-            sched: Arc::clone(sched),
-            lifetimes: bound.lifetimes.clone(),
-            raw,
-        })
     }
 }
 

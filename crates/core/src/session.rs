@@ -51,7 +51,7 @@ use ncdrf_corpus::Corpus;
 use ncdrf_ddg::Loop;
 use ncdrf_exec::Pool;
 use ncdrf_machine::Machine;
-use ncdrf_regalloc::{classify, lifetimes, max_live, DualPressure, Lifetime};
+use ncdrf_regalloc::{classify_from, max_live, DualPressure, Lifetime};
 use ncdrf_sched::{modulo_schedule_with, Schedule};
 use ncdrf_spill::{
     ClassRequirement, DescentStats, DescentTree, Requirement, SpillTrajectory, TrajectorySnapshot,
@@ -101,9 +101,14 @@ pub struct TrajectoryExport {
 pub struct BaseSchedule {
     /// The base (pre-swap, pre-spill) modulo schedule.
     pub sched: Schedule,
-    /// Value lifetimes of the base schedule.
-    pub lifetimes: Vec<Lifetime>,
+    /// Value lifetimes of the base schedule, shared with the descent
+    /// tree's root.
+    pub lifetimes: Arc<[Lifetime]>,
 }
+
+/// A loop's descent tree, the class part of a model's requirement on its
+/// base schedule, and the model's requirement.
+type BaseRequirement = (Arc<DescentTree>, Arc<ClassRequirement>, u32);
 
 /// A loop's cached artifacts: the base schedule with its lifetimes, and
 /// the descent tree every model's spill trajectory of the loop walks. The
@@ -398,13 +403,13 @@ impl Session {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let sched = modulo_schedule_with(l, &self.machine, self.opts.spill.scheduler)
             .map_err(|e| Self::fail(l, e))?;
-        let lts = lifetimes(l, &self.machine, &sched).map_err(|e| Self::fail(l, e))?;
         let tree = DescentTree::new(
             l.to_owned(),
             sched.to_owned(),
             self.machine.clone(),
             self.opts.spill.scheduler,
         );
+        let lts = tree.base_lifetimes().map_err(|e| Self::fail(l, e))?;
         let entry = LoopCache {
             base: Arc::new(BaseSchedule {
                 sched,
@@ -422,9 +427,9 @@ impl Session {
 
     /// `model`'s requirement on the cached base schedule of `l`: the
     /// class part from the descent tree's root memo (allocated on a
-    /// miss), then the model's hook. The class result carries the
-    /// model's schedule — the post-swap one for swapping models — and
-    /// its lifetimes.
+    /// miss), then the model's hook, with the loop's tree. The class
+    /// result carries the model's schedule — the post-swap one for
+    /// swapping models — and its lifetimes.
     ///
     /// Counts one cache hit or miss: a memoised swapping class is a hit
     /// of its own (it skips the scheduler *and* the swap pass); every
@@ -433,25 +438,23 @@ impl Session {
     /// # Errors
     ///
     /// Propagates scheduling and machine failures, naming the loop.
-    fn base_requirement(
-        &self,
-        l: &Loop,
-        model: ModelId,
-    ) -> Result<(Arc<ClassRequirement>, u32), PipelineError> {
+    fn base_requirement(&self, l: &Loop, model: ModelId) -> Result<BaseRequirement, PipelineError> {
         let mut req = ModelRequirement::new(model, &self.opts);
         if model.spec().swaps() {
             let peek = self.cache.lock().get(l.name()).cloned();
-            let memo = peek.and_then(|entry| entry.tree.memoised_base_class(req.class()?));
-            if let Some(class) = memo {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let regs = req.effective(l, &class);
-                return Ok((class, regs));
+            if let Some(entry) = peek {
+                if let Some(class) = req.class().and_then(|k| entry.tree.memoised_base_class(k)) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    let regs = req.effective(l, &class);
+                    return Ok((entry.tree, class, regs));
+                }
             }
         }
-        self.cached(l)?
-            .tree
+        let tree = self.cached(l)?.tree;
+        let (class, regs) = tree
             .base_requirement(&mut req)
-            .map_err(|e| Self::fail(l, e))
+            .map_err(|e| Self::fail(l, e))?;
+        Ok((tree, class, regs))
     }
 
     /// Analyses `l` under `model` with unlimited registers, reusing the
@@ -466,10 +469,10 @@ impl Session {
             let base = self.base(l)?;
             return self.analysis(l, model, 0, &base.sched, &base.lifetimes, None);
         }
-        let (class, regs) = self.base_requirement(l, model)?;
+        let (tree, class, regs) = self.base_requirement(l, model)?;
         let (sched, lts) = (&*class.sched, &class.lifetimes);
         let pressure = spec.is_dual().then(|| {
-            let classes = classify(l, &self.machine, sched, lts);
+            let classes = classify_from(tree.base_consumers(), &self.machine, sched, lts);
             DualPressure::new(lts, &classes, sched.ii())
         });
         self.analysis(l, model, regs, sched, lts, pressure)
@@ -706,7 +709,7 @@ impl Session {
             let eval = no_spill_eval(&base.sched, 0);
             return self.certified(l, l, &base.sched, &[], 0, 0, eval);
         }
-        let (req_base, regs) = self.base_requirement(l, model)?;
+        let (_, req_base, regs) = self.base_requirement(l, model)?;
         if regs <= budget {
             let eval = no_spill_eval(&req_base.sched, regs);
             return self.certified(l, l, &req_base.sched, &[], 0, 0, eval);

@@ -2,7 +2,7 @@
 
 use crate::lifetime::{max_live, Lifetime};
 use crate::offsets_conflict;
-use crate::packer::first_fit;
+use crate::packer::PlacementOrder;
 use serde::{Deserialize, Serialize};
 
 /// The result of allocating a loop's values on a unified rotating register
@@ -49,8 +49,27 @@ pub enum FitPolicy {
 ///
 /// Returns `regs == 0` for loops with no register values.
 pub fn allocate_unified_with(lifetimes: &[Lifetime], ii: u32, fit: FitPolicy) -> UnifiedAlloc {
-    assert!(ii > 0, "II must be positive");
-    let (regs, offsets) = first_fit(lifetimes, ii, max_live(lifetimes, ii), fit, |_, _| true);
+    allocate_unified_in(&PlacementOrder::new(lifetimes, ii), lifetimes, fit)
+}
+
+/// [`allocate_unified_with`] from `order`, the [`PlacementOrder`] of
+/// `lifetimes` built once for their schedule and shared with the other
+/// classes allocated on it.
+///
+/// # Panics
+///
+/// Panics if `order` was built from a different number of lifetimes.
+pub fn allocate_unified_in(
+    order: &PlacementOrder,
+    lifetimes: &[Lifetime],
+    fit: FitPolicy,
+) -> UnifiedAlloc {
+    assert!(
+        order.covers(lifetimes),
+        "the placement order of other lifetimes"
+    );
+    let r0 = max_live(lifetimes, order.ii());
+    let (regs, offsets) = order.pack(r0, fit, |_, _| true);
     UnifiedAlloc { regs, offsets }
 }
 

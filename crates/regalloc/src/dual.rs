@@ -1,10 +1,10 @@
 //! Value classification and allocation for the non-consistent dual file.
 
 use crate::alloc::{FitPolicy, UnifiedAlloc};
-use crate::lifetime::{max_live_subset, Lifetime};
+use crate::lifetime::{open_rows, row_span, Lifetime};
 use crate::offsets_conflict;
-use crate::packer::first_fit;
-use ncdrf_ddg::Loop;
+use crate::packer::PlacementOrder;
+use ncdrf_ddg::{Consumers, Loop};
 use ncdrf_machine::{ClusterId, Machine};
 use ncdrf_sched::Schedule;
 use serde::{Deserialize, Serialize};
@@ -41,7 +41,17 @@ pub fn classify(
     sched: &Schedule,
     lifetimes: &[Lifetime],
 ) -> Vec<ValueClass> {
-    let consumers = l.consumers();
+    classify_from(&l.consumers(), machine, sched, lifetimes)
+}
+
+/// [`classify`] from the loop's consumer lists (see
+/// [`Loop::consumers`]), built once by the caller and shared.
+pub fn classify_from(
+    consumers: &Consumers,
+    machine: &Machine,
+    sched: &Schedule,
+    lifetimes: &[Lifetime],
+) -> Vec<ValueClass> {
     lifetimes
         .iter()
         .map(|lt| {
@@ -87,26 +97,58 @@ pub struct DualPressure {
 impl DualPressure {
     /// Computes per-class pressures from lifetimes and their classes.
     ///
+    /// One sweep counts the global, left-only and right-only instances
+    /// live on every kernel row, as [`max_live_subset`](crate::max_live_subset)
+    /// does for one subset; a subfile's count on a row is the sum of its
+    /// globals and its locals there.
+    ///
     /// # Panics
     ///
-    /// Panics if the slices have different lengths.
+    /// Panics if the slices have different lengths or `ii == 0`.
     pub fn new(lifetimes: &[Lifetime], classes: &[ValueClass], ii: u32) -> Self {
         assert_eq!(lifetimes.len(), classes.len());
-        let subset = |keep: &dyn Fn(ValueClass) -> bool| -> Vec<Lifetime> {
-            lifetimes
-                .iter()
-                .zip(classes)
-                .filter(|(_, &c)| keep(c))
-                .map(|(lt, _)| *lt)
-                .collect()
-        };
-        let ml = |keep: &dyn Fn(ValueClass) -> bool| max_live_subset(&subset(keep), ii, |_| true);
+        assert!(ii > 0, "II must be positive");
+        let rows = ii as usize;
+        // Per class (global, left-only, right-only): instances on every
+        // row, and a circular difference array of the partial windows.
+        let mut every = [0u64; 3];
+        let mut diff = [(); 3].map(|()| vec![0i64; rows + 1]);
+        for (lt, &class) in lifetimes.iter().zip(classes) {
+            let k = match class {
+                ValueClass::Global => 0,
+                ValueClass::Only(ClusterId::LEFT) => 1,
+                ValueClass::Only(ClusterId::RIGHT) => 2,
+                // A third cluster's values sit in neither subfile.
+                ValueClass::Only(_) => continue,
+            };
+            if lt.is_empty() {
+                continue;
+            }
+            let (all, first, extra) = row_span(lt, ii);
+            every[k] += u64::from(all);
+            open_rows(&mut diff[k], first, extra);
+        }
+        let mut partial = [0i64; 3];
+        let mut peak = [0u64; 5];
+        let [dg, dl, dr] = &diff;
+        for ((g, l), r) in dg[..rows].iter().zip(&dl[..rows]).zip(&dr[..rows]) {
+            for (p, d) in partial.iter_mut().zip([g, l, r]) {
+                *p += d;
+            }
+            // Each partial count covers whole windows, so it is
+            // non-negative.
+            let [g, l, r] = [0, 1, 2].map(|k| every[k] + partial[k] as u64);
+            for (p, live) in peak.iter_mut().zip([g, l, r, g + l, g + r]) {
+                *p = (*p).max(live);
+            }
+        }
+        let [global, left, right, left_total, right_total] = peak.map(|p| p as u32);
         DualPressure {
-            global: ml(&|c| c == ValueClass::Global),
-            left: ml(&|c| c == ValueClass::Only(ClusterId::LEFT)),
-            right: ml(&|c| c == ValueClass::Only(ClusterId::RIGHT)),
-            left_total: ml(&|c| c.occupies(ClusterId::LEFT)),
-            right_total: ml(&|c| c.occupies(ClusterId::RIGHT)),
+            global,
+            left,
+            right,
+            left_total,
+            right_total,
         }
     }
 
@@ -143,14 +185,31 @@ pub struct DualAlloc {
 pub fn allocate_dual(lifetimes: &[Lifetime], classes: &[ValueClass], ii: u32) -> DualAlloc {
     assert!(ii > 0, "II must be positive");
     assert_eq!(lifetimes.len(), classes.len());
-    let pressure = DualPressure::new(lifetimes, classes, ii);
-    let (regs, offsets) = first_fit(
-        lifetimes,
-        ii,
-        pressure.requirement_bound(),
-        FitPolicy::FirstFit,
-        |a, b| share_subfile(classes[a], classes[b]),
+    allocate_dual_in(&PlacementOrder::new(lifetimes, ii), lifetimes, classes)
+}
+
+/// [`allocate_dual`] from `order`, the [`PlacementOrder`] of `lifetimes`
+/// built once for their schedule and shared with the other classes
+/// allocated on it; the dual file keeps the pairs that share a subfile.
+///
+/// # Panics
+///
+/// Panics if `classes.len() != lifetimes.len()` or `order` was built
+/// from a different number of lifetimes.
+pub fn allocate_dual_in(
+    order: &PlacementOrder,
+    lifetimes: &[Lifetime],
+    classes: &[ValueClass],
+) -> DualAlloc {
+    assert_eq!(lifetimes.len(), classes.len());
+    assert!(
+        order.covers(lifetimes),
+        "the placement order of other lifetimes"
     );
+    let pressure = DualPressure::new(lifetimes, classes, order.ii());
+    let (regs, offsets) = order.pack(pressure.requirement_bound(), FitPolicy::FirstFit, |a, b| {
+        share_subfile(classes[a], classes[b])
+    });
     DualAlloc {
         regs,
         offsets,
@@ -211,6 +270,7 @@ impl From<&DualAlloc> for UnifiedAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifetime::max_live_by_rows;
     use ncdrf_ddg::OpId;
 
     fn lt(i: usize, start: u32, end: u32) -> Lifetime {
@@ -276,6 +336,56 @@ mod tests {
         let a = allocate_dual(&lts, &classes, 1);
         assert_eq!(a.regs, 29);
         assert!(verify_dual(&lts, 1, &a).is_ok());
+    }
+
+    /// The one-sweep pressures equal the five subsets' MaxLive by the
+    /// row-counting definition, on generated lifetimes several IIs long
+    /// (some empty), with a few values of a third cluster that sit in
+    /// neither subfile.
+    #[test]
+    fn one_sweep_pressure_matches_the_five_subsets() {
+        let mut seed = 0x3c6e_f372_fe94_f82bu64;
+        let mut below = |n: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % u64::from(n)) as u32
+        };
+        let kinds = [
+            ValueClass::Global,
+            ValueClass::Only(ClusterId::LEFT),
+            ValueClass::Only(ClusterId::RIGHT),
+            ValueClass::Only(ClusterId(2)),
+        ];
+        for case in 0..400 {
+            let ii = 1 + below(24);
+            let n = below(40) as usize;
+            let lts: Vec<Lifetime> = (0..n)
+                .map(|i| {
+                    let start = below(5 * ii + 1);
+                    lt(i, start, start + below(4 * ii + 4))
+                })
+                .collect();
+            let cls: Vec<ValueClass> = lts
+                .iter()
+                .map(|_| kinds[(below(13) / 4) as usize])
+                .collect();
+            let rows = |keep: &dyn Fn(ValueClass) -> bool| {
+                max_live_by_rows(&lts, ii, |lt| keep(cls[lt.op.index()]))
+            };
+            let want = DualPressure {
+                global: rows(&|c| c == ValueClass::Global),
+                left: rows(&|c| c == ValueClass::Only(ClusterId::LEFT)),
+                right: rows(&|c| c == ValueClass::Only(ClusterId::RIGHT)),
+                left_total: rows(&|c| c.occupies(ClusterId::LEFT)),
+                right_total: rows(&|c| c.occupies(ClusterId::RIGHT)),
+            };
+            assert_eq!(
+                DualPressure::new(&lts, &cls, ii),
+                want,
+                "case {case}: II {ii}, {cls:?}, {lts:?}"
+            );
+        }
     }
 
     #[test]

@@ -51,12 +51,19 @@ mod multi;
 mod packer;
 mod sacks;
 
-pub use alloc::{allocate_unified, allocate_unified_with, verify_unified, FitPolicy, UnifiedAlloc};
-pub use dual::{allocate_dual, classify, verify_dual, DualAlloc, DualPressure, ValueClass};
+pub use alloc::{
+    allocate_unified, allocate_unified_in, allocate_unified_with, verify_unified, FitPolicy,
+    UnifiedAlloc,
+};
+pub use dual::{
+    allocate_dual, allocate_dual_in, classify, classify_from, verify_dual, DualAlloc, DualPressure,
+    ValueClass,
+};
 pub use lifetime::{lifetimes, lifetimes_into, max_live, max_live_subset, Lifetime};
 pub use multi::{
     allocate_multi, classify_multi, multi_pressure, verify_multi, ClusterSet, MultiAlloc,
 };
+pub use packer::PlacementOrder;
 pub use sacks::{assign_sacks, single_use_fraction, sole_consumer, SackAssignment, SackConfig};
 
 pub(crate) fn div_floor(a: i64, b: i64) -> i64 {

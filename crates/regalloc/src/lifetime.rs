@@ -114,28 +114,12 @@ pub fn max_live(lifetimes: &[Lifetime], ii: u32) -> u32 {
 pub fn max_live_subset<F: Fn(&Lifetime) -> bool>(lifetimes: &[Lifetime], ii: u32, keep: F) -> u32 {
     assert!(ii > 0, "II must be positive");
     let rows = ii as usize;
-    // Instances live on every row, and the +1/-1 edges of the partial
-    // windows; `diff[rows]` absorbs the closing edge of a window that
-    // ends exactly on the last row. A wrapping window stays open to the
-    // last row and reopens at row 0.
     let mut every_row = 0u64;
     let mut diff = vec![0i64; rows + 1];
     for lt in lifetimes.iter().filter(|lt| keep(lt) && !lt.is_empty()) {
-        let len = lt.len();
-        every_row += u64::from(len / ii);
-        let extra = (len % ii) as usize;
-        if extra == 0 {
-            continue;
-        }
-        let first = (lt.start % ii) as usize;
-        let stop = first + extra;
-        diff[first] += 1;
-        if stop <= rows {
-            diff[stop] -= 1;
-        } else {
-            diff[0] += 1;
-            diff[stop - rows] -= 1;
-        }
+        let (all, first, extra) = row_span(lt, ii);
+        every_row += u64::from(all);
+        open_rows(&mut diff, first, extra);
     }
     let mut partial = 0i64;
     let mut peak = 0i64;
@@ -147,34 +131,67 @@ pub fn max_live_subset<F: Fn(&Lifetime) -> bool>(lifetimes: &[Lifetime], ii: u32
     (every_row + peak as u64) as u32
 }
 
+/// The instances of a non-empty lifetime per kernel row, as
+/// `(every_row, first, extra)`: `len / II` on every row, plus one on the
+/// `extra = len % II` consecutive rows from `first = start % II`.
+pub(crate) fn row_span(lt: &Lifetime, ii: u32) -> (u32, usize, usize) {
+    let len = lt.len();
+    (len / ii, (lt.start % ii) as usize, (len % ii) as usize)
+}
+
+/// Adds one instance on the `extra` rows from `first` to `diff`, a
+/// circular difference array over `diff.len() - 1` rows (`first` below
+/// that, `extra` at most that). The last entry absorbs the closing edge
+/// of a run that ends exactly on the last row; a run that wraps stays
+/// open to the last row and reopens at row 0.
+pub(crate) fn open_rows(diff: &mut [i64], first: usize, extra: usize) {
+    if extra == 0 {
+        return;
+    }
+    let (rows, stop) = (diff.len() - 1, first + extra);
+    diff[first] += 1;
+    if stop <= rows {
+        diff[stop] -= 1;
+    } else {
+        diff[0] += 1;
+        diff[stop - rows] -= 1;
+    }
+}
+
+/// The window-counting definition of MaxLive: for every kernel row, sum
+/// each kept lifetime's instances live there. O(II·n); the oracle the
+/// row-counting sweeps ([`max_live_subset`], `DualPressure::new`) must
+/// agree with.
+#[cfg(test)]
+pub(crate) fn max_live_by_rows<F: Fn(&Lifetime) -> bool>(
+    lifetimes: &[Lifetime],
+    ii: u32,
+    keep: F,
+) -> u32 {
+    let ii_i = ii as i64;
+    let mut best = 0u32;
+    for t in 0..ii_i {
+        let mut live = 0i64;
+        for lt in lifetimes.iter().filter(|lt| keep(lt)) {
+            if lt.is_empty() {
+                continue;
+            }
+            // Instances k with start + k*ii <= t < end + k*ii.
+            let hi = crate::div_floor(t - lt.start as i64, ii_i);
+            let lo = crate::div_floor(t - lt.end as i64, ii_i);
+            live += hi - lo;
+        }
+        best = best.max(live.max(0) as u32);
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ncdrf_ddg::{LoopBuilder, Weight};
     use ncdrf_machine::Machine;
     use ncdrf_sched::modulo_schedule;
-
-    /// The window-counting definition of MaxLive: for every kernel row,
-    /// sum each lifetime's instances live there. O(II·n); the oracle
-    /// [`max_live_subset`] must agree with.
-    fn max_live_by_rows<F: Fn(&Lifetime) -> bool>(lifetimes: &[Lifetime], ii: u32, keep: F) -> u32 {
-        let ii_i = ii as i64;
-        let mut best = 0u32;
-        for t in 0..ii_i {
-            let mut live = 0i64;
-            for lt in lifetimes.iter().filter(|lt| keep(lt)) {
-                if lt.is_empty() {
-                    continue;
-                }
-                // Instances k with start + k*ii <= t < end + k*ii.
-                let hi = crate::div_floor(t - lt.start as i64, ii_i);
-                let lo = crate::div_floor(t - lt.end as i64, ii_i);
-                live += hi - lo;
-            }
-            best = best.max(live.max(0) as u32);
-        }
-        best
-    }
 
     /// Deterministic xorshift stream for the generated cases.
     struct Gen(u64);

@@ -7,22 +7,52 @@
 //! register when some value finds no offset. For a pair of lifetimes
 //! the conflicting iteration deltas form one window `[lo, hi]`, so a
 //! placed `u` forbids exactly the circular interval
-//! `[off_u + lo, off_u + hi] (mod r)`. The window depends only on the
-//! two lifetimes and II, never on `r`, so [`first_fit`] derives every
-//! window once per call, with no division, and each file size costs per
-//! value one difference-array clear, one interval per conflicting pair
-//! and one prefix-sum sweep. The tests keep the old restart-per-size
-//! search over [`offsets_conflict`](crate::offsets_conflict) as an oracle.
+//! `[off_u + lo, off_u + hi] (mod r)`.
+//!
+//! A window depends only on the two lifetimes and II: never on `r`, and
+//! never on which values share a file. [`PlacementOrder`] holds what the
+//! windows derive from, once per schedule: the non-empty lifetimes in
+//! placement order, each with its start and end split by II. The
+//! unified, dual and swapped classes allocated on one schedule share it.
+//! Each class walks the earlier values of every row once, keeps the
+//! pairs its interference predicate admits, and derives their windows
+//! with no division. The windows themselves are not kept per schedule:
+//! their rows grow with the square of the values, and a deep spill
+//! descent holds many schedules at once.
+//!
+//! The size loop works on a bitset of ⌈r/64⌉ words, one machine word for
+//! files of up to 64 registers. Each kept window's `lo` is reduced into
+//! `0..r` once per size, so placing a value costs a clear of the words,
+//! one or two masks per word each of its windows touches, and a scan for
+//! the lowest free bit. The size grows one register at a time and is
+//! never bisected: First-Fit success is not known to be monotone in
+//! `r`, and the answer is the first size that packs.
+//!
+//! A size that fails need not be replayed from the first value. A value
+//! whose every window run lies inside `0..r` unreduced (no run starts
+//! below 0 or ends past `r`; for Best-Fit, none reaches offset `r - 1`)
+//! sees the same forbidden offsets at every larger size, plus a free
+//! offset `r` it never takes, so it keeps its offset. The next size
+//! therefore resumes at the first value of the failed pass that was not
+//! so placed. The tests keep the old restart-per-size search over
+//! [`offsets_conflict`](crate::offsets_conflict) as an oracle.
 
 use crate::alloc::FitPolicy;
 use crate::lifetime::Lifetime;
 
 /// A lifetime's start and end, each split as `(q, rem)` with
 /// `q·II + rem` equal to it and `0 <= rem < II`.
-type Split = [(i64, u32); 2];
+type Split = [(i32, u32); 2];
+
+/// Quotients stay below this, so every window bound fits in `i32`.
+const QUOTIENT_LIMIT: u32 = 1 << 30;
 
 fn split(lt: &Lifetime, ii: u32) -> Split {
-    [lt.start, lt.end].map(|t| (i64::from(t / ii), t % ii))
+    [lt.start, lt.end].map(|t| {
+        let q = t / ii;
+        assert!(q < QUOTIENT_LIMIT, "a lifetime spans over 2^30 IIs");
+        (q as i32, t % ii)
+    })
 }
 
 /// The iteration deltas at which two non-empty lifetimes overlap: `v`
@@ -30,7 +60,7 @@ fn split(lt: &Lifetime, ii: u32) -> Split {
 /// exactly for `d` in `lo .. lo + len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Window {
-    lo: i64,
+    lo: i32,
     len: u32,
 }
 
@@ -40,45 +70,233 @@ impl Window {
     /// Deltas `d` overlap when `v.start < u.end + d·II` and
     /// `u.start + d·II < v.end`, so `lo = floor((v.start − u.end)/II) + 1`
     /// and `hi = ceil((v.end − u.start)/II) − 1`. On split operands each
-    /// reduces to a quotient difference and one remainder comparison.
+    /// reduces to a quotient difference and one remainder comparison;
+    /// quotients below 2^30 keep both in `i32`.
     fn between(u: Split, v: Split) -> Option<Window> {
         let ([(us_q, us_rem), (ue_q, ue_rem)], [(vs_q, vs_rem), (ve_q, ve_rem)]) = (u, v);
-        let lo = vs_q - ue_q - i64::from(vs_rem < ue_rem) + 1;
-        let hi = ve_q - us_q + i64::from(ve_rem > us_rem) - 1;
+        let lo = vs_q - ue_q - i32::from(vs_rem < ue_rem) + 1;
+        let hi = ve_q - us_q + i32::from(ve_rem > us_rem) - 1;
         (lo <= hi).then(|| Window {
             lo,
-            len: u32::try_from(hi - lo + 1).expect("conflict window fits in u32"),
+            len: (hi - lo) as u32 + 1,
         })
     }
 
-    /// The first forbidden offset, reduced into `0..r`, when `u` sits at
-    /// `off_u` in a file of `r` registers.
-    fn start_at(self, off_u: u32, r: u32) -> u32 {
-        let (mut start, r) = (i64::from(off_u) + self.lo, i64::from(r));
-        if !(0..r).contains(&start) {
-            start = start.rem_euclid(r);
-        }
-        start as u32
+    /// `lo` reduced into `0..r`.
+    fn reduced(self, r: u32) -> u32 {
+        i64::from(self.lo).rem_euclid(i64::from(r)) as u32
     }
 }
 
-/// One non-empty lifetime in placement order: its index, its split, and
-/// the end of its row in the CSR pair list (the row starts where the
-/// previous slot's ends).
-struct Slot {
-    index: usize,
-    split: Split,
-    row_end: usize,
+/// The first offset a window forbids when its earlier value sits at
+/// `off_u`, from the window's `lo` reduced into `0..r`.
+fn rotate(off_u: u32, lo: u32, r: u32) -> u32 {
+    let start = off_u + lo;
+    if start >= r {
+        start - r
+    } else {
+        start
+    }
 }
 
-/// Wands-Only First-Fit (or Best-Fit, per `fit`) over a rotating file
-/// whose size starts at `r0` and grows until the packing succeeds.
-/// `interferes(a, b)` (symmetric, over lifetime indices) says whether two
-/// values share a file; empty lifetimes interfere with nothing and get
-/// offset 0.
-///
-/// Returns the file size and each lifetime's offset, parallel to
-/// `lifetimes`; the size is 0 when every lifetime is empty.
+/// One kept pair: the earlier value's lifetime index and the window of
+/// the later value against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pair {
+    u: u32,
+    window: Window,
+}
+
+/// The placement order of one schedule's lifetimes: the non-empty ones
+/// by `(start, index)`, each with its lifetime index and its start and
+/// end split by II, from which the conflict window of every pair derives
+/// with no division. Built once per schedule; each allocation class packs
+/// from it with its own interference predicate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlacementOrder {
+    ii: u32,
+    /// How many lifetimes (empty ones included) the order covers.
+    values: usize,
+    slots: Vec<(u32, Split)>,
+}
+
+impl PlacementOrder {
+    /// The placement order of `lifetimes` at initiation interval `ii`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ii == 0` or a lifetime ends 2^30 IIs or more after
+    /// cycle 0.
+    pub fn new(lifetimes: &[Lifetime], ii: u32) -> PlacementOrder {
+        assert!(ii > 0, "II must be positive");
+        let index = |i: usize| u32::try_from(i).expect("lifetime index fits in u32");
+        let mut slots: Vec<(u32, Split)> = (0..lifetimes.len())
+            .filter(|&i| !lifetimes[i].is_empty())
+            .map(|i| (index(i), split(&lifetimes[i], ii)))
+            .collect();
+        slots.sort_unstable_by_key(|&(i, _)| (lifetimes[i as usize].start, i));
+        PlacementOrder {
+            ii,
+            values: lifetimes.len(),
+            slots,
+        }
+    }
+
+    /// The initiation interval the order was built at.
+    pub(crate) fn ii(&self) -> u32 {
+        self.ii
+    }
+
+    /// Whether this order was built from `lifetimes`' count of values;
+    /// every allocation from it asserts it.
+    pub(crate) fn covers(&self, lifetimes: &[Lifetime]) -> bool {
+        self.values == lifetimes.len()
+    }
+
+    /// Wands-Only First-Fit (or Best-Fit, per `fit`) over a rotating
+    /// file whose size starts at `r0` and grows until the packing
+    /// succeeds. `interferes(a, b)` (symmetric, over lifetime indices)
+    /// says whether two values share a file; empty lifetimes interfere
+    /// with nothing and get offset 0.
+    ///
+    /// Returns the file size and each lifetime's offset, parallel to the
+    /// lifetimes; the size is 0 when every lifetime is empty.
+    pub(crate) fn pack(
+        &self,
+        r0: u32,
+        fit: FitPolicy,
+        interferes: impl Fn(usize, usize) -> bool,
+    ) -> (u32, Vec<u32>) {
+        let mut offsets = vec![0; self.values];
+        let n = self.slots.len();
+        if n == 0 {
+            return (0, offsets);
+        }
+        // The pairs this class keeps, with their windows, row by row: the
+        // row of `slots[p]` ends at `ends[p]`.
+        let mut kept = Vec::with_capacity(n * (n - 1) / 2);
+        let mut ends = Vec::with_capacity(n);
+        let mut widest = 0;
+        for (p, &(v, v_split)) in self.slots.iter().enumerate() {
+            for &(u, u_split) in &self.slots[..p] {
+                if !interferes(u as usize, v as usize) {
+                    continue;
+                }
+                if let Some(window) = Window::between(u_split, v_split) {
+                    widest = widest.max(window.len);
+                    kept.push(Pair { u, window });
+                }
+            }
+            ends.push(kept.len());
+        }
+
+        // A window of `len >= r` deltas forbids every offset, so every size
+        // up to the widest kept window fails once its owner is reached:
+        // skipping those sizes changes no result, and no run below needs
+        // that check.
+        let mut r = r0.max(widest + 1);
+        let widest_lo = kept.iter().map(|p| p.window.lo.unsigned_abs()).max();
+        let mut starts = vec![0; kept.len()];
+        let mut words = Words::default();
+        // The first slot the next size places; the ones before keep their
+        // offsets (see the module docs).
+        let mut resume = 0;
+        loop {
+            // Each window's `lo` reduced into `0..r`, once per size: one
+            // conditional add while every `|lo|` is below `r`.
+            if widest_lo < Some(r) {
+                let r = r as i32;
+                for (lo, pair) in starts.iter_mut().zip(&kept) {
+                    let w = pair.window.lo;
+                    *lo = (w + (w >> 31 & r)) as u32;
+                }
+            } else {
+                for (lo, pair) in starts.iter_mut().zip(&kept) {
+                    *lo = pair.window.reduced(r);
+                }
+            }
+            let rows = Rows {
+                slots: &self.slots,
+                kept: &kept,
+                ends: &ends,
+                starts: &starts,
+                fit,
+            };
+            let placed = if r <= 64 {
+                rows.place(&mut Word { word: 0, r }, resume, &mut offsets)
+            } else {
+                words.begin(r);
+                rows.place(&mut words, resume, &mut offsets)
+            };
+            match placed {
+                Ok(()) => return (r, offsets),
+                Err(stable) => resume = stable,
+            }
+            r += 1;
+        }
+    }
+}
+
+/// One file size's view of the kept pairs.
+struct Rows<'a> {
+    slots: &'a [(u32, Split)],
+    kept: &'a [Pair],
+    ends: &'a [usize],
+    /// Each kept window's `lo`, reduced into `0..r`.
+    starts: &'a [u32],
+    fit: FitPolicy,
+}
+
+impl Rows<'_> {
+    /// Places the values in order from slot `resume` in a file of
+    /// `forbidden`'s size, the earlier ones keeping their offsets. When
+    /// some value finds no offset, returns the first slot of this pass
+    /// whose placement may differ at a larger size: the first with a
+    /// window run that is not inside `0..r` unreduced, or the failing
+    /// slot.
+    fn place(
+        &self,
+        forbidden: &mut impl Forbidden,
+        resume: usize,
+        offsets: &mut [u32],
+    ) -> Result<(), usize> {
+        let r = forbidden.size();
+        // Best-Fit also reads offset `r - 1`, the predecessor of offset 0.
+        let top = i64::from(r) - i64::from(self.fit == FitPolicy::BestFit);
+        let mut row_start = resume.checked_sub(1).map_or(0, |p| self.ends[p]);
+        let mut stable = None;
+        for (p, &(v, _)) in self.slots.iter().enumerate().skip(resume) {
+            let row_end = self.ends[p];
+            let (kept, starts) = (
+                &self.kept[row_start..row_end],
+                &self.starts[row_start..row_end],
+            );
+            row_start = row_end;
+            if stable.is_none()
+                && kept.iter().any(|pair| {
+                    let t = i64::from(offsets[pair.u as usize]) + i64::from(pair.window.lo);
+                    t < 0 || t + i64::from(pair.window.len) > top
+                })
+            {
+                stable = Some(p);
+            }
+            // Earlier values in the order were placed in this pass or keep
+            // their offsets.
+            forbidden.set_row(
+                kept.iter()
+                    .zip(starts)
+                    .map(|(pair, &lo)| (rotate(offsets[pair.u as usize], lo, r), pair.window.len)),
+            );
+            match forbidden.choose(self.fit) {
+                Some(c) => offsets[v as usize] = c,
+                None => return Err(stable.unwrap_or(p)),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`PlacementOrder::pack`] on an order built for this call alone.
 pub(crate) fn first_fit(
     lifetimes: &[Lifetime],
     ii: u32,
@@ -86,133 +304,165 @@ pub(crate) fn first_fit(
     fit: FitPolicy,
     interferes: impl Fn(usize, usize) -> bool,
 ) -> (u32, Vec<u32>) {
-    let mut offsets = vec![0; lifetimes.len()];
-    let mut slots: Vec<Slot> = (0..lifetimes.len())
-        .filter(|&i| !lifetimes[i].is_empty())
-        .map(|index| Slot {
-            index,
-            split: split(&lifetimes[index], ii),
-            row_end: 0,
-        })
-        .collect();
-    if slots.is_empty() {
-        return (0, offsets);
-    }
-    slots.sort_unstable_by_key(|s| (lifetimes[s.index].start, s.index));
-
-    // Each slot's row: `(earlier index, window)` for every interfering
-    // earlier value that conflicts at some delta.
-    let (mut pairs, mut widest) = (Vec::new(), 0);
-    for p in 0..slots.len() {
-        let v = &slots[p];
-        for u in &slots[..p] {
-            if !interferes(u.index, v.index) {
-                continue;
-            }
-            if let Some(window) = Window::between(u.split, v.split) {
-                widest = widest.max(window.len);
-                pairs.push((u.index, window));
-            }
-        }
-        slots[p].row_end = pairs.len();
-    }
-
-    // A window of `len >= r` deltas forbids every offset, so every size up
-    // to the widest window fails once its owner is reached: skipping those
-    // sizes changes no result, and no interval below needs that check.
-    let mut r = r0.max(widest + 1);
-    let mut packer = OffsetPacker::default();
-    'grow: loop {
-        let mut row_start = 0;
-        for slot in &slots {
-            packer.begin(r);
-            // Earlier values in the order were placed in this pass.
-            for &(u, window) in &pairs[row_start..slot.row_end] {
-                packer.add(window.start_at(offsets[u], r), window.len);
-            }
-            row_start = slot.row_end;
-            match packer.choose(fit) {
-                Some(c) => offsets[slot.index] = c,
-                None => {
-                    r += 1;
-                    continue 'grow;
-                }
-            }
-        }
-        return (r, offsets);
-    }
+    PlacementOrder::new(lifetimes, ii).pack(r0, fit, interferes)
 }
 
-/// Forbidden-interval accumulator for one value in a file of `r`
-/// registers, reused across values.
-#[derive(Debug, Default)]
-struct OffsetPacker {
-    /// Difference array over offsets `0..r` plus one slack slot for
-    /// interval ends; `prefix_sum(diff)[c] > 0` means offset `c` conflicts.
-    diff: Vec<i32>,
-}
+/// The offsets one value may not take in a file of `r` registers, as a
+/// bitset (bit `c` is offset `c`), reused across values.
+trait Forbidden {
+    /// The file size `r`.
+    fn size(&self) -> u32;
 
-impl OffsetPacker {
-    /// Starts the search for one value's offset in a file of `r`
-    /// registers, clearing previous intervals.
-    fn begin(&mut self, r: u32) {
-        self.diff.clear();
-        self.diff.resize(r as usize + 1, 0);
-    }
+    /// Forbids exactly the circular runs `(start, len)` of one value
+    /// (`start < r`, `0 < len < r`), clearing earlier ones.
+    fn set_row(&mut self, runs: impl Iterator<Item = (u32, u32)>);
 
-    /// Forbids the circular interval of `len` offsets from `start`
-    /// (`start < r`, `len < r`).
-    fn add(&mut self, start: u32, len: u32) {
-        let (start, len, r) = (start as usize, len as usize, self.diff.len() - 1);
-        debug_assert!(start < r && len < r);
-        self.diff[start] += 1;
-        if start + len <= r {
-            self.diff[start + len] -= 1;
-        } else {
-            // The interval wraps: split at the file boundary.
-            self.diff[r] -= 1;
-            self.diff[0] += 1;
-            self.diff[start + len - r] -= 1;
-        }
-    }
+    /// The free offsets of word `w`: not forbidden and below `r`.
+    fn free(&self, w: usize) -> u64;
 
     /// The offset `fit` picks among the free ones, if any is free.
+    fn choose(&self, fit: FitPolicy) -> Option<u32>;
+}
+
+/// The lowest set bit of the first word of `words` with one, as an
+/// offset.
+fn lowest(words: impl Iterator<Item = u64>) -> Option<u32> {
+    words
+        .enumerate()
+        .find(|&(_, w)| w != 0)
+        .map(|(i, w)| i as u32 * 64 + w.trailing_zeros())
+}
+
+/// A file of up to 64 registers: one word. Bits at and above `r` may be
+/// set; `free` ignores them.
+struct Word {
+    word: u64,
+    r: u32,
+}
+
+impl Forbidden for Word {
+    fn size(&self) -> u32 {
+        self.r
+    }
+
+    fn set_row(&mut self, runs: impl Iterator<Item = (u32, u32)>) {
+        let r = self.r;
+        // Each run rotated within `r` bits, as two shifted masks.
+        self.word = runs.fold(0, |word, (start, len)| {
+            debug_assert!(start < r && 0 < len && len < r);
+            let run = (1u64 << len) - 1;
+            word | run << start | run >> (r - start - 1) >> 1
+        });
+    }
+
+    fn free(&self, _: usize) -> u64 {
+        !self.word & (!0 >> (64 - self.r))
+    }
+
     fn choose(&self, fit: FitPolicy) -> Option<u32> {
-        match fit {
-            FitPolicy::FirstFit => self.first_free(),
+        let free = self.free(0);
+        let pick = match fit {
+            FitPolicy::FirstFit => free,
             FitPolicy::BestFit => {
-                let forbidden = self.forbidden_flags();
-                let r = forbidden.len();
-                let free = || (0..r).filter(|&c| !forbidden[c]);
-                let snug = free().find(|&c| forbidden[(c + r - 1) % r]);
-                snug.or_else(|| free().next()).map(|c| c as u32)
+                // Free offsets whose circular predecessor is forbidden: the
+                // predecessor of offset 0 is offset `r - 1`.
+                let snug = free & (self.word << 1 | self.word >> (self.r - 1) & 1);
+                if snug != 0 {
+                    snug
+                } else {
+                    free
+                }
             }
+        };
+        lowest(std::iter::once(pick))
+    }
+}
+
+/// A file of any size: ⌈r/64⌉ words. Bits at and above `r` stay clear.
+#[derive(Debug, Default)]
+struct Words {
+    words: Vec<u64>,
+    r: u32,
+}
+
+impl Words {
+    /// Starts the searches in a file of `r` registers.
+    fn begin(&mut self, r: u32) {
+        self.r = r;
+        self.words.clear();
+        self.words.resize(r.div_ceil(64) as usize, 0);
+    }
+
+    /// Forbids the circular run of `len` offsets from `start`
+    /// (`start < r`, `0 < len < r`).
+    fn add(&mut self, start: u32, len: u32) {
+        debug_assert!(start < self.r && 0 < len && len < self.r);
+        let end = start + len;
+        if end <= self.r {
+            self.set(start, end);
+        } else {
+            // The run wraps: split at the file boundary.
+            self.set(start, self.r);
+            self.set(0, end - self.r);
         }
     }
 
-    /// The lowest conflict-free offset, if any.
-    fn first_free(&self) -> Option<u32> {
-        let mut acc = 0i32;
-        for (c, &d) in self.diff[..self.diff.len() - 1].iter().enumerate() {
-            acc += d;
-            if acc == 0 {
-                return Some(c as u32);
-            }
+    /// Sets the bits of `a..b` (`a < b <= r`): one mask for each of the
+    /// first and last words, and whole words between.
+    fn set(&mut self, a: u32, b: u32) {
+        let (first, last) = ((a / 64) as usize, ((b - 1) / 64) as usize);
+        let low = !0u64 << (a % 64);
+        let high = !0u64 >> (63 - (b - 1) % 64);
+        if first == last {
+            self.words[first] |= low & high;
+        } else {
+            self.words[first] |= low;
+            self.words[first + 1..last].fill(!0);
+            self.words[last] |= high;
         }
-        None
+    }
+}
+
+impl Forbidden for Words {
+    fn size(&self) -> u32 {
+        self.r
     }
 
-    /// Conflict flags for all offsets (`true` = forbidden).
-    fn forbidden_flags(&self) -> Vec<bool> {
-        let mut acc = 0i32;
-        let offsets = &self.diff[..self.diff.len() - 1];
-        offsets
-            .iter()
-            .map(|&d| {
-                acc += d;
-                acc > 0
-            })
-            .collect()
+    fn set_row(&mut self, runs: impl Iterator<Item = (u32, u32)>) {
+        self.words.fill(0);
+        for (start, len) in runs {
+            self.add(start, len);
+        }
+    }
+
+    fn free(&self, w: usize) -> u64 {
+        let tail = self.r % 64;
+        let valid = if w + 1 == self.words.len() && tail != 0 {
+            (1 << tail) - 1
+        } else {
+            !0
+        };
+        !self.words[w] & valid
+    }
+
+    fn choose(&self, fit: FitPolicy) -> Option<u32> {
+        let free = (0..self.words.len()).map(|w| self.free(w));
+        match fit {
+            FitPolicy::FirstFit => lowest(free),
+            FitPolicy::BestFit => {
+                // The free bits of the forbidden set rotated left by one:
+                // each word's bit 0 takes the previous word's bit 63, and
+                // offset 0 takes offset `r - 1`.
+                let last = self.r - 1;
+                let mut carry = (self.words[(last / 64) as usize] >> (last % 64)) & 1;
+                let snug = self.words.iter().zip(free.clone()).map(|(&word, free)| {
+                    let snug = free & (word << 1 | carry);
+                    carry = word >> 63;
+                    snug
+                });
+                lowest(snug).or_else(|| lowest(free))
+            }
+        }
     }
 }
 
@@ -221,9 +471,9 @@ mod tests {
     use super::*;
     use crate::dual::share_subfile;
     use crate::{
-        allocate_dual, allocate_multi, allocate_unified_with, multi_pressure, offsets_conflict,
-        verify_dual, verify_multi, verify_unified, ClusterSet, DualPressure, UnifiedAlloc,
-        ValueClass,
+        allocate_dual, allocate_dual_in, allocate_multi, allocate_unified_in,
+        allocate_unified_with, multi_pressure, offsets_conflict, verify_dual, verify_multi,
+        verify_unified, ClusterSet, DualPressure, UnifiedAlloc, ValueClass,
     };
     use ncdrf_ddg::OpId;
     use ncdrf_machine::ClusterId;
@@ -237,7 +487,9 @@ mod tests {
     }
 
     /// The offsets of `v` that `u` at `off_u` forbids in a file of `r`,
-    /// computed the way [`first_fit`] does: window, then `add`.
+    /// computed the way [`PlacementOrder::pack`] does: window, reduced
+    /// `lo`, then the forbidden run, in the one-word set and the
+    /// many-word one alike.
     fn forbidden_by(v: &Lifetime, u: &Lifetime, ii: u32, off_u: u32, r: u32) -> Vec<bool> {
         if v.is_empty() || u.is_empty() {
             return vec![false; r as usize];
@@ -248,13 +500,26 @@ mod tests {
         if window.len >= r {
             return vec![true; r as usize];
         }
-        let mut packer = OffsetPacker::default();
-        packer.begin(r);
-        packer.add(window.start_at(off_u, r), window.len);
-        packer.forbidden_flags()
+        let run = [(rotate(off_u, window.reduced(r), r), window.len)];
+        let mut words = Words::default();
+        words.begin(r);
+        words.set_row(run.into_iter());
+        if r <= 64 {
+            let mut word = Word { word: 0, r };
+            word.set_row(run.into_iter());
+            assert_eq!(flags(&word), flags(&words), "{run:?}, r {r}");
+        }
+        flags(&words)
     }
 
-    /// The division-free window plus `add` must agree with
+    /// Conflict flags for all offsets (`true` = forbidden).
+    fn flags(forbidden: &impl Forbidden) -> Vec<bool> {
+        (0..forbidden.size() as usize)
+            .map(|c| forbidden.free(c / 64) >> (c % 64) & 1 == 0)
+            .collect()
+    }
+
+    /// The division-free window plus its forbidden run must agree with
     /// `offsets_conflict` on every candidate, across a grid of lifetime
     /// shapes, IIs and file sizes.
     #[test]
@@ -296,17 +561,73 @@ mod tests {
         let (u, v) = (split(&lt(2, 6), 10), split(&lt(0, 5), 10));
         let window = Window::between(u, v).unwrap();
         assert_eq!(window, Window { lo: 0, len: 1 });
-        let mut packer = OffsetPacker::default();
-        packer.begin(4);
-        packer.add(window.start_at(1, 4), window.len);
-        packer.add(window.start_at(3, 4), window.len);
-        assert_eq!(packer.forbidden_flags(), vec![false, true, false, true]);
-        assert_eq!(packer.first_free(), Some(0));
-        // With only offset 1 forbidden, Best-Fit takes the snug offset 2.
-        packer.begin(4);
-        packer.add(window.start_at(1, 4), window.len);
-        assert_eq!(packer.choose(FitPolicy::FirstFit), Some(0));
-        assert_eq!(packer.choose(FitPolicy::BestFit), Some(2));
+        let run = |off_u| (rotate(off_u, window.reduced(4), 4), window.len);
+        for forbidden in [
+            &mut Word { word: 0, r: 4 } as &mut dyn Forbids,
+            &mut words(4),
+        ] {
+            forbidden.runs(&[run(1), run(3)]);
+            assert_eq!(forbidden.flags(), vec![false, true, false, true]);
+            assert_eq!(forbidden.pick(FitPolicy::FirstFit), Some(0));
+            // With only offset 1 forbidden, Best-Fit takes the snug offset 2.
+            forbidden.runs(&[run(1)]);
+            assert_eq!(forbidden.pick(FitPolicy::FirstFit), Some(0));
+            assert_eq!(forbidden.pick(FitPolicy::BestFit), Some(2));
+        }
+        // Runs across word boundaries, wrapping past offset r - 1: in a
+        // file of 150, offsets 140..150 and 0..70 are forbidden, so the
+        // lowest free offset is 70 and it is also snug.
+        let mut many = words(150);
+        many.set_row([(140, 80)].into_iter());
+        let forbidden = flags(&many);
+        assert!((0..150).all(|c| forbidden[c] != (70..140).contains(&c)));
+        assert_eq!(many.choose(FitPolicy::FirstFit), Some(70));
+        assert_eq!(many.choose(FitPolicy::BestFit), Some(70));
+        for r in [5, 63, 64, 65, 128, 130] {
+            let mut sets: Vec<Box<dyn Forbids>> = vec![Box::new(words(r))];
+            if r <= 64 {
+                sets.push(Box::new(Word { word: 0, r }));
+            }
+            for forbidden in &mut sets {
+                // Offset 0 is snug when offset r - 1 is forbidden, in
+                // any word.
+                forbidden.runs(&[(r - 1, 1), (3, 1)]);
+                assert_eq!(forbidden.pick(FitPolicy::BestFit), Some(0), "r {r}");
+                forbidden.runs(&[(r - 1, 1), (3, 1), (0, 1)]);
+                assert_eq!(forbidden.pick(FitPolicy::BestFit), Some(1), "r {r}");
+                // A full file has no free offset.
+                forbidden.runs(&[(1, r - 1), (0, 1)]);
+                assert_eq!(forbidden.pick(FitPolicy::FirstFit), None, "r {r}");
+                assert_eq!(forbidden.pick(FitPolicy::BestFit), None, "r {r}");
+            }
+        }
+    }
+
+    /// [`Forbidden`] as a trait object, for running one check on both
+    /// sets.
+    trait Forbids {
+        fn runs(&mut self, runs: &[(u32, u32)]);
+        fn flags(&self) -> Vec<bool>;
+        fn pick(&self, fit: FitPolicy) -> Option<u32>;
+    }
+
+    impl<F: Forbidden> Forbids for F {
+        fn runs(&mut self, runs: &[(u32, u32)]) {
+            self.set_row(runs.iter().copied());
+        }
+        fn flags(&self) -> Vec<bool> {
+            flags(self)
+        }
+        fn pick(&self, fit: FitPolicy) -> Option<u32> {
+            self.choose(fit)
+        }
+    }
+
+    /// An empty many-word set for a file of `r` registers.
+    fn words(r: u32) -> Words {
+        let mut words = Words::default();
+        words.begin(r);
+        words
     }
 
     /// The restart-per-size search the kernel replaced: every candidate
@@ -425,6 +746,133 @@ mod tests {
                 first_fit(&lts, ii, r0, FitPolicy::FirstFit, share),
                 oracle(&lts, ii, r0, FitPolicy::FirstFit, share),
                 "case {case}: sets {sets:?}, II {ii}, r0 {r0}, {lts:?}"
+            );
+        }
+    }
+
+    /// A generated case that needs tens to a few hundred registers: up to
+    /// 40 lifetimes, several IIs long, at an II in `1..=4`.
+    fn generated_wide(g: &mut Gen) -> (Vec<Lifetime>, u32) {
+        let ii = 1 + g.below(4);
+        let n = 8 + g.below(33) as usize;
+        let max_len = 2 + g.below(7 * ii);
+        let lts = (0..n)
+            .map(|i| {
+                let start = g.below(4 * ii + 1);
+                let len = if g.below(10) == 0 {
+                    0
+                } else {
+                    1 + g.below(max_len)
+                };
+                Lifetime {
+                    op: OpId::from_index(i),
+                    start,
+                    end: start + len,
+                }
+            })
+            .collect();
+        (lts, ii)
+    }
+
+    /// Past one and two words of the bitset: every `FitPolicy` and all
+    /// three interference filters (all pairs, `share_subfile`,
+    /// `intersects`) give the restart oracle's answer, and the answers
+    /// land on both sides of 64 and of 128 registers.
+    #[test]
+    fn kernel_matches_the_restart_oracle_past_64_registers() {
+        let mut g = Gen(0x5851_f42d_4c95_7f2d);
+        let classes = [
+            ValueClass::Global,
+            ValueClass::Only(ClusterId::LEFT),
+            ValueClass::Only(ClusterId::RIGHT),
+        ];
+        let mut sizes = Vec::new();
+        for case in 0..48 {
+            let (lts, ii) = generated_wide(&mut g);
+            let cls: Vec<ValueClass> = lts.iter().map(|_| classes[g.below(3) as usize]).collect();
+            let sets: Vec<ClusterSet> = lts
+                .iter()
+                .map(|_| {
+                    let mut set = ClusterSet::only(ClusterId(g.below(3)));
+                    set.insert(ClusterId(g.below(3)));
+                    set
+                })
+                .collect();
+            // Start a few registers below MaxLive, as the allocators'
+            // lower bounds do.
+            let r0 = crate::max_live(&lts, ii).saturating_sub(g.below(6));
+            let share = |a: usize, b: usize| share_subfile(cls[a], cls[b]);
+            let meet = |a: usize, b: usize| sets[a].intersects(sets[b]);
+            for fit in [FitPolicy::FirstFit, FitPolicy::BestFit] {
+                let at = format!("case {case}: {fit:?}, II {ii}, r0 {r0}, {lts:?}");
+                let all = first_fit(&lts, ii, r0, fit, |_, _| true);
+                assert_eq!(all, oracle(&lts, ii, r0, fit, |_, _| true), "{at}");
+                assert_eq!(
+                    first_fit(&lts, ii, r0, fit, share),
+                    oracle(&lts, ii, r0, fit, share),
+                    "{at}, classes {cls:?}"
+                );
+                assert_eq!(
+                    first_fit(&lts, ii, r0, fit, meet),
+                    oracle(&lts, ii, r0, fit, meet),
+                    "{at}, sets {sets:?}"
+                );
+                sizes.push(all.0);
+            }
+        }
+        for (lo, hi) in [(1, 64), (65, 128), (129, u32::MAX)] {
+            assert!(
+                sizes.iter().any(|r| (lo..=hi).contains(r)),
+                "no answer in {lo}..={hi}: {sizes:?}"
+            );
+        }
+    }
+
+    /// A placement order built once serves the unified and the dual
+    /// filter alike: each packing equals an independent `first_fit`
+    /// call, and the public allocators on a shared order equal their
+    /// one-shot forms.
+    #[test]
+    fn one_placement_order_packs_the_unified_and_dual_classes() {
+        let mut g = Gen(0x2127_599b_f432_5c37);
+        let classes = [
+            ValueClass::Global,
+            ValueClass::Only(ClusterId::LEFT),
+            ValueClass::Only(ClusterId::RIGHT),
+        ];
+        for case in 0..300 {
+            let (lts, ii) = if case % 4 == 0 {
+                generated_wide(&mut g)
+            } else {
+                generated(&mut g, 24)
+            };
+            let cls: Vec<ValueClass> = lts.iter().map(|_| classes[g.below(3) as usize]).collect();
+            let share = |a: usize, b: usize| share_subfile(cls[a], cls[b]);
+            let order = PlacementOrder::new(&lts, ii);
+            let r0 = crate::max_live(&lts, ii);
+            let bound = DualPressure::new(&lts, &cls, ii).requirement_bound();
+            let at = format!("case {case}: II {ii}, {cls:?}, {lts:?}");
+            for fit in [FitPolicy::FirstFit, FitPolicy::BestFit] {
+                assert_eq!(
+                    order.pack(r0, fit, |_, _| true),
+                    first_fit(&lts, ii, r0, fit, |_, _| true),
+                    "{at}"
+                );
+                assert_eq!(
+                    order.pack(bound, fit, share),
+                    first_fit(&lts, ii, bound, fit, share),
+                    "{at}"
+                );
+                assert_eq!(
+                    allocate_unified_in(&order, &lts, fit),
+                    allocate_unified_with(&lts, ii, fit),
+                    "{at}"
+                );
+            }
+            assert_eq!(
+                allocate_dual_in(&order, &lts, &cls),
+                allocate_dual(&lts, &cls, ii),
+                "{at}"
             );
         }
     }

@@ -25,9 +25,17 @@
 //! escalation ladder asks `DescentTree::requirement_within` whether a
 //! rung can fit a budget; when the bound, through the model's monotone
 //! hook, already exceeds it, the rung is settled as at-least-the-bound
-//! with no allocation. A bound never enters the class memo, and an
-//! exact allocation that follows reuses its lifetimes, so each rung and
-//! class computes lifetimes once.
+//! with no allocation. A bound never enters the class memo.
+//!
+//! Classes and bounds read their inputs through a [`ClassInput`]. Each
+//! state builds its loop's consumer lists once, and each schedule (fresh
+//! or rung) carries its [`ScheduleFacts`]: the value lifetimes and
+//! their First-Fit placement order, filled by the first class or bound
+//! that reads them. The unified, partitioned and swapped classes, a
+//! bound and victim choice on one schedule therefore share one lifetime
+//! computation and one placement order; the swap pass rebinds units
+//! only, so the swapped classes read the facts of the schedule they
+//! swapped.
 //!
 //! A rung is *flat* when its IMS attempt was flat (its schedule is, up to
 //! its II, the schedule of every higher II; see `ncdrf_sched`'s
@@ -42,15 +50,16 @@
 //! the machine and the scheduler options its states are built with, so
 //! no caller can hand a trajectory of the tree a different pair.
 //! [`DescentTree::release`] drops the index and every memo except the
-//! root's class memo — on indexed states and on the states trajectories
-//! still retain alike; trajectories keep the states they retain (their
-//! record-minima frontier and terminal checkpoint) alive on their own.
+//! root's class memo and base lifetimes — on indexed states and on the
+//! states trajectories still retain alike; trajectories keep the states
+//! they retain (their record-minima frontier and terminal checkpoint)
+//! alive on their own.
 
 use crate::rewrite::{rewrite, RewriteStats};
 use crate::SpillError;
-use ncdrf_ddg::{Loop, OpId};
+use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
-use ncdrf_regalloc::Lifetime;
+use ncdrf_regalloc::{lifetimes_into, Lifetime, PlacementOrder};
 use ncdrf_sched::{modulo_schedule_with, PreparedLoop, Rung, Schedule, SchedulerOptions};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,10 +80,98 @@ pub struct ClassRequirement {
     /// classes that do not rewrite it. Victim selection reads it.
     pub sched: Arc<Schedule>,
     /// Value lifetimes of `sched` (empty when the class does not expose
-    /// them).
-    pub lifetimes: Vec<Lifetime>,
+    /// them), shared with the schedule's [`ScheduleFacts`].
+    pub lifetimes: Arc<[Lifetime]>,
     /// The raw (pre-hook) requirement.
     pub raw: u32,
+}
+
+/// The allocation facts of one schedule: its value lifetimes and their
+/// First-Fit placement order, each computed on first use and shared by
+/// every class allocated on the schedule. A swap pass only rebinds
+/// units, so the facts of a schedule are also those of its swapped copy.
+#[derive(Debug, Default)]
+pub struct ScheduleFacts {
+    lifetimes: Mutex<Option<Arc<[Lifetime]>>>,
+    order: Mutex<Option<Arc<PlacementOrder>>>,
+}
+
+impl ScheduleFacts {
+    /// Forgets the placement order, and the lifetimes too unless
+    /// `keep_lifetimes`.
+    fn forget(&self, keep_lifetimes: bool) {
+        *lock(&self.order) = None;
+        if !keep_lifetimes {
+            *lock(&self.lifetimes) = None;
+        }
+    }
+}
+
+/// What a [`Requirement`] allocates on: a schedule of a loop, the loop's
+/// consumer lists and the schedule's [`ScheduleFacts`]. A descent tree
+/// builds the consumer lists once per state and the facts once per
+/// schedule, so every class and bound on a schedule reads the same ones.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassInput<'a> {
+    /// The loop.
+    pub l: &'a Loop,
+    /// The machine `sched` was built for.
+    pub machine: &'a Machine,
+    /// A schedule of `l` on `machine`.
+    pub sched: &'a Arc<Schedule>,
+    /// The consumer lists of `l` (see [`Loop::consumers`]).
+    pub consumers: &'a Consumers,
+    facts: &'a ScheduleFacts,
+}
+
+impl<'a> ClassInput<'a> {
+    /// The input for `sched`. `consumers` must be `l.consumers()`, and
+    /// `facts` empty or filled on this same schedule.
+    pub fn new(
+        l: &'a Loop,
+        machine: &'a Machine,
+        sched: &'a Arc<Schedule>,
+        consumers: &'a Consumers,
+        facts: &'a ScheduleFacts,
+    ) -> Self {
+        ClassInput {
+            l,
+            machine,
+            sched,
+            consumers,
+            facts,
+        }
+    }
+
+    /// The value lifetimes of `sched`, computed on the first call.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError`] when the machine cannot serve the loop; nothing
+    /// is kept, so a later call fails the same way.
+    pub fn lifetimes(&self) -> Result<Arc<[Lifetime]>, MachineError> {
+        let mut slot = lock(&self.facts.lifetimes);
+        if let Some(lts) = &*slot {
+            return Ok(Arc::clone(lts));
+        }
+        let mut lts = Vec::new();
+        lifetimes_into(self.l, self.machine, self.sched, self.consumers, &mut lts)?;
+        Ok(Arc::clone(slot.insert(lts.into())))
+    }
+
+    /// The placement order of [`ClassInput::lifetimes`] at the II of
+    /// `sched`, built on the first call.
+    ///
+    /// # Errors
+    ///
+    /// The error of [`ClassInput::lifetimes`].
+    pub fn order(&self) -> Result<Arc<PlacementOrder>, MachineError> {
+        let lts = self.lifetimes()?;
+        let mut slot = lock(&self.facts.order);
+        let order =
+            slot.get_or_insert_with(|| Arc::new(PlacementOrder::new(&lts, self.sched.ii())));
+        Ok(Arc::clone(order))
+    }
 }
 
 /// A register requirement split into a memoisable class part and a
@@ -96,17 +193,12 @@ pub trait Requirement {
     /// requirement without a class scans every rung.
     fn class(&self) -> Option<ClassKey>;
 
-    /// The class part on `sched`, a schedule of `l` on `machine`.
+    /// The class part on `input.sched`.
     ///
     /// # Errors
     ///
     /// [`MachineError`] when the machine cannot serve the loop.
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError>;
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError>;
 
     /// The model's requirement from its class result. Must be a pure
     /// function of its arguments, monotone non-decreasing in
@@ -117,43 +209,20 @@ pub trait Requirement {
     /// last rung's requirement is then the least.
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32;
 
-    /// A lower bound on the class part on `sched`, cheaper than
+    /// A lower bound on the class part on `input.sched`, cheaper than
     /// [`Requirement::allocate`]: its `sched` and `lifetimes` are exactly
     /// what `allocate` returns, and its `raw` is at most `allocate`'s.
     /// `None` (the default) when the class has no such bound. Must fail
-    /// exactly when `allocate` fails on `sched`, with the same error, so a
-    /// ladder that skips a rung on its bound fails where an allocating
-    /// one would.
+    /// exactly when `allocate` fails on the same input, with the same
+    /// error, so a ladder that skips a rung on its bound fails where an
+    /// allocating one would.
     ///
     /// # Errors
     ///
     /// [`MachineError`] when the machine cannot serve the loop.
-    fn bound(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<Option<ClassRequirement>, MachineError> {
-        let _ = (l, machine, sched);
+    fn bound(&mut self, input: &ClassInput<'_>) -> Result<Option<ClassRequirement>, MachineError> {
+        let _ = input;
         Ok(None)
-    }
-
-    /// The class part on `sched` from `bound`, a result of
-    /// [`Requirement::bound`] on the same loop and schedule: equal to
-    /// `allocate` on `sched`. The default ignores the bound.
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError`] when the machine cannot serve the loop.
-    fn tighten(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-        bound: &ClassRequirement,
-    ) -> Result<ClassRequirement, MachineError> {
-        let _ = bound;
-        self.allocate(l, machine, sched)
     }
 }
 
@@ -182,17 +251,12 @@ where
         None
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        let mut sched = Schedule::clone(sched);
-        let raw = self(l, machine, &mut sched)?;
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        let mut sched = Schedule::clone(input.sched);
+        let raw = self(input.l, input.machine, &mut sched)?;
         Ok(ClassRequirement {
             sched: Arc::new(sched),
-            lifetimes: Vec::new(),
+            lifetimes: Arc::new([]),
             raw,
         })
     }
@@ -218,17 +282,21 @@ fn find(memo: &ClassMemo, key: ClassKey) -> Option<Arc<ClassRequirement>> {
         .map(|(_, c)| Arc::clone(c))
 }
 
-/// A schedule and the class requirements memoised on it.
+/// A schedule, its allocation facts and the class requirements memoised
+/// on it.
 #[derive(Debug)]
 pub(crate) struct Scheduled {
     pub(crate) sched: Arc<Schedule>,
+    /// Lifetimes and placement order, filled by the first class or bound
+    /// that reads them.
+    facts: ScheduleFacts,
     /// Whether this is a flat rung (see the module docs): every higher
     /// II schedules the same starts and units, and every lifetime ends
     /// by this II. Never set on a fresh schedule.
     pub(crate) flat: bool,
     classes: ClassMemo,
-    /// Class lower bounds ([`Requirement::bound`]) not yet tightened to
-    /// an exact entry of `classes`; never read as exact.
+    /// Class lower bounds ([`Requirement::bound`]) of classes with no
+    /// exact entry in `classes` yet; never read as exact.
     bounds: ClassMemo,
 }
 
@@ -236,6 +304,7 @@ impl Scheduled {
     fn new(sched: Schedule, flat: bool) -> Scheduled {
         Scheduled {
             sched: Arc::new(sched),
+            facts: ScheduleFacts::default(),
             flat,
             classes: Mutex::default(),
             bounds: Mutex::default(),
@@ -255,6 +324,8 @@ pub(crate) struct DescentState {
     id: u64,
     /// The (rewritten) loop.
     pub(crate) l: Loop,
+    /// Its consumer lists, shared by every schedule of the state.
+    pub(crate) consumers: Consumers,
     /// Its fresh schedule, before any requirement ran.
     pub(crate) fresh: Scheduled,
     /// The reloads the step into this state introduced (none at the
@@ -274,6 +345,7 @@ impl DescentState {
     fn new(id: u64, l: Loop, fresh: Schedule, reloads: Vec<OpId>, stats: RewriteStats) -> Self {
         DescentState {
             id,
+            consumers: l.consumers(),
             l,
             fresh: Scheduled::new(fresh, false),
             reloads,
@@ -361,9 +433,9 @@ pub struct DescentTree {
     scheduler: SchedulerOptions,
     root: Arc<DescentState>,
     index: Mutex<Index>,
-    /// Every state holding a rung or class memo, indexed or not, so
-    /// [`DescentTree::release`] reaches the memos of states only a
-    /// trajectory still holds.
+    /// Every state holding a rung, a class memo or allocation facts,
+    /// indexed or not, so [`DescentTree::release`] reaches the memos of
+    /// states only a trajectory still holds.
     memoised: Mutex<Vec<Weak<DescentState>>>,
     counters: Counters,
 }
@@ -423,10 +495,26 @@ impl DescentTree {
         self.root.fresh.memoised(key)
     }
 
+    /// The value lifetimes of the root's base schedule: the ones every
+    /// class on that schedule reads, computed on the first call.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError`] when the machine cannot serve the loop.
+    pub fn base_lifetimes(&self) -> Result<Arc<[Lifetime]>, MachineError> {
+        self.lifetimes(&self.root, &self.root.fresh.sched)
+    }
+
+    /// The consumer lists of the unspilled loop, built once with the
+    /// tree.
+    pub fn base_consumers(&self) -> &Consumers {
+        &self.root.consumers
+    }
+
     /// Ends sharing for now: drops the index and every memo except the
-    /// root's class memo, on indexed and retained states alike. States a
-    /// trajectory retains stay alive through the trajectory; anything
-    /// computed later is indexed and memoised again.
+    /// root's class memo and base lifetimes, on indexed and retained
+    /// states alike. States a trajectory retains stay alive through the
+    /// trajectory; anything computed later is indexed and memoised again.
     pub fn release(&self) {
         let children = std::mem::take(&mut lock(&self.index).children);
         let memoised = std::mem::take(&mut *lock(&self.memoised));
@@ -435,7 +523,9 @@ impl DescentTree {
             // its state again (see `memoise`).
             state.listed.store(false, Ordering::SeqCst);
             lock(&state.rungs).clear();
-            if !Arc::ptr_eq(&state, &self.root) {
+            let root = Arc::ptr_eq(&state, &self.root);
+            state.fresh.facts.forget(root);
+            if !root {
                 lock(&state.fresh.classes).clear();
                 lock(&state.fresh.bounds).clear();
             }
@@ -482,6 +572,46 @@ impl DescentTree {
         &self.root
     }
 
+    /// The class input on `at`, a schedule of `state`.
+    fn input<'a>(&'a self, state: &'a DescentState, at: &'a Scheduled) -> ClassInput<'a> {
+        ClassInput::new(
+            &state.l,
+            &self.machine,
+            &at.sched,
+            &state.consumers,
+            &at.facts,
+        )
+    }
+
+    /// The value lifetimes of `sched`, a schedule of `state`: the fresh
+    /// schedule's facts when `sched` has its starts (a class that only
+    /// rebinds units, such as the swap pass, keeps them), computed
+    /// alone otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError`] when the machine cannot serve the loop.
+    pub(crate) fn lifetimes(
+        &self,
+        state: &Arc<DescentState>,
+        sched: &Schedule,
+    ) -> Result<Arc<[Lifetime]>, MachineError> {
+        let fresh = &state.fresh;
+        let same_starts = std::ptr::eq(sched, &*fresh.sched)
+            || (sched.ii() == fresh.sched.ii()
+                && (0..state.l.ops().len())
+                    .map(OpId::from_index)
+                    .all(|op| sched.start(op) == fresh.sched.start(op)));
+        if !same_starts {
+            let mut lts = Vec::new();
+            lifetimes_into(&state.l, &self.machine, sched, &state.consumers, &mut lts)?;
+            return Ok(lts.into());
+        }
+        let lts = self.input(state, fresh).lifetimes()?;
+        self.memoise(state);
+        Ok(lts)
+    }
+
     /// The state reached by spilling `victim` out of `parent`: looked up,
     /// or computed (rewrite + fresh schedule) and indexed. A failing step
     /// is not recorded, so a retry fails the same way.
@@ -524,10 +654,7 @@ impl DescentTree {
                 bump(&self.counters.classes_reused);
                 class
             }
-            None => {
-                let bound = key.and_then(|k| find(&at.bounds, k));
-                self.allocate(state, at, requirement, bound.as_deref())?
-            }
+            None => self.allocate(state, at, requirement)?,
         };
         let regs = requirement.effective(&state.l, &class);
         Ok((class, regs))
@@ -537,8 +664,8 @@ impl DescentTree {
     /// `budget`: [`Settled::AtLeast`] when the class bound already puts
     /// the model's requirement above `budget` (nothing is allocated), the
     /// exact requirement otherwise. The bound is memoised next to the
-    /// class memo, and an exact allocation that follows reuses its
-    /// lifetimes.
+    /// class memo, and an exact allocation that follows reads the same
+    /// schedule facts.
     pub(crate) fn requirement_within(
         &self,
         state: &Arc<DescentState>,
@@ -554,19 +681,21 @@ impl DescentTree {
         }
         let bound = match key.and_then(|k| find(&at.bounds, k)) {
             Some(bound) => Some(bound),
-            None => requirement
-                .bound(l, &self.machine, &at.sched)?
-                .map(|bound| match key {
+            None => {
+                let bound = requirement.bound(&self.input(state, at))?;
+                self.memoise(state);
+                bound.map(|bound| match key {
                     Some(k) => self.insert(state, &at.bounds, k, Arc::new(bound)),
                     None => Arc::new(bound),
-                }),
+                })
+            }
         };
         let lb = bound.as_deref().map(|b| requirement.effective(l, b));
         if let Some(lb) = lb.filter(|&lb| lb > budget) {
             bump(&self.counters.classes_bounded);
             return Ok(Settled::AtLeast(lb));
         }
-        let class = self.allocate(state, at, requirement, bound.as_deref())?;
+        let class = self.allocate(state, at, requirement)?;
         let regs = requirement.effective(l, &class);
         debug_assert!(
             lb.is_none_or(|lb| lb <= regs),
@@ -575,39 +704,31 @@ impl DescentTree {
         Ok(Settled::Exact(class, regs))
     }
 
-    /// Computes the class part on `at` (tightening `bound` when one is
-    /// known) and memoises it when the requirement has a class; a
+    /// Computes the class part on `at` and memoises it when the
+    /// requirement has a class, in place of any bound of that class; a
     /// racing insert wins.
     fn allocate(
         &self,
         state: &Arc<DescentState>,
         at: &Scheduled,
         requirement: &mut dyn Requirement,
-        bound: Option<&ClassRequirement>,
     ) -> Result<Arc<ClassRequirement>, MachineError> {
-        let (l, machine) = (&state.l, &self.machine);
-        let class = match bound {
-            Some(bound) => {
-                let class = requirement.tighten(l, machine, &at.sched, bound)?;
-                debug_assert!(
-                    bound.raw <= class.raw,
-                    "class bound {} above the exact {}",
-                    bound.raw,
-                    class.raw
-                );
-                class
-            }
-            None => requirement.allocate(l, machine, &at.sched)?,
-        };
+        let class = Arc::new(requirement.allocate(&self.input(state, at))?);
         bump(&self.counters.classes_computed);
-        let class = Arc::new(class);
+        // Lists the state for `release`, which drops the facts the
+        // allocation filled.
+        self.memoise(state);
         let Some(key) = requirement.class() else {
             return Ok(class);
         };
         let class = self.insert(state, &at.classes, key, class);
-        if bound.is_some() {
-            lock(&at.bounds).retain(|(k, _)| *k != key);
-        }
+        let mut bounds = lock(&at.bounds);
+        debug_assert!(
+            bounds.iter().all(|(k, b)| *k != key || b.raw <= class.raw),
+            "class bound above the exact {}",
+            class.raw
+        );
+        bounds.retain(|(k, _)| *k != key);
         Ok(class)
     }
 
@@ -669,7 +790,7 @@ mod tests {
     use super::*;
     use crate::{requirement_unified, SpillOptions, SpillTrajectory};
     use ncdrf_ddg::{LoopBuilder, Weight};
-    use ncdrf_regalloc::{allocate_unified, lifetimes};
+    use ncdrf_regalloc::allocate_unified;
 
     fn pressured() -> Loop {
         let mut b = LoopBuilder::new("pressured");
@@ -693,16 +814,11 @@ mod tests {
         fn class(&self) -> Option<ClassKey> {
             Some(ClassKey(0))
         }
-        fn allocate(
-            &mut self,
-            l: &Loop,
-            machine: &Machine,
-            sched: &Arc<Schedule>,
-        ) -> Result<ClassRequirement, MachineError> {
-            let lts = lifetimes(l, machine, sched)?;
-            let raw = allocate_unified(&lts, sched.ii()).regs;
+        fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+            let lts = input.lifetimes()?;
+            let raw = allocate_unified(&lts, input.sched.ii()).regs;
             Ok(ClassRequirement {
-                sched: Arc::clone(sched),
+                sched: Arc::clone(input.sched),
                 lifetimes: lts,
                 raw,
             })

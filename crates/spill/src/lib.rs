@@ -67,7 +67,9 @@ mod rewrite;
 mod spiller;
 mod trajectory;
 
-pub use descent::{ClassKey, ClassRequirement, DescentStats, DescentTree, Requirement};
+pub use descent::{
+    ClassInput, ClassKey, ClassRequirement, DescentStats, DescentTree, Requirement, ScheduleFacts,
+};
 pub use rewrite::{spill_value, RewriteStats};
 pub use spiller::{
     requirement_unified, spill_until_fits, spill_until_fits_seeded, RequirementFn, SpillError,

@@ -262,15 +262,19 @@ fn run_spill_loop(
         }
 
         let victim = if spilled.len() < opts.max_spills {
+            let s = &mut scratch;
+            cur.consumers_into(&mut s.consumers);
+            lifetimes_into(cur, machine, &sched, &s.consumers, &mut s.lts)?;
             select_victim(
                 cur,
-                machine,
-                &sched,
+                &s.consumers,
+                &s.lts,
+                sched.ii(),
                 &excluded,
                 opts.policy,
                 &mut rng,
-                &mut scratch,
-            )?
+                &mut s.candidates,
+            )
         } else {
             None
         };
@@ -354,41 +358,40 @@ impl Exclusion {
     }
 }
 
-/// Reusable arena for [`select_victim`]: lifetime and consumer buffers
-/// plus candidate indices, so a spill descent's per-step victim selection
-/// allocates nothing once warm.
+/// Reusable arena for the fresh driver's victim selection: lifetime and
+/// consumer buffers plus candidate indices, so a spill descent's
+/// per-step victim selection allocates nothing once warm.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct VictimScratch {
+struct VictimScratch {
     lts: Vec<Lifetime>,
     consumers: Consumers,
     candidates: Vec<u32>,
 }
 
 /// Selects the next value to spill among spillable candidates (value
-/// producers not created by the spiller and not spilled before).
+/// producers not created by the spiller and not spilled before), from
+/// `lts`, the lifetimes of a schedule of `l` at `ii`, and `consumers`,
+/// the consumer lists of `l`. `candidates` is a reused buffer.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn select_victim(
     l: &Loop,
-    machine: &Machine,
-    sched: &Schedule,
+    consumers: &Consumers,
+    lts: &[Lifetime],
+    ii: u32,
     excluded: &Exclusion,
     policy: SpillPolicy,
     rng: &mut Xorshift64,
-    scratch: &mut VictimScratch,
-) -> Result<Option<OpId>, MachineError> {
-    l.consumers_into(&mut scratch.consumers);
-    lifetimes_into(l, machine, sched, &scratch.consumers, &mut scratch.lts)?;
-    let (lts, consumers) = (&scratch.lts, &scratch.consumers);
-    scratch.candidates.clear();
+    candidates: &mut Vec<u32>,
+) -> Option<OpId> {
+    candidates.clear();
     for (i, lt) in lts.iter().enumerate() {
         if !excluded.contains(lt.op) && !lt.is_empty() && spillable(l, lt.op) {
-            scratch.candidates.push(idx32(i));
+            candidates.push(idx32(i));
         }
     }
-    let candidates = &scratch.candidates;
     if candidates.is_empty() {
-        return Ok(None);
+        return None;
     }
-    let ii = sched.ii();
     let chosen = match policy {
         SpillPolicy::LongestLifetime => candidates
             .iter()
@@ -407,7 +410,7 @@ pub(crate) fn select_victim(
             Some(&lts[candidates[i] as usize])
         }
     };
-    Ok(chosen.map(|lt| lt.op))
+    chosen.map(|lt| lt.op)
 }
 
 /// A value is spillable unless it was created by the spiller itself

@@ -61,7 +61,7 @@
 
 use crate::descent::{DescentState, DescentTree};
 use crate::escalation::{EscalationLadder, SpillTally};
-use crate::spiller::{select_victim, Exclusion, VictimScratch, Xorshift64};
+use crate::spiller::{select_victim, Exclusion, Xorshift64};
 use crate::{Requirement, SpillError, SpillOptions, SpillResult};
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::Machine;
@@ -319,8 +319,8 @@ pub struct SpillTrajectory {
     /// first escalated evaluation and shared by every later one (the
     /// terminal state no longer changes once the descent is exhausted).
     ladder: Option<EscalationLadder>,
-    /// Victim-selection arena, reused across extension steps.
-    scratch: VictimScratch,
+    /// Victim-selection candidates, reused across extension steps.
+    candidates: Vec<u32>,
 }
 
 impl SpillTrajectory {
@@ -376,7 +376,7 @@ impl SpillTrajectory {
             rng: Xorshift64::for_policy(opts.policy),
             exhausted: false,
             ladder: None,
-            scratch: VictimScratch::default(),
+            candidates: Vec::new(),
         })
     }
 
@@ -643,15 +643,17 @@ impl SpillTrajectory {
         let mut rng = self.rng;
         let last = self.checkpoints.last().expect("checkpoint 0 exists");
         let at = last.retained();
+        let lts = self.tree.lifetimes(&at.state, &at.sched)?;
         let victim = select_victim(
             &at.state.l,
-            self.tree.machine(),
-            &at.sched,
+            &at.state.consumers,
+            &lts,
+            at.sched.ii(),
             &self.excluded,
             self.opts.policy,
             &mut rng,
-            &mut self.scratch,
-        )?;
+            &mut self.candidates,
+        );
         let Some(victim) = victim else {
             self.exhausted = true;
             return Ok(false);

@@ -53,7 +53,10 @@
 
 use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{ClusterId, Machine, MachineError, UnitRef};
-use ncdrf_regalloc::{allocate_dual, lifetimes, max_live_subset, Lifetime, ValueClass};
+use ncdrf_regalloc::{
+    allocate_dual, allocate_dual_in, lifetimes_into, max_live_subset, Lifetime, PlacementOrder,
+    ValueClass,
+};
 use ncdrf_sched::Schedule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -165,45 +168,68 @@ pub fn swap_pass_with(
     sched: &mut Schedule,
     opts: SwapOptions,
 ) -> Result<SwapOutcome, MachineError> {
-    let lts = lifetimes(l, machine, sched)?;
     let consumers = l.consumers();
+    let mut lts = Vec::new();
+    lifetimes_into(l, machine, sched, &consumers, &mut lts)?;
+    Ok(swap_pass_on(l, machine, sched, opts, &lts, &consumers))
+}
+
+/// [`swap_pass_with`] on facts the caller computed once and shares:
+/// `lts`, the lifetimes of `sched` (see [`lifetimes`]), and `consumers`,
+/// the consumer lists of `l` (see [`Loop::consumers`]).
+///
+/// The pass only rebinds units ([`Schedule::swap_units`],
+/// [`Schedule::rebind`]); lifetimes depend on start times and per-kind
+/// latencies alone, so `lts` are also the lifetimes of the schedule the
+/// pass leaves behind.
+///
+/// [`lifetimes`]: ncdrf_regalloc::lifetimes
+pub fn swap_pass_on(
+    l: &Loop,
+    machine: &Machine,
+    sched: &mut Schedule,
+    opts: SwapOptions,
+    lts: &[Lifetime],
+    consumers: &Consumers,
+) -> SwapOutcome {
     let mut clusters = cluster_vec(l, machine, sched);
     let mut scorer = match opts.scoring {
-        Scoring::MaxLiveBound => Some(BoundScorer::new(l, &lts, &consumers, &clusters, sched.ii())),
-        Scoring::ExactAlloc => None,
+        Scoring::MaxLiveBound => {
+            Scorer::Bound(BoundScorer::new(l, lts, consumers, &clusters, sched.ii()))
+        }
+        Scoring::ExactAlloc => Scorer::Exact(PlacementOrder::new(lts, sched.ii())),
     };
-    let mut current = match &scorer {
-        Some(s) => s.score(),
-        None => score_from(&lts, &consumers, &clusters, sched.ii(), opts.scoring),
-    };
+    let mut current = scorer.score(lts, consumers, &clusters, &[]);
     let before = current;
     let mut actions = Vec::new();
 
     if machine.clusters() >= 2 {
+        let mut bindings = Bindings::new(l, machine, sched);
         while actions.len() < opts.max_steps {
             let Some((best, action)) = best_candidate(
-                l,
                 machine,
                 sched,
-                &lts,
-                &consumers,
+                &bindings,
+                lts,
+                consumers,
                 &clusters,
                 current,
                 opts,
-                scorer.as_mut(),
+                &mut scorer,
             ) else {
                 break;
             };
-            apply(machine, sched, &mut clusters, action);
-            if let Some(s) = scorer.as_mut() {
-                let changed = match action {
-                    SwapAction::Pair(a, b) => vec![a.index(), b.index()],
-                    SwapAction::Move(a, _) => vec![a.index()],
-                };
-                s.commit(&lts, &consumers, &clusters, &changed);
+            apply(machine, sched, &mut bindings, &mut clusters, action);
+            if let Scorer::Bound(s) = &mut scorer {
+                match action {
+                    SwapAction::Pair(a, b) => {
+                        s.commit(lts, consumers, &clusters, &[a.index(), b.index()])
+                    }
+                    SwapAction::Move(a, _) => s.commit(lts, consumers, &clusters, &[a.index()]),
+                }
             }
             debug_assert_eq!(
-                score_from(&lts, &consumers, &clusters, sched.ii(), opts.scoring),
+                score_from(lts, consumers, &clusters, sched.ii(), opts.scoring),
                 best
             );
             current = best;
@@ -211,11 +237,11 @@ pub fn swap_pass_with(
         }
     }
 
-    Ok(SwapOutcome {
+    SwapOutcome {
         before,
         after: current,
         actions,
-    })
+    }
 }
 
 /// Classifies lifetimes given an explicit per-op cluster assignment.
@@ -247,24 +273,62 @@ fn class_of(consumers_of_v: &[(OpId, u32)], clusters: &[ClusterId]) -> ValueClas
     }
 }
 
+/// A candidate scorer: the incremental bound, or the exact dual
+/// allocation from the schedule's placement order (built once: a swap
+/// changes classes, never lifetimes).
+enum Scorer {
+    Bound(BoundScorer),
+    Exact(PlacementOrder),
+}
+
+impl Scorer {
+    /// The score under the hypothetical assignment `clusters`, which
+    /// differs from the scorer's own only in the clusters of
+    /// `changed_ops`.
+    fn score(
+        &mut self,
+        lts: &[Lifetime],
+        consumers: &Consumers,
+        clusters: &[ClusterId],
+        changed_ops: &[usize],
+    ) -> u32 {
+        match self {
+            Scorer::Bound(s) => s.score_candidate(lts, consumers, clusters, changed_ops),
+            Scorer::Exact(order) => {
+                let classes = classify_with_clusters(lts, consumers, clusters);
+                allocate_dual_in(order, lts, &classes).regs
+            }
+        }
+    }
+}
+
 /// Incremental [`Scoring::MaxLiveBound`] scorer.
 ///
-/// The bound is `max` over the two subfiles of the per-cycle live count,
-/// where a value occupies its class's subfiles (globals occupy both).
+/// The bound is `max` over the two subfiles of the per-row live count,
+/// where a value occupies its class's subfiles (globals occupy both). A
+/// value of length `len` contributes `len / II` instances to every
+/// kernel row and one more to the circular run of `len % II` rows from
+/// `start % II`; the scorer keeps the every-row part as one count per
+/// subfile and the runs as per-row counts, so patching a value costs
+/// `O(len % II)` and no division by II.
+///
 /// Swapping operations `a` and `b` can only change the classes of values
 /// *consumed by* `a` or `b`, so instead of reclassifying every value and
-/// re-sweeping all lifetimes per candidate (`O(n · II)` plus
-/// allocations), the scorer keeps per-cycle live histograms for both
-/// subfiles and patches just the affected values' contributions —
-/// `O(deg · II)` per candidate, with scores identical to
+/// re-sweeping all lifetimes per candidate, the scorer patches just the
+/// affected values' contributions and rescans the rows: `O(deg · II)`
+/// per candidate in the worst case, with scores identical to
 /// [`requirement_bound`].
 struct BoundScorer {
-    ii: i64,
+    ii: u32,
     classes: Vec<ValueClass>,
-    /// Per-cycle live counts, indexed by `ClusterId::index().min(1)`.
+    /// Instances on every row, per subfile (`ClusterId::index().min(1)`).
+    every: [i64; 2],
+    /// Per-row counts of the partial runs, per subfile.
     live: [Vec<i64>; 2],
     /// Lifetime indices consumed by each operation.
     consumed_by: Vec<Vec<usize>>,
+    /// The class changes of the candidate being scored, reused.
+    changes: Vec<(usize, ValueClass, ValueClass)>,
 }
 
 impl BoundScorer {
@@ -283,10 +347,12 @@ impl BoundScorer {
             }
         }
         let mut scorer = BoundScorer {
-            ii: ii as i64,
+            ii,
             classes: classes.clone(),
+            every: [0; 2],
             live: [vec![0; ii as usize], vec![0; ii as usize]],
             consumed_by,
+            changes: Vec::new(),
         };
         for (lt, &class) in lts.iter().zip(&classes) {
             scorer.contribute(lt, class, 1);
@@ -300,38 +366,46 @@ impl BoundScorer {
         if lt.is_empty() {
             return;
         }
-        let (start, end) = (lt.start as i64, lt.end as i64);
-        for t in 0..self.ii {
-            // Instances k with start + k*ii <= t < end + k*ii.
-            let inst = (t - start).div_euclid(self.ii) - (t - end).div_euclid(self.ii);
-            let delta = sign * inst;
-            match class {
-                ValueClass::Global => {
-                    self.live[0][t as usize] += delta;
-                    self.live[1][t as usize] += delta;
-                }
-                ValueClass::Only(c) => self.live[c.index().min(1)][t as usize] += delta,
+        let files: &[usize] = match class {
+            ValueClass::Global => &[0, 1],
+            ValueClass::Only(c) => &[c.index().min(1)],
+        };
+        let (len, ii) = (lt.len(), self.ii);
+        let first = (lt.start % ii) as usize;
+        let extra = (len % ii) as usize;
+        // The run of `extra` rows from `first`, split where it wraps.
+        let rows = ii as usize;
+        let (head, wrapped) = (
+            first..rows.min(first + extra),
+            0..(first + extra).saturating_sub(rows),
+        );
+        for &f in files {
+            self.every[f] += sign * i64::from(len / ii);
+            let live = &mut self.live[f];
+            for t in head.clone().chain(wrapped.clone()) {
+                live[t] += sign;
             }
         }
     }
 
     /// The current bound (matches [`requirement_bound`]).
     fn score(&self) -> u32 {
-        let peak = |live: &[i64]| live.iter().copied().max().unwrap_or(0).max(0);
-        peak(&self.live[0]).max(peak(&self.live[1])) as u32
+        let peak = |f: usize| self.every[f] + self.live[f].iter().copied().max().unwrap_or(0);
+        peak(0).max(peak(1)).max(0) as u32
     }
 
-    /// Class changes caused by re-clustering `changed_ops` under
-    /// `clusters`, deduplicated (a value consumed by both swapped ops
-    /// appears once).
+    /// Fills `changes` with the class changes caused by re-clustering
+    /// `changed_ops` under `clusters`, deduplicated (a value consumed by
+    /// both swapped ops appears once).
     fn class_changes(
         &self,
         lts: &[Lifetime],
         consumers: &Consumers,
         clusters: &[ClusterId],
         changed_ops: &[usize],
-    ) -> Vec<(usize, ValueClass, ValueClass)> {
-        let mut changes: Vec<(usize, ValueClass, ValueClass)> = Vec::new();
+        changes: &mut Vec<(usize, ValueClass, ValueClass)>,
+    ) {
+        changes.clear();
         for &op in changed_ops {
             for &v in &self.consumed_by[op] {
                 if changes.iter().any(|&(seen, _, _)| seen == v) {
@@ -344,7 +418,6 @@ impl BoundScorer {
                 }
             }
         }
-        changes
     }
 
     /// The bound under the hypothetical assignment `clusters` (state is
@@ -356,7 +429,8 @@ impl BoundScorer {
         clusters: &[ClusterId],
         changed_ops: &[usize],
     ) -> u32 {
-        let changes = self.class_changes(lts, consumers, clusters, changed_ops);
+        let mut changes = std::mem::take(&mut self.changes);
+        self.class_changes(lts, consumers, clusters, changed_ops, &mut changes);
         for &(v, old, new) in &changes {
             self.contribute(&lts[v], old, -1);
             self.contribute(&lts[v], new, 1);
@@ -366,6 +440,7 @@ impl BoundScorer {
             self.contribute(&lts[v], new, -1);
             self.contribute(&lts[v], old, 1);
         }
+        self.changes = changes;
         s
     }
 
@@ -378,11 +453,14 @@ impl BoundScorer {
         clusters: &[ClusterId],
         changed_ops: &[usize],
     ) {
-        for (v, old, new) in self.class_changes(lts, consumers, clusters, changed_ops) {
+        let mut changes = std::mem::take(&mut self.changes);
+        self.class_changes(lts, consumers, clusters, changed_ops, &mut changes);
+        for &(v, old, new) in &changes {
             self.contribute(&lts[v], old, -1);
             self.contribute(&lts[v], new, 1);
             self.classes[v] = new;
         }
+        self.changes = changes;
     }
 }
 
@@ -425,21 +503,91 @@ fn max_live_paired(lts: &[Lifetime], classes: &[ValueClass], ii: u32, cluster: C
     max_live_subset(&kept, ii, |_| true)
 }
 
+/// The unit bindings the candidate search reads, kept across the pass:
+/// the legal pairs (same group, same kernel row), which no swap or move
+/// changes because both keep every op's group and row, and which unit
+/// instances are busy at which kernel row, which a move changes.
+struct Bindings {
+    pairs: Vec<(usize, usize)>,
+    /// Each op's kernel row.
+    row: Vec<u32>,
+    /// The flat index of each group's first instance.
+    first: Vec<usize>,
+    /// `busy[(first[group] + instance) * II + row]`: an op is bound there.
+    busy: Vec<bool>,
+    ii: usize,
+}
+
+impl Bindings {
+    fn new(l: &Loop, machine: &Machine, sched: &Schedule) -> Self {
+        let n = l.ops().len();
+        let ii = sched.ii() as usize;
+        let mut first = Vec::with_capacity(machine.groups().len());
+        let mut units = 0;
+        for group in machine.groups() {
+            first.push(units);
+            units += group.count();
+        }
+        let row: Vec<u32> = (0..n)
+            .map(|a| sched.kernel_slot(OpId::from_index(a)))
+            .collect();
+        let mut bindings = Bindings {
+            pairs: Vec::new(),
+            row,
+            first,
+            busy: vec![false; units * ii],
+            ii,
+        };
+        for a in 0..n {
+            let unit = sched.unit(OpId::from_index(a));
+            let at = bindings.at(unit, a);
+            bindings.busy[at] = true;
+            for b in (a + 1)..n {
+                if unit.group == sched.unit(OpId::from_index(b)).group
+                    && bindings.row[a] == bindings.row[b]
+                {
+                    bindings.pairs.push((a, b));
+                }
+            }
+        }
+        bindings
+    }
+
+    /// The index into `busy` of `unit` at the kernel row of op `a`.
+    fn at(&self, unit: UnitRef, a: usize) -> usize {
+        (self.first[unit.group] + unit.instance) * self.ii + self.row[a] as usize
+    }
+
+    /// The first idle instance of `op`'s group at `op`'s kernel row whose
+    /// cluster differs from `from` (deterministic choice).
+    fn idle_in_other_cluster(
+        &self,
+        machine: &Machine,
+        sched: &Schedule,
+        op: OpId,
+        from: ClusterId,
+    ) -> Option<UnitRef> {
+        let group = sched.unit(op).group;
+        (0..machine.groups()[group].count())
+            .map(|instance| UnitRef { group, instance })
+            .find(|&u| machine.cluster_of(u) != from && !self.busy[self.at(u, op.index())])
+    }
+}
+
 /// Finds the best improving candidate, if any, returning its post-action
 /// score and the action.
 #[allow(clippy::too_many_arguments)]
 fn best_candidate(
-    l: &Loop,
     machine: &Machine,
     sched: &Schedule,
+    bindings: &Bindings,
     lts: &[Lifetime],
     consumers: &Consumers,
     clusters: &[ClusterId],
     current: u32,
     opts: SwapOptions,
-    mut scorer: Option<&mut BoundScorer>,
+    scorer: &mut Scorer,
 ) -> Option<(u32, SwapAction)> {
-    let n = l.ops().len();
     let mut best: Option<(u32, SwapAction)> = None;
     let consider = |score: u32, action: SwapAction, best: &mut Option<(u32, SwapAction)>| {
         if score < current && best.is_none_or(|(b, _)| score < b) {
@@ -448,42 +596,30 @@ fn best_candidate(
     };
 
     let mut scratch = clusters.to_vec();
-    let score_scratch =
-        |scratch: &[ClusterId], changed: &[usize], scorer: &mut Option<&mut BoundScorer>| -> u32 {
-            match scorer {
-                Some(s) => s.score_candidate(lts, consumers, scratch, changed),
-                None => score_from(lts, consumers, scratch, sched.ii(), opts.scoring),
-            }
-        };
+    let mut score_scratch =
+        |scratch: &[ClusterId], changed: &[usize]| scorer.score(lts, consumers, scratch, changed);
 
     // Pair swaps: same group, same kernel slot, different clusters.
-    for a in 0..n {
-        let ida = OpId::from_index(a);
-        for b in (a + 1)..n {
-            let idb = OpId::from_index(b);
-            if sched.unit(ida).group != sched.unit(idb).group
-                || sched.kernel_slot(ida) != sched.kernel_slot(idb)
-                || clusters[a] == clusters[b]
-            {
-                continue;
-            }
-            scratch.swap(a, b);
-            let s = score_scratch(&scratch, &[a, b], &mut scorer);
-            scratch.swap(a, b);
-            consider(s, SwapAction::Pair(ida, idb), &mut best);
+    for &(a, b) in &bindings.pairs {
+        if clusters[a] == clusters[b] {
+            continue;
         }
+        scratch.swap(a, b);
+        let s = score_scratch(&scratch, &[a, b]);
+        scratch.swap(a, b);
+        let action = SwapAction::Pair(OpId::from_index(a), OpId::from_index(b));
+        consider(s, action, &mut best);
     }
 
     // Moves: op -> idle same-group instance in another cluster, same slot.
     if opts.allow_moves {
-        for a in 0..n {
+        for (a, &from) in clusters.iter().enumerate() {
             let ida = OpId::from_index(a);
-            if let Some(dest) = idle_instance_in_other_cluster(machine, sched, ida, clusters[a]) {
+            if let Some(dest) = bindings.idle_in_other_cluster(machine, sched, ida, from) {
                 let target = machine.cluster_of(dest);
-                let saved = scratch[a];
                 scratch[a] = target;
-                let s = score_scratch(&scratch, &[a], &mut scorer);
-                scratch[a] = saved;
+                let s = score_scratch(&scratch, &[a]);
+                scratch[a] = from;
                 consider(s, SwapAction::Move(ida, target), &mut best);
             }
         }
@@ -492,35 +628,29 @@ fn best_candidate(
     best
 }
 
-/// The first idle instance of `op`'s group at `op`'s kernel slot whose
-/// cluster differs from `from` (deterministic choice).
-fn idle_instance_in_other_cluster(
+fn apply(
     machine: &Machine,
-    sched: &Schedule,
-    op: OpId,
-    from: ClusterId,
-) -> Option<UnitRef> {
-    let unit = sched.unit(op);
-    let slot = sched.kernel_slot(op);
-    let group = &machine.groups()[unit.group];
-    (0..group.count())
-        .map(|instance| UnitRef {
-            group: unit.group,
-            instance,
-        })
-        .find(|&u| machine.cluster_of(u) != from && sched.occupant(u, slot).is_none())
-}
-
-fn apply(machine: &Machine, sched: &mut Schedule, clusters: &mut [ClusterId], action: SwapAction) {
+    sched: &mut Schedule,
+    bindings: &mut Bindings,
+    clusters: &mut [ClusterId],
+    action: SwapAction,
+) {
     match action {
         SwapAction::Pair(a, b) => {
             sched.swap_units(a, b);
             clusters.swap(a.index(), b.index());
         }
         SwapAction::Move(op, target) => {
-            let dest = idle_instance_in_other_cluster(machine, sched, op, clusters[op.index()])
+            let dest = bindings
+                .idle_in_other_cluster(machine, sched, op, clusters[op.index()])
                 .expect("candidate search found an idle instance");
             debug_assert_eq!(machine.cluster_of(dest), target);
+            let (from, to) = (
+                bindings.at(sched.unit(op), op.index()),
+                bindings.at(dest, op.index()),
+            );
+            bindings.busy[from] = false;
+            bindings.busy[to] = true;
             sched.rebind(op, dest);
             clusters[op.index()] = target;
         }
@@ -532,7 +662,7 @@ mod tests {
     use super::*;
     use ncdrf_certify::certify_schedule;
     use ncdrf_ddg::{LoopBuilder, Weight};
-    use ncdrf_regalloc::classify;
+    use ncdrf_regalloc::{classify, lifetimes};
     use ncdrf_sched::modulo_schedule;
 
     /// The §4 example loop of the paper (Figure 2): 2 loads, 2 muls,

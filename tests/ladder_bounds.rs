@@ -20,7 +20,8 @@ use ncdrf::ddg::{Loop, OpKind};
 use ncdrf::machine::{Machine, MachineError};
 use ncdrf::sched::{modulo_schedule_with, PreparedLoop, Schedule};
 use ncdrf::spill::{
-    ClassKey, ClassRequirement, DescentTree, Requirement, SpillOptions, SpillTrajectory,
+    ClassInput, ClassKey, ClassRequirement, DescentTree, Requirement, ScheduleFacts, SpillOptions,
+    SpillTrajectory,
 };
 use ncdrf::{ModelId, ModelRequirement, PipelineOptions};
 use std::sync::Arc;
@@ -48,13 +49,8 @@ impl<R: Requirement> Requirement for Unbounded<R> {
         self.0.class()
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.0.allocate(l, machine, sched)
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        self.0.allocate(input)
     }
 
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
@@ -71,36 +67,16 @@ impl<R: Requirement> Requirement for Classless<R> {
         None
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.0.allocate(l, machine, sched)
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        self.0.allocate(input)
     }
 
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
         self.0.effective(l, class)
     }
 
-    fn bound(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<Option<ClassRequirement>, MachineError> {
-        self.0.bound(l, machine, sched)
-    }
-
-    fn tighten(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-        bound: &ClassRequirement,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.0.tighten(l, machine, sched, bound)
+    fn bound(&mut self, input: &ClassInput<'_>) -> Result<Option<ClassRequirement>, MachineError> {
+        self.0.bound(input)
     }
 }
 
@@ -129,38 +105,18 @@ impl<R: Requirement> Requirement for Faulty<R> {
         self.inner.class()
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.check(sched)?;
-        self.inner.allocate(l, machine, sched)
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        self.check(input.sched)?;
+        self.inner.allocate(input)
     }
 
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
         self.inner.effective(l, class)
     }
 
-    fn bound(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<Option<ClassRequirement>, MachineError> {
-        self.check(sched)?;
-        self.inner.bound(l, machine, sched)
-    }
-
-    fn tighten(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-        bound: &ClassRequirement,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.inner.tighten(l, machine, sched, bound)
+    fn bound(&mut self, input: &ClassInput<'_>) -> Result<Option<ClassRequirement>, MachineError> {
+        self.check(input.sched)?;
+        self.inner.bound(input)
     }
 }
 
@@ -176,28 +132,19 @@ impl Requirement for Checked {
         self.inner.class()
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.inner.allocate(l, machine, sched)
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        self.inner.allocate(input)
     }
 
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
         self.inner.effective(l, class)
     }
 
-    fn bound(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<Option<ClassRequirement>, MachineError> {
-        let bound = self.inner.bound(l, machine, sched)?;
+    fn bound(&mut self, input: &ClassInput<'_>) -> Result<Option<ClassRequirement>, MachineError> {
+        let bound = self.inner.bound(input)?;
         if let Some(b) = &bound {
-            let exact = self.inner.allocate(l, machine, sched)?;
+            let exact = self.inner.allocate(input)?;
+            let (l, sched) = (input.l, input.sched);
             let at = format!("`{}` II {}", l.name(), sched.ii());
             assert!(
                 b.raw <= exact.raw,
@@ -208,21 +155,26 @@ impl Requirement for Checked {
             assert_eq!((&b.sched, &b.lifetimes), (&exact.sched, &exact.lifetimes));
             let (lb, regs) = (self.inner.effective(l, b), self.inner.effective(l, &exact));
             assert!(lb <= regs, "{at}: model bound {lb} > {regs}");
-            assert_eq!(self.inner.tighten(l, machine, sched, b)?, exact, "{at}");
+            // The facts the bound filled change nothing: an allocation
+            // on facts of its own is the same.
+            let alone = allocate_alone(&mut self.inner, l, input.machine, sched)?;
+            assert_eq!(alone, exact, "{at}");
             self.checked += 1;
         }
         Ok(bound)
     }
+}
 
-    fn tighten(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-        bound: &ClassRequirement,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.inner.tighten(l, machine, sched, bound)
-    }
+/// `requirement`'s class part on `sched`, a schedule of `l`, on
+/// schedule facts of its own.
+fn allocate_alone(
+    requirement: &mut dyn Requirement,
+    l: &Loop,
+    machine: &Machine,
+    sched: &Arc<Schedule>,
+) -> Result<ClassRequirement, MachineError> {
+    let (consumers, facts) = (l.consumers(), ScheduleFacts::default());
+    requirement.allocate(&ClassInput::new(l, machine, sched, &consumers, &facts))
 }
 
 /// A trajectory of `l` on a tree of its own, and the tree.
@@ -409,7 +361,7 @@ fn a_skipped_tail_has_its_flat_rungs_class_part() {
             }) else {
                 continue;
             };
-            let want = requirement.allocate(l, &machine, &flat).unwrap();
+            let want = allocate_alone(&mut requirement, l, &machine, &flat).unwrap();
             let mut regs = requirement.effective(l, &want);
             for ii in flat_ii + 1..=end {
                 let at = format!("L{lat} `{}` {model} II {ii} above {flat_ii}", l.name());
@@ -419,9 +371,8 @@ fn a_skipped_tail_has_its_flat_rungs_class_part() {
                     assert_eq!(got.start(id), want.start(id), "{at}");
                     assert_eq!(got.unit(id), want.unit(id), "{at}");
                 }
-                let got = requirement
-                    .allocate(l, &machine, &Arc::new(rung.sched))
-                    .unwrap();
+                let got =
+                    allocate_alone(&mut requirement, l, &machine, &Arc::new(rung.sched)).unwrap();
                 assert_eq!(
                     (got.raw, &got.lifetimes),
                     (want.raw, &want.lifetimes),

@@ -11,10 +11,10 @@
 use ncdrf::corpus::Corpus;
 use ncdrf::ddg::Loop;
 use ncdrf::machine::{Machine, MachineError};
-use ncdrf::sched::{modulo_schedule_with, Schedule};
+use ncdrf::sched::modulo_schedule_with;
 use ncdrf::spill::{
-    requirement_unified, ClassKey, ClassRequirement, DescentStats, DescentTree, Requirement,
-    SpillOptions, SpillPolicy, SpillTrajectory,
+    requirement_unified, ClassInput, ClassKey, ClassRequirement, DescentStats, DescentTree,
+    Requirement, SpillOptions, SpillPolicy, SpillTrajectory,
 };
 use ncdrf::{
     CacheStats, LoopAnalysis, LoopEval, ModelId, ModelRequirement, PipelineOptions, Session,
@@ -246,13 +246,8 @@ impl Requirement for Unbounded {
         self.0.class()
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.0.allocate(l, machine, sched)
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        self.0.allocate(input)
     }
 
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
@@ -269,13 +264,8 @@ impl Requirement for Classless {
         None
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.0.allocate(l, machine, sched)
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        self.0.allocate(input)
     }
 
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {

@@ -16,9 +16,9 @@ use ncdrf::ddg::{
     ArrayRole, BuildError, DepKind, Loop, LoopBuilder, OpId, OpKind, ValueRef, Weight,
 };
 use ncdrf::machine::{Machine, MachineError};
-use ncdrf::sched::{mii, modulo_schedule_with, rec_mii, res_mii, MiiInfo, Schedule};
+use ncdrf::sched::{mii, modulo_schedule_with, rec_mii, res_mii, MiiInfo};
 use ncdrf::spill::{
-    spill_value, ClassKey, ClassRequirement, DescentTree, Requirement, RewriteStats,
+    spill_value, ClassInput, ClassKey, ClassRequirement, DescentTree, Requirement, RewriteStats,
     SpillTrajectory,
 };
 use ncdrf::{ModelRequirement, PipelineOptions, PAPER_FINITE_MODELS};
@@ -136,13 +136,8 @@ impl Requirement for MiiChecked {
         self.inner.class()
     }
 
-    fn allocate(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.inner.allocate(l, machine, sched)
+    fn allocate(&mut self, input: &ClassInput<'_>) -> Result<ClassRequirement, MachineError> {
+        self.inner.allocate(input)
     }
 
     fn effective(&mut self, l: &Loop, class: &ClassRequirement) -> u32 {
@@ -153,23 +148,8 @@ impl Requirement for MiiChecked {
         self.inner.effective(l, class)
     }
 
-    fn bound(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-    ) -> Result<Option<ClassRequirement>, MachineError> {
-        self.inner.bound(l, machine, sched)
-    }
-
-    fn tighten(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        sched: &Arc<Schedule>,
-        bound: &ClassRequirement,
-    ) -> Result<ClassRequirement, MachineError> {
-        self.inner.tighten(l, machine, sched, bound)
+    fn bound(&mut self, input: &ClassInput<'_>) -> Result<Option<ClassRequirement>, MachineError> {
+        self.inner.bound(input)
     }
 }
 
