@@ -48,6 +48,11 @@ pub enum FitPolicy {
 /// [`allocate_unified`] with an explicit packing discipline.
 ///
 /// Returns `regs == 0` for loops with no register values.
+///
+/// # Panics
+///
+/// Panics if `ii == 0` or the non-empty lifetimes span 2^30 IIs or
+/// more.
 pub fn allocate_unified_with(lifetimes: &[Lifetime], ii: u32, fit: FitPolicy) -> UnifiedAlloc {
     allocate_unified_in(&PlacementOrder::new(lifetimes, ii), lifetimes, fit)
 }

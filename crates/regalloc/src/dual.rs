@@ -181,7 +181,8 @@ pub struct DualAlloc {
 ///
 /// # Panics
 ///
-/// Panics if `classes.len() != lifetimes.len()` or `ii == 0`.
+/// Panics if `classes.len() != lifetimes.len()`, `ii == 0` or the
+/// non-empty lifetimes span 2^30 IIs or more.
 pub fn allocate_dual(lifetimes: &[Lifetime], classes: &[ValueClass], ii: u32) -> DualAlloc {
     assert!(ii > 0, "II must be positive");
     assert_eq!(lifetimes.len(), classes.len());

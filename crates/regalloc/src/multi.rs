@@ -134,7 +134,8 @@ pub struct MultiAlloc {
 ///
 /// # Panics
 ///
-/// Panics if slice lengths differ or `ii == 0`.
+/// Panics if slice lengths differ, `ii == 0` or the non-empty lifetimes
+/// span 2^30 IIs or more.
 pub fn allocate_multi(
     lifetimes: &[Lifetime],
     sets: &[ClusterSet],

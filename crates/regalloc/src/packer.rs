@@ -41,16 +41,18 @@ use crate::alloc::FitPolicy;
 use crate::lifetime::Lifetime;
 
 /// A lifetime's start and end, each split as `(q, rem)` with
-/// `q·II + rem` equal to it and `0 <= rem < II`.
+/// `(base + q)·II + rem` equal to it and `0 <= rem < II`, for a `base`
+/// shared by every lifetime of one order (windows only read quotient
+/// differences).
 type Split = [(i32, u32); 2];
 
 /// Quotients stay below this, so every window bound fits in `i32`.
 const QUOTIENT_LIMIT: u32 = 1 << 30;
 
-fn split(lt: &Lifetime, ii: u32) -> Split {
+fn split(lt: &Lifetime, ii: u32, base: u32) -> Split {
     [lt.start, lt.end].map(|t| {
-        let q = t / ii;
-        assert!(q < QUOTIENT_LIMIT, "a lifetime spans over 2^30 IIs");
+        let q = t / ii - base;
+        assert!(q < QUOTIENT_LIMIT, "the lifetimes span 2^30 IIs or more");
         (q as i32, t % ii)
     })
 }
@@ -125,14 +127,15 @@ impl PlacementOrder {
     ///
     /// # Panics
     ///
-    /// Panics if `ii == 0` or a lifetime ends 2^30 IIs or more after
-    /// cycle 0.
+    /// Panics if `ii == 0` or the non-empty lifetimes span 2^30 IIs or
+    /// more.
     pub fn new(lifetimes: &[Lifetime], ii: u32) -> PlacementOrder {
         assert!(ii > 0, "II must be positive");
         let index = |i: usize| u32::try_from(i).expect("lifetime index fits in u32");
-        let mut slots: Vec<(u32, Split)> = (0..lifetimes.len())
-            .filter(|&i| !lifetimes[i].is_empty())
-            .map(|i| (index(i), split(&lifetimes[i], ii)))
+        let live = || (0..lifetimes.len()).filter(|&i| !lifetimes[i].is_empty());
+        let base = live().map(|i| lifetimes[i].start).min().unwrap_or(0) / ii;
+        let mut slots: Vec<(u32, Split)> = live()
+            .map(|i| (index(i), split(&lifetimes[i], ii, base)))
             .collect();
         slots.sort_unstable_by_key(|&(i, _)| (lifetimes[i as usize].start, i));
         PlacementOrder {
@@ -494,7 +497,7 @@ mod tests {
         if v.is_empty() || u.is_empty() {
             return vec![false; r as usize];
         }
-        let Some(window) = Window::between(split(u, ii), split(v, ii)) else {
+        let Some(window) = Window::between(split(u, ii, 0), split(v, ii, 0)) else {
             return vec![false; r as usize];
         };
         if window.len >= r {
@@ -558,7 +561,7 @@ mod tests {
     #[test]
     fn intervals_accumulate_across_placed_values() {
         // Two placed values with II=10, r=4: each forbids one offset.
-        let (u, v) = (split(&lt(2, 6), 10), split(&lt(0, 5), 10));
+        let (u, v) = (split(&lt(2, 6), 10, 0), split(&lt(0, 5), 10, 0));
         let window = Window::between(u, v).unwrap();
         assert_eq!(window, Window { lo: 0, len: 1 });
         let run = |off_u| (rotate(off_u, window.reduced(4), 4), window.len);
@@ -874,6 +877,32 @@ mod tests {
                 allocate_dual(&lts, &cls, ii),
                 "{at}"
             );
+        }
+    }
+
+    /// Windows read quotient differences only, so lifetimes billions of
+    /// cycles from cycle 0 pack as they do near it.
+    #[test]
+    fn far_from_cycle_zero_packs_like_near_it() {
+        let mut g = Gen(0x6a09_e667_f3bc_c908);
+        for case in 0..200 {
+            let (lts, ii) = generated(&mut g, 20);
+            let shift = 3_000_000_000 / ii * ii;
+            let far: Vec<Lifetime> = lts
+                .iter()
+                .map(|lt| Lifetime {
+                    start: lt.start + shift,
+                    end: lt.end + shift,
+                    ..*lt
+                })
+                .collect();
+            for fit in [FitPolicy::FirstFit, FitPolicy::BestFit] {
+                assert_eq!(
+                    allocate_unified_with(&far, ii, fit),
+                    allocate_unified_with(&lts, ii, fit),
+                    "case {case}: {fit:?}, II {ii}, {lts:?}"
+                );
+            }
         }
     }
 
