@@ -1,12 +1,10 @@
 //! Cumulative distributions over register requirements (Figures 6–7) and
 //! allocatability percentages (Table 1).
 
-use serde::{Deserialize, Serialize};
-
 /// One weighted observation: a loop's register requirement plus the weight
 /// it contributes (1.0 for static/loop-count distributions, estimated
 /// cycles for dynamic distributions).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Register requirement.
     pub regs: u32,
@@ -16,7 +14,7 @@ pub struct Observation {
 
 /// A cumulative distribution: for each sampled register count, the
 /// percentage of total weight requiring at most that many registers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cumulative {
     /// Sample points (register counts).
     pub points: Vec<u32>,

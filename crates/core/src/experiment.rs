@@ -5,7 +5,6 @@
 //! through [`crate::Render`].
 
 use crate::model::ModelId;
-use serde::{Deserialize, Serialize};
 
 /// Performance of a finite-register model relative to the ideal model:
 /// `ideal_cycles / cycles`, so `1.0` means "as fast as infinite
@@ -34,7 +33,7 @@ pub fn relative_performance(ideal_cycles: u128, cycles: u128) -> f64 {
 /// One row of Table 1: for a `PxLy` unified machine, the share of loops
 /// (and of estimated execution cycles) allocatable without spilling within
 /// 16/32/64 registers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Machine preset name (`P1L3`, ...).
     pub config: String,
@@ -46,7 +45,7 @@ pub struct Table1Row {
 
 /// One curve of Figure 6 (static) and Figure 7 (dynamic): a model's
 /// cumulative distribution of loops / cycles over register requirements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributionCurve {
     /// Machine preset name (`C2L3`, `P1L6`, ...).
     pub config: String,
@@ -62,7 +61,7 @@ pub struct DistributionCurve {
 
 /// One bar of Figures 8–9: a model's corpus-wide performance and memory
 /// traffic density for one (machine, registers) configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetOutcome {
     /// Machine preset name (`C2L3`, ...).
     pub config: String,

@@ -12,7 +12,6 @@
 
 use ncdrf_ddg::Loop;
 use ncdrf_regalloc::Lifetime;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -27,7 +26,7 @@ use crate::pipeline::ConfigError;
 /// 0–3 in presentation order, so sorting by `ModelId` reproduces the paper's
 /// ordering). The stable *name* — what appears in reports and artifacts —
 /// lives in the registry; [`Display`](fmt::Display) looks it up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ModelId(u16);
 
 impl ModelId {

@@ -20,12 +20,11 @@ use ncdrf_spill::{
     SpillError, SpillOptions, SpillResult,
 };
 use ncdrf_swap::{swap_pass_on, SwapOptions};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Options threaded through the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PipelineOptions {
     /// Swapping-pass knobs (used by models whose spec
     /// [`swaps`](crate::ModelSpec::swaps), e.g. [`ModelId::SWAPPED`]).
@@ -284,7 +283,7 @@ impl From<SpillError> for PipelineStage {
 
 /// Result of analysing one loop under one model with **unlimited
 /// registers** (the Figure 6/7 pipeline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopAnalysis {
     /// Loop name.
     pub name: String,
@@ -490,7 +489,7 @@ pub fn analyze(
 /// Result of evaluating one loop under one model with a **finite register
 /// file** (the Figure 8/9 pipeline): spill code is inserted until the
 /// requirement fits the budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopEval {
     /// Loop name.
     pub name: String,

@@ -48,7 +48,6 @@ use ncdrf_corpus::Corpus;
 use ncdrf_ddg::Loop;
 use ncdrf_exec::Pool;
 use ncdrf_machine::Machine;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -967,7 +966,7 @@ impl PartialSweep {
 }
 
 /// Typed result of [`Sweep::run`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepReport {
     /// One curve per `(machine, model)` when sample points were set, in
     /// machine-major order.

@@ -4,7 +4,6 @@ use crate::generator::{generate_many, GenConfig};
 use crate::kernels;
 use crate::weights::assign_weights;
 use ncdrf_ddg::{Loop, LoopStats};
-use serde::{Deserialize, Serialize};
 
 /// The benchmark corpus: a named, ordered collection of weighted loops.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let total: u64 = c.loops().iter().map(|l| l.weight().iterations()).sum();
 /// assert!(total > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Corpus {
     name: String,
     loops: Vec<Loop>,
@@ -185,7 +184,7 @@ impl<'a> IntoIterator for &'a Corpus {
 }
 
 /// Aggregate statistics of a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CorpusStats {
     /// Loop count.
     pub loops: usize,

@@ -12,14 +12,13 @@
 use ncdrf_ddg::{Loop, LoopBuilder, OpId, ValueRef, Weight};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Structural knobs of the generator.
 ///
 /// The default configuration covers the spread observed in scientific
 /// inner loops: 2–18 arithmetic operations, 1–5 loads, occasional
 /// recurrences and divisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenConfig {
     /// Minimum arithmetic (non-memory) operations.
     pub min_arith: usize,

@@ -13,7 +13,7 @@ pub mod recurrences;
 pub mod spec;
 pub mod stencils;
 
-use ncdrf_ddg::Loop;
+use ncdrf_ddg::{Loop, LoopBuilder, Weight};
 
 /// The named kernels' constructors, in corpus order: a corpus prefix
 /// builds only the kernels it keeps.
@@ -81,6 +81,29 @@ pub const ALL: [fn() -> Loop; 53] = [
 /// All named kernels, in a fixed order.
 pub fn all() -> Vec<Loop> {
     ALL.iter().map(|kernel| kernel()).collect()
+}
+
+/// The paper's Figure 2 loop, the §4 worked example:
+/// `L1 = x[i]; L2 = y[i]; M3 = L1*r; A4 = M3+L2; M5 = A4*t; A6 = M5+L1;
+///  S7: z[i] = A6`.
+///
+/// It is not in [`ALL`], so the corpus leaves it out.
+pub fn fig2() -> Loop {
+    let mut b = LoopBuilder::new("fig2");
+    let r = b.invariant("r", 0.5);
+    let t = b.invariant("t", 1.5);
+    let x = b.array_in("x");
+    let y = b.array_in("y");
+    let z = b.array_out("z");
+    let l1 = b.load("L1", x, 0);
+    let l2 = b.load("L2", y, 0);
+    let m3 = b.mul("M3", l1.now(), r);
+    let a4 = b.add("A4", m3.now(), l2.now());
+    let m5 = b.mul("M5", a4.now(), t);
+    let a6 = b.add("A6", m5.now(), l1.now());
+    b.store("S7", z, 0, a6.now());
+    b.finish(Weight::new(100, 1))
+        .expect("hand-written kernel is valid")
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
 //! The [`Loop`] graph type and its accessors.
 
 use crate::op::{ArrayId, InvId, Op, OpId, OpKind, ValueRef};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An affine memory reference: the address accessed by iteration `i` is
 /// `array[i + offset]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRef {
     /// The accessed array.
     pub array: ArrayId,
@@ -15,7 +14,7 @@ pub struct MemRef {
 }
 
 /// Role of an array with respect to the loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrayRole {
     /// Only read by the loop.
     Input,
@@ -26,7 +25,7 @@ pub enum ArrayRole {
 }
 
 /// Declaration of an array referenced by the loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDecl {
     pub(crate) name: String,
     pub(crate) role: ArrayRole,
@@ -47,7 +46,7 @@ impl ArrayDecl {
 /// A loop-invariant input value (held in the non-rotating general register
 /// file; see §2 of the paper — invariants are excluded from the pressure
 /// accounting).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Invariant {
     pub(crate) name: String,
     pub(crate) value: f64,
@@ -66,7 +65,7 @@ impl Invariant {
 }
 
 /// Kind of an explicit (non-flow) dependence edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DepKind {
     /// Memory-ordering dependence (store→load, store→store, load→store).
     Mem,
@@ -77,7 +76,7 @@ pub enum DepKind {
 
 /// An explicit dependence edge. Flow dependences are implicit in
 /// [`Op::inputs`](crate::Op::inputs); `Dep` carries the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dep {
     /// Source operation.
     pub from: OpId,
@@ -128,7 +127,7 @@ impl std::ops::Index<usize> for Consumers {
 /// Execution weight of a loop, used for the dynamic (cycle-weighted)
 /// figures. The paper measured these with the CONVEX CXpa profiler; we carry
 /// synthetic but deterministic weights (see `ncdrf-corpus`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Weight {
     /// Iterations executed per invocation of the loop.
     pub trip: u64,
@@ -159,7 +158,7 @@ impl Default for Weight {
 /// Construct loops with [`LoopBuilder`](crate::LoopBuilder); a successfully
 /// built `Loop` is always structurally valid (see
 /// [`ValidateError`](crate::ValidateError) for the invariants).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Loop {
     pub(crate) name: String,
     pub(crate) ops: Vec<Op>,

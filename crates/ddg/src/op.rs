@@ -1,13 +1,12 @@
 //! Operation kinds, identifiers and operand references.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an operation inside a [`Loop`](crate::Loop).
 ///
 /// `OpId`s are dense indices into [`Loop::ops`](crate::Loop::ops); they are
 /// only meaningful relative to the loop that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub(crate) u32);
 
 impl OpId {
@@ -41,7 +40,7 @@ impl fmt::Display for OpId {
 }
 
 /// Identifier of a loop-invariant input value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InvId(pub(crate) u32);
 
 impl InvId {
@@ -52,7 +51,7 @@ impl InvId {
 }
 
 /// Identifier of an array referenced by loads/stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArrayId(pub(crate) u32);
 
 impl ArrayId {
@@ -67,7 +66,7 @@ impl ArrayId {
 /// The set matches the paper's machine model (§5.2): adders execute
 /// additions, subtractions and int↔fp conversions; multipliers execute
 /// multiplications and divisions; load/store units execute memory accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Floating-point addition (2 operands).
     FpAdd,
@@ -141,7 +140,7 @@ impl fmt::Display for OpKind {
 }
 
 /// A reference to an operand value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueRef {
     /// The value produced by operation `id`, `dist` iterations ago.
     /// `dist == 0` is a same-iteration (intra-body) flow dependence;
@@ -172,7 +171,7 @@ impl ValueRef {
 }
 
 /// One operation of a loop body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     pub(crate) kind: OpKind,
     pub(crate) name: String,

@@ -2,14 +2,13 @@
 
 use crate::graph::Loop;
 use crate::op::OpKind;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one loop's dependence graph.
 ///
 /// Produced by [`Loop::stats`]; used by the corpus tooling to report the
 /// composition of the benchmark set (the paper's §5.1 describes its loop
 /// selection in these terms).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopStats {
     /// Total operations.
     pub ops: usize,

@@ -1,7 +1,7 @@
 //! Tables 2-4: the §4 worked example — lifetimes, GL/LO/RO classification
 //! before swapping, and the classification after swapping.
 
-use ncdrf::ddg::{LoopBuilder, Weight};
+use ncdrf::corpus::kernels;
 use ncdrf::machine::Machine;
 use ncdrf::regalloc::{
     allocate_dual, allocate_unified, classify, lifetimes, DualPressure, ValueClass,
@@ -15,20 +15,7 @@ fn main() {
     let cli = Cli::parse();
     println!("=== Tables 2-4: the §4 worked example ===\n");
 
-    let mut b = LoopBuilder::new("fig2");
-    let r = b.invariant("r", 0.5);
-    let t = b.invariant("t", 1.5);
-    let x = b.array_in("x");
-    let y = b.array_in("y");
-    let z = b.array_out("z");
-    let l1 = b.load("L1", x, 0);
-    let l2 = b.load("L2", y, 0);
-    let m3 = b.mul("M3", l1.now(), r);
-    let a4 = b.add("A4", m3.now(), l2.now());
-    let m5 = b.mul("M5", a4.now(), t);
-    let a6 = b.add("A6", m5.now(), l1.now());
-    b.store("S7", z, 0, a6.now());
-    let l = b.finish(Weight::new(100, 1)).unwrap();
+    let l = kernels::fig2();
 
     let machine = Machine::clustered(3, 2);
     let session = Session::new(machine.clone());

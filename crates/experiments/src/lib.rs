@@ -1,7 +1,9 @@
 //! Shared plumbing for the experiment binaries. The paper's Figures 6–9
 //! and Table 1 are drawn by `shard_runner render`; the other binaries
-//! cover the worked example, the related-work comparison and the
-//! extension studies.
+//! cover the worked example (`example_loop`), the related-work
+//! comparison (`related_work`), the cluster-count extension
+//! (`cluster_scaling`) and the design ablations (`ablations`, which
+//! takes no arguments).
 //!
 //! Every binary built on [`Cli`] accepts exactly:
 //!

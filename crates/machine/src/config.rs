@@ -1,12 +1,11 @@
 //! Machine configuration types and the paper's presets.
 
 use ncdrf_ddg::{Loop, OpKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a cluster (0 = "left", 1 = "right" in the paper's
 /// two-cluster machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u32);
 
 impl ClusterId {
@@ -32,7 +31,7 @@ impl fmt::Display for ClusterId {
 }
 
 /// Functional-unit classes of the paper's machine model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuClass {
     /// FP adder: additions, subtractions, conversions.
     Adder,
@@ -73,7 +72,7 @@ impl fmt::Display for FuClass {
 }
 
 /// A group of identical, fully-pipelined functional units.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuGroup {
     /// The unit class.
     pub class: FuClass,
@@ -102,7 +101,7 @@ impl FuGroup {
 
 /// Reference to one functional-unit instance: a group index plus an
 /// instance index inside the group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UnitRef {
     /// Index into [`Machine::groups`].
     pub group: usize,
@@ -133,7 +132,7 @@ impl fmt::Display for MachineError {
 impl std::error::Error for MachineError {}
 
 /// A VLIW machine description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Machine {
     name: String,
     groups: Vec<FuGroup>,

@@ -15,8 +15,6 @@
 //! port count of the equivalent unified file, and is cheaper than doubling
 //! the register count.
 
-use serde::{Deserialize, Serialize};
-
 /// Area of a multiported register file, in arbitrary cell units.
 ///
 /// `registers * bits * (read_ports + write_ports)^2`, following the linear
@@ -36,7 +34,7 @@ pub fn access_time(registers: u32, read_ports: u32) -> f64 {
 }
 
 /// A register-file organisation to be costed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegFileOrg {
     /// A single multiported file.
     Unified {
@@ -72,7 +70,7 @@ pub enum RegFileOrg {
 }
 
 /// Cost summary of a register-file organisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegFileCost {
     /// Total area, arbitrary units.
     pub area: f64,

@@ -3,12 +3,11 @@
 use crate::lifetime::{max_live, Lifetime};
 use crate::offsets_conflict;
 use crate::packer::PlacementOrder;
-use serde::{Deserialize, Serialize};
 
 /// The result of allocating a loop's values on a unified rotating register
 /// file: a file size and, for every lifetime (parallel to the input slice),
 /// the chosen rotating offset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnifiedAlloc {
     /// Registers required (the paper's "register requirement" of a loop).
     pub regs: u32,
@@ -33,7 +32,7 @@ pub fn allocate_unified(lifetimes: &[Lifetime], ii: u32) -> UnifiedAlloc {
 /// near-equivalent for the Wands-Only strategy; the paper adopts First-Fit
 /// "due to its simplicity". Best-Fit is provided for the
 /// `ablation_fit` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitPolicy {
     /// The lowest conflict-free offset (the paper's choice).
     #[default]

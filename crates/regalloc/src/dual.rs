@@ -7,11 +7,10 @@ use crate::packer::PlacementOrder;
 use ncdrf_ddg::{Consumers, Loop};
 use ncdrf_machine::{ClusterId, Machine};
 use ncdrf_sched::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// Where a value must reside in a non-consistent dual register file (§4 of
 /// the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueClass {
     /// Consumed by both clusters: replicated in both subfiles ("GL").
     Global,
@@ -80,7 +79,7 @@ pub fn classify_from(
 
 /// Per-class register pressures of a dual allocation (the quantities of the
 /// paper's Tables 3–4: GL / LO / RO, and the per-subfile totals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DualPressure {
     /// MaxLive of the global (replicated) values.
     pub global: u32,
@@ -159,7 +158,7 @@ impl DualPressure {
 }
 
 /// Result of allocating on a non-consistent dual register file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DualAlloc {
     /// Registers required per subfile (the dual "register requirement" of
     /// the loop — the paper reports the maximum over the two clusters).

@@ -3,7 +3,6 @@
 use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_sched::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// The lifetime of one loop-variant value under a schedule, in absolute
 /// cycles of iteration 0.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Per the paper's definition (§2): starts when the producer issues, ends
 /// when the last consumer *finishes* (issue + latency, plus `dist * II`
 /// for cross-iteration consumers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lifetime {
     /// The producing operation.
     pub op: OpId,

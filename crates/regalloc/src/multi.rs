@@ -17,11 +17,10 @@ use crate::packer::first_fit;
 use ncdrf_ddg::Loop;
 use ncdrf_machine::{ClusterId, Machine};
 use ncdrf_sched::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// The set of subfiles holding (replicating) one value, as a bitmask over
 /// cluster indices. Supports up to 32 clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ClusterSet(u32);
 
 impl ClusterSet {
@@ -113,7 +112,7 @@ pub fn multi_pressure(
 }
 
 /// Result of a k-cluster non-consistent allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiAlloc {
     /// Registers per subfile (the requirement is the maximum subfile).
     pub regs: u32,

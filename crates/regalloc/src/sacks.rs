@@ -20,10 +20,9 @@ use crate::lifetime::Lifetime;
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_sched::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a sack organisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SackConfig {
     /// Number of sacks (each with 1 read + 1 write port).
     pub sacks: u32,
@@ -36,7 +35,7 @@ impl Default for SackConfig {
 }
 
 /// The result of steering values between the central file and the sacks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SackAssignment {
     /// Per lifetime: `Some(sack)` or `None` for the central file.
     pub sack_of: Vec<Option<u32>>,

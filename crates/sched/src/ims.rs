@@ -4,11 +4,10 @@ use crate::context::SchedContext;
 use crate::schedule::Schedule;
 use ncdrf_ddg::Loop;
 use ncdrf_machine::{Machine, MachineError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tuning knobs for the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerOptions {
     /// Scheduling-step budget per II attempt, as a multiple of the
     /// operation count. When exhausted the scheduler gives up on the
@@ -36,7 +35,7 @@ impl Default for SchedulerOptions {
 ///
 /// Rau's IMS uses height-based priorities; the `ablation_priority` bench
 /// compares them against plain program order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
     /// Height above the graph's sinks under the current II (Rau's IMS).
     #[default]

@@ -3,10 +3,9 @@
 use crate::context::SchedContext;
 use ncdrf_ddg::Loop;
 use ncdrf_machine::{Machine, MachineError};
-use serde::{Deserialize, Serialize};
 
 /// The two lower bounds on the initiation interval and their maximum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MiiInfo {
     /// Resource-constrained minimum II.
     pub res: u32,

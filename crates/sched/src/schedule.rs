@@ -2,7 +2,6 @@
 
 use ncdrf_ddg::{Loop, OpId};
 use ncdrf_machine::{ClusterId, Machine, UnitRef};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A modulo schedule: an initiation interval plus, per operation, an
@@ -15,7 +14,7 @@ use std::fmt;
 /// * **stage** `start / II` — which overlapped iteration the kernel row
 ///   belongs to (the bracketed numbers of the paper's Figures 4–5),
 /// * **cluster** — the cluster of the bound unit on a clustered machine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     ii: u32,
     start: Vec<u32>,

@@ -7,7 +7,6 @@ use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{lifetimes, lifetimes_into, Lifetime};
 use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError, SchedulerOptions};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The sanctioned narrow into the spiller's `u32` candidate-index
@@ -22,7 +21,7 @@ fn idx32(i: usize) -> u32 {
 }
 
 /// Victim-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpillPolicy {
     /// The paper's choice (§5.4): spill the value with the longest
     /// lifetime, "which in general will free a higher number of registers".
@@ -41,7 +40,7 @@ pub enum SpillPolicy {
 }
 
 /// Tuning knobs for the spiller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpillOptions {
     /// Victim selection.
     pub policy: SpillPolicy,
@@ -70,7 +69,7 @@ impl Default for SpillOptions {
 }
 
 /// Outcome of [`spill_until_fits`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpillResult {
     /// The final (possibly rewritten) loop.
     pub l: Loop,

@@ -58,11 +58,10 @@ use ncdrf_regalloc::{
     ValueClass,
 };
 use ncdrf_sched::Schedule;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How swap candidates are scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scoring {
     /// Estimate the post-swap requirement with the MaxLive lower bound per
     /// subfile (the paper's choice, §5.2: cheap, and what a compiler would
@@ -75,7 +74,7 @@ pub enum Scoring {
 }
 
 /// Tuning knobs for the swapping pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapOptions {
     /// Candidate scoring policy.
     pub scoring: Scoring,
@@ -101,7 +100,7 @@ impl Default for SwapOptions {
 }
 
 /// One applied rebinding action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwapAction {
     /// The two operations exchanged their functional-unit instances.
     Pair(OpId, OpId),
@@ -119,7 +118,7 @@ impl fmt::Display for SwapAction {
 }
 
 /// The result of a swapping pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwapOutcome {
     /// Estimated register requirement before the pass (per the scoring
     /// policy's estimator).

@@ -6,7 +6,6 @@ use ncdrf_ddg::{Loop, OpKind, ValueRef};
 use ncdrf_machine::Machine;
 use ncdrf_regalloc::{ClusterSet, DualAlloc, Lifetime, MultiAlloc, UnifiedAlloc, ValueClass};
 use ncdrf_sched::Schedule;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -103,7 +102,7 @@ impl<'a> Binding<'a> {
 }
 
 /// Bus-occupancy counters of one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusStats {
     /// Memory operations issued (loads + stores).
     pub accesses: u64,

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example worked_example`.
 
-use ncdrf::ddg::{LoopBuilder, Weight};
+use ncdrf::corpus::kernels;
 use ncdrf::machine::Machine;
 use ncdrf::regalloc::{allocate_dual, allocate_unified, classify, lifetimes, DualPressure};
 use ncdrf::sched::{KernelView, ScheduleTable};
@@ -14,20 +14,7 @@ use ncdrf::{Session, PAPER_MODELS};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 2: L1=x[i]; L2=y[i]; M3=L1*r; A4=M3+L2; M5=A4*t; A6=M5+L1;
     // S7: z[i]=A6.
-    let mut b = LoopBuilder::new("fig2");
-    let r = b.invariant("r", 0.5);
-    let t = b.invariant("t", 1.5);
-    let x = b.array_in("x");
-    let y = b.array_in("y");
-    let z = b.array_out("z");
-    let l1 = b.load("L1", x, 0);
-    let l2 = b.load("L2", y, 0);
-    let m3 = b.mul("M3", l1.now(), r);
-    let a4 = b.add("A4", m3.now(), l2.now());
-    let m5 = b.mul("M5", a4.now(), t);
-    let a6 = b.add("A6", m5.now(), l1.now());
-    b.store("S7", z, 0, a6.now());
-    let l = b.finish(Weight::new(100, 1))?;
+    let l = kernels::fig2();
     println!("{l}");
 
     // §4's machine: 2 clusters x (1 adder, 1 multiplier, 2 ld/st).

@@ -2,7 +2,8 @@
 //! the Figure 3/4 schedule, Table 2 (lifetimes), Table 3 (classification
 //! before swapping) and Table 4 (after swapping A4 <-> A6).
 
-use ncdrf::ddg::{Loop, LoopBuilder, OpId, Weight};
+use ncdrf::corpus::kernels::fig2;
+use ncdrf::ddg::{Loop, OpId};
 use ncdrf::machine::{ClusterId, Machine, UnitRef};
 use ncdrf::regalloc::{
     allocate_dual, allocate_unified, classify, lifetimes, max_live, DualPressure, ValueClass,
@@ -10,26 +11,6 @@ use ncdrf::regalloc::{
 use ncdrf::sched::{mii, Schedule};
 use ncdrf::swap::{requirement_bound, swap_pass};
 use ncdrf_certify::certify_schedule;
-
-/// The Figure 2 dependence graph:
-/// `L1 = x[i]; L2 = y[i]; M3 = L1*r; A4 = M3+L2; M5 = A4*t; A6 = M5+L1;
-///  S7: z[i] = A6`.
-fn fig2() -> Loop {
-    let mut b = LoopBuilder::new("fig2");
-    let r = b.invariant("r", 0.5);
-    let t = b.invariant("t", 1.5);
-    let x = b.array_in("x");
-    let y = b.array_in("y");
-    let z = b.array_out("z");
-    let l1 = b.load("L1", x, 0);
-    let l2 = b.load("L2", y, 0);
-    let m3 = b.mul("M3", l1.now(), r);
-    let a4 = b.add("A4", m3.now(), l2.now());
-    let m5 = b.mul("M5", a4.now(), t);
-    let a6 = b.add("A6", m5.now(), l1.now());
-    b.store("S7", z, 0, a6.now());
-    b.finish(Weight::new(100, 1)).unwrap()
-}
 
 /// The §4 machine: two clusters, each 1 adder + 1 multiplier (latency 3)
 /// and 2 load/store units (latency 1).
