@@ -33,6 +33,11 @@
 //!   removed the per-step loop/schedule/lifetime copies, and a clone
 //!   creeping back in would silently undo it. Cold exits in those
 //!   functions use `.to_owned()`, which reads as a deliberate copy.
+//! * **spill-hot-context** — no fresh scheduler context inside those
+//!   same functions (`modulo_schedule_with(`, `modulo_schedule(`,
+//!   `SchedContext::new(`, `PreparedLoop::new(`): a spill state and an
+//!   escalation serve schedule on a context borrowed from the descent
+//!   tree's pool, and a fresh one would size every arena again per step.
 //! * **truncating-cast** — no bare `as u32` / `as u16` narrows in the
 //!   u32-SoA files (`crates/sched/src/context.rs` and `crates/spill/`)
 //!   outside the sanctioned index-constructor helpers
@@ -105,12 +110,15 @@ const MODEL_NAME_ALLOW: &[&str] = &[
 /// rung for the ladder's `extend`), so a `.clone()` of the loop,
 /// schedule, DDG or lifetime structures here is a per-step deep copy. Deliberate copies
 /// on cold exits spell `.to_owned()` instead; building the returned
-/// `Schedule` happens outside this table (`SchedContext::commit`).
+/// `Schedule` happens outside this table (`SchedContext::commit`). The
+/// same functions build no fresh scheduler context (`spill-hot-context`).
 const SPILL_HOT_FNS: &[(&str, &str)] = &[
     ("crates/spill/src/spiller.rs", "run_spill_loop"),
     ("crates/spill/src/spiller.rs", "select_victim"),
     ("crates/spill/src/trajectory.rs", "advance"),
     ("crates/spill/src/escalation.rs", "extend"),
+    ("crates/spill/src/descent.rs", "child"),
+    ("crates/spill/src/descent.rs", "rung"),
     ("crates/sched/src/context.rs", "schedule"),
     ("crates/sched/src/context.rs", "attempt"),
 ];
@@ -376,6 +384,27 @@ fn strip_tests(tokens: Vec<Token>) -> Vec<Token> {
     tokens
 }
 
+/// The fresh-context call `tokens` starts with, if any: a call of
+/// `modulo_schedule_with` or `modulo_schedule`, or of `SchedContext::new`
+/// or `PreparedLoop::new`.
+fn fresh_context_call(tokens: &[Token]) -> Option<&'static str> {
+    let ident = |k: usize, s: &str| matches!(tokens.get(k), Some(Token { tok: Tok::Ident(i), .. }) if i == s);
+    let punct = |k: usize, c: char| tokens.get(k).is_some_and(|t| t.tok == Tok::Punct(c));
+    let free = ["modulo_schedule_with", "modulo_schedule"]
+        .into_iter()
+        .find(|name| ident(0, name) && punct(1, '('));
+    let path = [
+        ("SchedContext", "SchedContext::new"),
+        ("PreparedLoop", "PreparedLoop::new"),
+    ]
+    .into_iter()
+    .find(|(ty, _)| {
+        ident(0, ty) && punct(1, ':') && punct(2, ':') && ident(3, "new") && punct(4, '(')
+    })
+    .map(|(_, call)| call);
+    free.or(path)
+}
+
 /// Token-index spans of the bodies of the named functions: each span
 /// runs from the `fn`'s opening brace to its matching close, so a rule
 /// can scope itself inside (or outside) specific function bodies.
@@ -609,7 +638,8 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<LintFinding> {
             }
         }
     }
-    // spill-hot-clone: `.clone(` inside a hot spill-step function body.
+    // spill-hot-clone: `.clone(` inside a hot spill-step function body;
+    // spill-hot-context: a fresh scheduler context there.
     let hot_fns: Vec<&str> = SPILL_HOT_FNS
         .iter()
         .filter(|(f, _)| *f == rel)
@@ -657,6 +687,17 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<LintFinding> {
                             "`.clone()` inside the spill-step hot function `{fn_name}`; \
                              reuse the arena scratch, or spell a deliberate cold-path \
                              copy `.to_owned()`"
+                        ),
+                    });
+                } else if let Some(call) = fresh_context_call(&tokens[j..]) {
+                    findings.push(LintFinding {
+                        path: rel.to_owned(),
+                        line: tokens[j].line,
+                        rule: "spill-hot-context",
+                        detail: format!(
+                            "`{call}(` builds a fresh scheduler context inside the \
+                             spill-step hot function `{fn_name}`; schedule on a context \
+                             borrowed from the descent tree's pool"
                         ),
                     });
                 }
@@ -972,6 +1013,35 @@ mod tests {
         let found = lint_source("crates/spill/src/trajectory.rs", nested);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].line, 2);
+    }
+
+    #[test]
+    fn fresh_contexts_in_spill_hot_functions_are_flagged() {
+        let seeded = "fn child(&self, l: &Loop) -> Schedule {\n\
+                      let s = modulo_schedule_with(l, &self.machine, self.scheduler);\n\
+                      let p = PreparedLoop::new(l, &self.machine);\n\
+                      let c = SchedContext::new();\n\
+                      ncdrf_sched::modulo_schedule(l, &self.machine)\n}";
+        let found = lint_source("crates/spill/src/descent.rs", seeded);
+        let lines: Vec<(usize, &str)> = found.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(
+            lines,
+            [2, 3, 4, 5].map(|line| (line, "spill-hot-context")),
+            "{found:?}"
+        );
+        assert!(found[0].detail.contains("`modulo_schedule_with(`"));
+        assert!(found[0].detail.contains("`child`"));
+        assert!(found[2].detail.contains("`SchedContext::new(`"));
+
+        // A borrowed context, a mention without a call and the same calls
+        // outside the hot functions are fine.
+        let pooled = "fn rung(&self, ctx: SchedContext) {\n\
+                      let p = PreparedLoop::in_context(ctx, l, m);\n\
+                      let f: fn() -> SchedContext = SchedContext::new;\n}\n\
+                      fn schedule(l: &Loop) { SchedContext::new().schedule(l); }";
+        assert!(lint_source("crates/spill/src/descent.rs", pooled).is_empty());
+        // Unwatched files build contexts freely.
+        assert!(lint_source("crates/spill/src/rewrite.rs", seeded).is_empty());
     }
 
     #[test]

@@ -153,13 +153,14 @@ impl Pool {
 /// feeds every otherwise-unconsumed value into a final store.
 pub fn generate(name: impl Into<String>, seed: u64, config: &GenConfig) -> Loop {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = LoopBuilder::new(name);
+    let mut b = LoopBuilder::new(name.into());
+    let mut names = Names::default();
 
     let invs: Vec<ValueRef> = (0..config.invariants.max(1))
         .map(|i| {
             let v = rng.gen_range(-4.0..4.0_f64);
             let v = if v.abs() < 0.25 { 0.5 } else { v };
-            b.invariant(format!("c{i}"), v)
+            b.invariant(names.of(format_args!("c{i}")), v)
         })
         .collect();
 
@@ -167,13 +168,13 @@ pub fn generate(name: impl Into<String>, seed: u64, config: &GenConfig) -> Loop 
     let n_loads = rng.gen_range(config.min_loads..=config.max_loads.max(config.min_loads));
     let n_arrays = rng.gen_range(1..=3usize.min(n_loads.max(1)));
     let arrays: Vec<_> = (0..n_arrays)
-        .map(|i| b.array_in(format!("in{i}")))
+        .map(|i| b.array_in(names.of(format_args!("in{i}"))))
         .collect();
     let mut pool = Pool::new();
     for i in 0..n_loads {
         let arr = arrays[rng.gen_range(0..arrays.len())];
         let off = rng.gen_range(-config.max_offset..=config.max_offset);
-        pool.push(b.load(format!("L{i}"), arr, off));
+        pool.push(b.load(names.of(format_args!("L{i}")), arr, off));
     }
 
     // Arithmetic body.
@@ -182,15 +183,15 @@ pub fn generate(name: impl Into<String>, seed: u64, config: &GenConfig) -> Loop 
         let kind = pick_kind(&mut rng, &config.kind_weights);
         let a = pick_operand(&mut rng, &mut pool, &invs, config.chain_bias);
         let id = match kind {
-            4 => b.conv(format!("C{i}"), a),
+            4 => b.conv(names.of(format_args!("C{i}")), a),
             k => {
                 if rng.gen_bool(config.recurrence_prob) {
                     let dist = rng.gen_range(1..=config.max_recurrence_dist.max(1));
                     let id = match k {
-                        0 => b.reserve_add(format!("R{i}")),
-                        1 => b.reserve_sub(format!("R{i}")),
-                        2 => b.reserve_mul(format!("R{i}")),
-                        _ => b.reserve_div(format!("R{i}")),
+                        0 => b.reserve_add(names.of(format_args!("R{i}"))),
+                        1 => b.reserve_sub(names.of(format_args!("R{i}"))),
+                        2 => b.reserve_mul(names.of(format_args!("R{i}"))),
+                        _ => b.reserve_div(names.of(format_args!("R{i}"))),
                     };
                     b.bind(id, [a, id.prev(dist)]);
                     b.set_init(id, rng.gen_range(0.5..2.0));
@@ -198,10 +199,10 @@ pub fn generate(name: impl Into<String>, seed: u64, config: &GenConfig) -> Loop 
                 } else {
                     let c = pick_operand(&mut rng, &mut pool, &invs, config.chain_bias);
                     match k {
-                        0 => b.add(format!("O{i}"), a, c),
-                        1 => b.sub(format!("O{i}"), a, c),
-                        2 => b.mul(format!("O{i}"), a, c),
-                        _ => b.div(format!("O{i}"), a, c),
+                        0 => b.add(names.of(format_args!("O{i}")), a, c),
+                        1 => b.sub(names.of(format_args!("O{i}")), a, c),
+                        2 => b.mul(names.of(format_args!("O{i}")), a, c),
+                        _ => b.div(names.of(format_args!("O{i}")), a, c),
                     }
                 }
             }
@@ -214,8 +215,8 @@ pub fn generate(name: impl Into<String>, seed: u64, config: &GenConfig) -> Loop 
     for s in 0..n_extra {
         let i = rng.gen_range(0..pool.len());
         let v = pool.take_at(i);
-        let out = b.array_out(format!("out{s}"));
-        b.store(format!("S{s}"), out, 0, v);
+        let out = b.array_out(names.of(format_args!("out{s}")));
+        b.store(names.of(format_args!("S{s}")), out, 0, v);
     }
 
     // Reduction tree over every unconsumed value, stored to the sink.
@@ -228,7 +229,7 @@ pub fn generate(name: impl Into<String>, seed: u64, config: &GenConfig) -> Loop 
         let mut next = Vec::new();
         for pair in dangling.chunks(2) {
             if pair.len() == 2 {
-                let a = b.add(format!("T{t}"), pair[0], pair[1]);
+                let a = b.add(names.of(format_args!("T{t}")), pair[0], pair[1]);
                 t += 1;
                 next.push(a.now());
             } else {
@@ -242,6 +243,23 @@ pub fn generate(name: impl Into<String>, seed: u64, config: &GenConfig) -> Loop 
 
     b.finish(Weight::default())
         .expect("generator emits structurally valid loops")
+}
+
+/// One buffer for every formatted name of a loop: the builder copies
+/// each name into a shared string of its own, so a name needs no
+/// `String` of its own first.
+#[derive(Default)]
+struct Names(String);
+
+impl Names {
+    fn of(&mut self, args: std::fmt::Arguments<'_>) -> &str {
+        use std::fmt::Write;
+        self.0.clear();
+        self.0
+            .write_fmt(args)
+            .expect("formatting into a String cannot fail");
+        &self.0
+    }
 }
 
 /// Generates `count` loops named `gen<seed>` with consecutive seeds.

@@ -1,10 +1,11 @@
 //! Incremental construction of [`Loop`]s.
 
 use crate::graph::{ArrayDecl, ArrayRole, Dep, DepKind, Invariant, Loop, MemRef, Weight};
-use crate::op::{ArrayId, InvId, Op, OpId, OpKind, ValueRef};
+use crate::op::{ArrayId, InvId, Op, OpId, OpKind, Operands, ValueRef};
 use crate::validate::{validate, ValidateError};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error produced while building or finishing a loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +69,7 @@ impl From<ValidateError> for BuildError {
 /// ```
 #[derive(Debug)]
 pub struct LoopBuilder {
-    name: String,
+    name: Arc<str>,
     ops: Vec<Op>,
     deps: Vec<Dep>,
     invariants: Vec<Invariant>,
@@ -76,18 +77,26 @@ pub struct LoopBuilder {
     /// Explicit edges [`LoopBuilder::finish`] appends after `deps`: the
     /// parent's, for a builder made by [`LoopBuilder::extending`].
     inherited_deps: Vec<Dep>,
+    /// How many of `ops`, `invariants` and `arrays` a parent loop gave
+    /// (zero for [`LoopBuilder::new`]): their names are already unique.
+    inherited_ops: usize,
+    inherited_invariants: usize,
+    inherited_arrays: usize,
 }
 
 impl LoopBuilder {
     /// Creates an empty builder for a loop called `name`.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl AsRef<str>) -> Self {
         LoopBuilder {
-            name: name.into(),
+            name: name.as_ref().into(),
             ops: Vec::new(),
             deps: Vec::new(),
             invariants: Vec::new(),
             arrays: Vec::new(),
             inherited_deps: Vec::new(),
+            inherited_ops: 0,
+            inherited_invariants: 0,
+            inherited_arrays: 0,
         }
     }
 
@@ -98,44 +107,52 @@ impl LoopBuilder {
     /// parent's, which [`LoopBuilder::finish`] appends: the order a
     /// rebuild that re-adds the parent's edges last would give. This is
     /// how the spiller appends spill code without rebuilding the loop.
+    ///
+    /// Names are shared and operands inline, so the parent's ops,
+    /// invariants and arrays are copied without allocating per entry, and
+    /// [`LoopBuilder::finish`] checks only the appended names against the
+    /// earlier ones (the parent's are already unique).
     pub fn extending(parent: &Loop) -> Self {
         LoopBuilder {
-            name: parent.name.clone(),
+            name: Arc::clone(&parent.name),
             ops: parent.ops.clone(),
             deps: Vec::new(),
             invariants: parent.invariants.clone(),
             arrays: parent.arrays.clone(),
             inherited_deps: parent.deps.clone(),
+            inherited_ops: parent.ops.len(),
+            inherited_invariants: parent.invariants.len(),
+            inherited_arrays: parent.arrays.len(),
         }
     }
 
     /// Declares a loop-invariant input with a concrete value (used by the
     /// reference executor).
-    pub fn invariant(&mut self, name: impl Into<String>, value: f64) -> ValueRef {
+    pub fn invariant(&mut self, name: impl AsRef<str>, value: f64) -> ValueRef {
         let id = InvId(self.invariants.len() as u32);
         self.invariants.push(Invariant {
-            name: name.into(),
+            name: name.as_ref().into(),
             value,
         });
         ValueRef::Inv(id)
     }
 
     /// Declares an input array.
-    pub fn array_in(&mut self, name: impl Into<String>) -> ArrayId {
-        self.push_array(name.into(), ArrayRole::Input)
+    pub fn array_in(&mut self, name: impl AsRef<str>) -> ArrayId {
+        self.push_array(name.as_ref().into(), ArrayRole::Input)
     }
 
     /// Declares an output array.
-    pub fn array_out(&mut self, name: impl Into<String>) -> ArrayId {
-        self.push_array(name.into(), ArrayRole::Output)
+    pub fn array_out(&mut self, name: impl AsRef<str>) -> ArrayId {
+        self.push_array(name.as_ref().into(), ArrayRole::Output)
     }
 
     /// Declares an array that is both read and written.
-    pub fn array_inout(&mut self, name: impl Into<String>) -> ArrayId {
-        self.push_array(name.into(), ArrayRole::InOut)
+    pub fn array_inout(&mut self, name: impl AsRef<str>) -> ArrayId {
+        self.push_array(name.as_ref().into(), ArrayRole::InOut)
     }
 
-    fn push_array(&mut self, name: String, role: ArrayRole) -> ArrayId {
+    fn push_array(&mut self, name: Arc<str>, role: ArrayRole) -> ArrayId {
         let id = ArrayId(self.arrays.len() as u32);
         self.arrays.push(ArrayDecl { name, role });
         id
@@ -144,14 +161,14 @@ impl LoopBuilder {
     fn push_op(
         &mut self,
         kind: OpKind,
-        name: impl Into<String>,
-        inputs: Vec<ValueRef>,
+        name: impl AsRef<str>,
+        inputs: Operands,
         mem: Option<MemRef>,
     ) -> OpId {
         let id = OpId(self.ops.len() as u32);
         self.ops.push(Op {
             kind,
-            name: name.into(),
+            name: name.as_ref().into(),
             inputs,
             mem,
             init: 0.0,
@@ -160,36 +177,36 @@ impl LoopBuilder {
     }
 
     /// Appends a floating-point addition.
-    pub fn add(&mut self, name: impl Into<String>, a: ValueRef, b: ValueRef) -> OpId {
-        self.push_op(OpKind::FpAdd, name, vec![a, b], None)
+    pub fn add(&mut self, name: impl AsRef<str>, a: ValueRef, b: ValueRef) -> OpId {
+        self.push_op(OpKind::FpAdd, name, Operands::two(a, b), None)
     }
 
     /// Appends a floating-point subtraction.
-    pub fn sub(&mut self, name: impl Into<String>, a: ValueRef, b: ValueRef) -> OpId {
-        self.push_op(OpKind::FpSub, name, vec![a, b], None)
+    pub fn sub(&mut self, name: impl AsRef<str>, a: ValueRef, b: ValueRef) -> OpId {
+        self.push_op(OpKind::FpSub, name, Operands::two(a, b), None)
     }
 
     /// Appends a floating-point multiplication.
-    pub fn mul(&mut self, name: impl Into<String>, a: ValueRef, b: ValueRef) -> OpId {
-        self.push_op(OpKind::FpMul, name, vec![a, b], None)
+    pub fn mul(&mut self, name: impl AsRef<str>, a: ValueRef, b: ValueRef) -> OpId {
+        self.push_op(OpKind::FpMul, name, Operands::two(a, b), None)
     }
 
     /// Appends a floating-point division.
-    pub fn div(&mut self, name: impl Into<String>, a: ValueRef, b: ValueRef) -> OpId {
-        self.push_op(OpKind::FpDiv, name, vec![a, b], None)
+    pub fn div(&mut self, name: impl AsRef<str>, a: ValueRef, b: ValueRef) -> OpId {
+        self.push_op(OpKind::FpDiv, name, Operands::two(a, b), None)
     }
 
     /// Appends a type conversion (executes on an adder).
-    pub fn conv(&mut self, name: impl Into<String>, a: ValueRef) -> OpId {
-        self.push_op(OpKind::Conv, name, vec![a], None)
+    pub fn conv(&mut self, name: impl AsRef<str>, a: ValueRef) -> OpId {
+        self.push_op(OpKind::Conv, name, Operands::one(a), None)
     }
 
     /// Appends a load of `array[i + offset]`.
-    pub fn load(&mut self, name: impl Into<String>, array: ArrayId, offset: i64) -> OpId {
+    pub fn load(&mut self, name: impl AsRef<str>, array: ArrayId, offset: i64) -> OpId {
         self.push_op(
             OpKind::Load,
             name,
-            Vec::new(),
+            Operands::NONE,
             Some(MemRef { array, offset }),
         )
     }
@@ -197,7 +214,7 @@ impl LoopBuilder {
     /// Appends a store of `value` into `array[i + offset]`.
     pub fn store(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         array: ArrayId,
         offset: i64,
         value: ValueRef,
@@ -205,7 +222,7 @@ impl LoopBuilder {
         self.push_op(
             OpKind::Store,
             name,
-            vec![value],
+            Operands::one(value),
             Some(MemRef { array, offset }),
         )
     }
@@ -213,26 +230,26 @@ impl LoopBuilder {
     /// Reserves an addition whose operands will be supplied later with
     /// [`LoopBuilder::bind`]. This is how recurrences that reference their
     /// own output (`s = s + x`) are built.
-    pub fn reserve_add(&mut self, name: impl Into<String>) -> OpId {
-        self.push_op(OpKind::FpAdd, name, Vec::new(), None)
+    pub fn reserve_add(&mut self, name: impl AsRef<str>) -> OpId {
+        self.push_op(OpKind::FpAdd, name, Operands::NONE, None)
     }
 
     /// Reserves a subtraction for later binding (see
     /// [`LoopBuilder::reserve_add`]).
-    pub fn reserve_sub(&mut self, name: impl Into<String>) -> OpId {
-        self.push_op(OpKind::FpSub, name, Vec::new(), None)
+    pub fn reserve_sub(&mut self, name: impl AsRef<str>) -> OpId {
+        self.push_op(OpKind::FpSub, name, Operands::NONE, None)
     }
 
     /// Reserves a multiplication for later binding (see
     /// [`LoopBuilder::reserve_add`]).
-    pub fn reserve_mul(&mut self, name: impl Into<String>) -> OpId {
-        self.push_op(OpKind::FpMul, name, Vec::new(), None)
+    pub fn reserve_mul(&mut self, name: impl AsRef<str>) -> OpId {
+        self.push_op(OpKind::FpMul, name, Operands::NONE, None)
     }
 
     /// Reserves a division for later binding (see
     /// [`LoopBuilder::reserve_add`]).
-    pub fn reserve_div(&mut self, name: impl Into<String>) -> OpId {
-        self.push_op(OpKind::FpDiv, name, Vec::new(), None)
+    pub fn reserve_div(&mut self, name: impl AsRef<str>) -> OpId {
+        self.push_op(OpKind::FpDiv, name, Operands::NONE, None)
     }
 
     /// Supplies the operands of a reserved operation.
@@ -288,16 +305,20 @@ impl LoopBuilder {
     /// invariant (unconsumed values, zero-distance cycles, arity mismatches,
     /// ...), or a duplicate-name error if names collide.
     pub fn finish(self, weight: Weight) -> Result<Loop, BuildError> {
-        if let Some(name) = first_repeat(self.ops.iter().map(|op| op.name.as_str())) {
+        let op_names = self.ops.iter().map(|op| &*op.name);
+        if let Some(name) = first_repeat(op_names, self.inherited_ops) {
             return Err(BuildError::DuplicateOpName(name.to_owned()));
         }
-        if let Some(name) = first_repeat(self.invariants.iter().map(|inv| inv.name.as_str())) {
+        let inv_names = self.invariants.iter().map(|inv| &*inv.name);
+        if let Some(name) = first_repeat(inv_names, self.inherited_invariants) {
             return Err(BuildError::DuplicateInvariantName(name.to_owned()));
         }
-        if let Some(name) = first_repeat(self.arrays.iter().map(|arr| arr.name.as_str())) {
+        let array_names = self.arrays.iter().map(|arr| &*arr.name);
+        if let Some(name) = first_repeat(array_names, self.inherited_arrays) {
             return Err(BuildError::DuplicateArrayName(name.to_owned()));
         }
-        let mut deps = self.deps;
+        let mut deps = Vec::with_capacity(self.deps.len() + self.inherited_deps.len());
+        deps.extend(self.deps);
         deps.extend(self.inherited_deps);
         let mut l = Loop {
             name: self.name,
@@ -316,11 +337,24 @@ impl LoopBuilder {
     }
 }
 
-/// The first name that an earlier name already took, found with one
-/// hash set.
-fn first_repeat<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> Option<&'a str> {
-    let mut seen = HashSet::with_capacity(names.len());
-    names.into_iter().find(|&name| !seen.insert(name))
+/// The first name that an earlier name already took. The first `unique`
+/// names are known to be distinct (a parent loop's), so only the names
+/// after them are checked, each against every name before it: a handful
+/// of appended names costs a few comparisons, not a hash of every name.
+/// With nothing known (`unique == 0`) one hash set finds the repeat.
+fn first_repeat<'a>(
+    names: impl ExactSizeIterator<Item = &'a str> + Clone,
+    unique: usize,
+) -> Option<&'a str> {
+    if unique == 0 {
+        let mut seen = HashSet::with_capacity(names.len());
+        return names.into_iter().find(|&name| !seen.insert(name));
+    }
+    names
+        .clone()
+        .enumerate()
+        .skip(unique)
+        .find_map(|(k, name)| names.clone().take(k).any(|e| e == name).then_some(name))
 }
 
 #[cfg(test)]
@@ -367,6 +401,29 @@ mod tests {
             b.finish(Weight::default()),
             Err(BuildError::DuplicateOpName("L".into()))
         );
+    }
+
+    /// An extending builder shares its parent's names instead of
+    /// copying them, and every kind lists at its own index.
+    #[test]
+    fn extending_shares_the_parent_names() {
+        let mut b = LoopBuilder::new("t");
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let l = b.load("L", x, 0);
+        b.store("S", z, 0, l.now());
+        let parent = b.finish(Weight::default()).unwrap();
+        let child = LoopBuilder::extending(&parent);
+        assert!(Arc::ptr_eq(&child.name, &parent.name));
+        for (c, p) in child.ops.iter().zip(&parent.ops) {
+            assert!(Arc::ptr_eq(&c.name, &p.name));
+        }
+        for (c, p) in child.arrays.iter().zip(&parent.arrays) {
+            assert!(Arc::ptr_eq(&c.name, &p.name));
+        }
+        for (i, kind) in OpKind::all().into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::op::{ArrayId, InvId, Op, OpId, OpKind, ValueRef};
 use std::fmt;
+use std::sync::Arc;
 
 /// An affine memory reference: the address accessed by iteration `i` is
 /// `array[i + offset]`.
@@ -27,7 +28,7 @@ pub enum ArrayRole {
 /// Declaration of an array referenced by the loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDecl {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) role: ArrayRole,
 }
 
@@ -48,7 +49,7 @@ impl ArrayDecl {
 /// accounting).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Invariant {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) value: f64,
 }
 
@@ -160,7 +161,7 @@ impl Default for Weight {
 /// [`ValidateError`](crate::ValidateError) for the invariants).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Loop {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) ops: Vec<Op>,
     pub(crate) deps: Vec<Dep>,
     pub(crate) invariants: Vec<Invariant>,
@@ -329,7 +330,7 @@ impl Loop {
     /// Looks up an operation by name.
     pub fn find_op(&self, name: &str) -> Option<OpId> {
         self.iter_ops()
-            .find(|(_, op)| op.name == name)
+            .find(|(_, op)| &*op.name == name)
             .map(|(id, _)| id)
     }
 
@@ -337,7 +338,7 @@ impl Loop {
     pub fn find_invariant(&self, name: &str) -> Option<InvId> {
         self.invariants
             .iter()
-            .position(|inv| inv.name == name)
+            .position(|inv| &*inv.name == name)
             .map(|i| InvId(i as u32))
     }
 
@@ -345,7 +346,7 @@ impl Loop {
     pub fn find_array(&self, name: &str) -> Option<ArrayId> {
         self.arrays
             .iter()
-            .position(|a| a.name == name)
+            .position(|a| &*a.name == name)
             .map(|i| ArrayId(i as u32))
     }
 }

@@ -1,6 +1,7 @@
 //! Operation kinds, identifiers and operand references.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an operation inside a [`Loop`](crate::Loop).
 ///
@@ -106,7 +107,13 @@ impl OpKind {
         matches!(self, OpKind::Load | OpKind::Store)
     }
 
-    /// All kinds, in a fixed order (useful for statistics tables).
+    /// The kind's position in [`OpKind::all`], for tables indexed by
+    /// kind.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// All kinds, in declaration order (useful for statistics tables).
     pub fn all() -> [OpKind; 7] {
         [
             OpKind::FpAdd,
@@ -170,12 +177,89 @@ impl ValueRef {
     }
 }
 
+/// The value operands of an op, held inline: every [`OpKind`] has arity
+/// at most two, so cloning an op copies them without allocating. A
+/// [`LoopBuilder::bind`](crate::LoopBuilder::bind) given more operands
+/// keeps the first two and counts the rest, so validation still reports
+/// the arity mismatch with the true count.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operands {
+    slots: [ValueRef; 2],
+    len: usize,
+}
+
+impl Operands {
+    /// No operands.
+    pub(crate) const NONE: Operands = Operands {
+        slots: [ValueRef::Const(0.0); 2],
+        len: 0,
+    };
+
+    /// One operand.
+    pub(crate) fn one(a: ValueRef) -> Operands {
+        Operands {
+            slots: [a, ValueRef::Const(0.0)],
+            len: 1,
+        }
+    }
+
+    /// Two operands.
+    pub(crate) fn two(a: ValueRef, b: ValueRef) -> Operands {
+        Operands {
+            slots: [a, b],
+            len: 2,
+        }
+    }
+
+    /// The operand count, including any past the two kept.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The kept operands: all of them when there are at most two.
+    pub(crate) fn as_slice(&self) -> &[ValueRef] {
+        &self.slots[..self.len.min(2)]
+    }
+}
+
+impl FromIterator<ValueRef> for Operands {
+    fn from_iter<I: IntoIterator<Item = ValueRef>>(iter: I) -> Operands {
+        let mut ops = Operands::NONE;
+        for v in iter {
+            if let Some(slot) = ops.slots.get_mut(ops.len) {
+                *slot = v;
+            }
+            ops.len += 1;
+        }
+        ops
+    }
+}
+
+impl<'a> IntoIterator for &'a Operands {
+    type Item = &'a ValueRef;
+    type IntoIter = std::slice::Iter<'a, ValueRef>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl PartialEq for Operands {
+    fn eq(&self, other: &Operands) -> bool {
+        self.len == other.len && self.as_slice() == other.as_slice()
+    }
+}
+
 /// One operation of a loop body.
+///
+/// Its name is shared and its operands inline, so cloning an op (as
+/// [`LoopBuilder::extending`](crate::LoopBuilder::extending) does for every
+/// op of its parent) allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     pub(crate) kind: OpKind,
-    pub(crate) name: String,
-    pub(crate) inputs: Vec<ValueRef>,
+    pub(crate) name: Arc<str>,
+    pub(crate) inputs: Operands,
     pub(crate) mem: Option<crate::graph::MemRef>,
     /// Initial value(s) observed by cross-iteration consumers that read
     /// this op's output before iteration 0 produced it (reductions start
@@ -197,7 +281,7 @@ impl Op {
 
     /// The value operands.
     pub fn inputs(&self) -> &[ValueRef] {
-        &self.inputs
+        self.inputs.as_slice()
     }
 
     /// The memory reference, for loads and stores.

@@ -106,14 +106,14 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
     for op in &l.ops {
         if op.inputs.len() != op.kind.arity() {
             return Err(ValidateError::Arity {
-                op: op.name.clone(),
+                op: op.name.to_string(),
                 expected: op.kind.arity(),
                 found: op.inputs.len(),
             });
         }
         if op.kind.is_memory() != op.mem.is_some() {
             return Err(ValidateError::MemRef {
-                op: op.name.clone(),
+                op: op.name.to_string(),
             });
         }
         for input in &op.inputs {
@@ -121,12 +121,12 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
                 ValueRef::Op { id, .. } => {
                     if id.index() >= n {
                         return Err(ValidateError::DanglingOp {
-                            op: op.name.clone(),
+                            op: op.name.to_string(),
                         });
                     }
                     if l.ops[id.index()].kind == OpKind::Store {
                         return Err(ValidateError::StoreConsumed {
-                            op: op.name.clone(),
+                            op: op.name.to_string(),
                         });
                     }
                     consumed[id.index()] = true;
@@ -134,7 +134,7 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
                 ValueRef::Inv(inv) => {
                     if inv.index() >= l.invariants.len() {
                         return Err(ValidateError::DanglingInput {
-                            op: op.name.clone(),
+                            op: op.name.to_string(),
                         });
                     }
                 }
@@ -144,7 +144,7 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
         if let Some(mem) = &op.mem {
             if mem.array.index() >= l.arrays.len() {
                 return Err(ValidateError::DanglingInput {
-                    op: op.name.clone(),
+                    op: op.name.to_string(),
                 });
             }
             let role = l.arrays[mem.array.index()].role;
@@ -161,7 +161,7 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
             };
             if !ok {
                 return Err(ValidateError::ArrayRole {
-                    op: op.name.clone(),
+                    op: op.name.to_string(),
                 });
             }
         }
@@ -183,14 +183,14 @@ pub(crate) fn validate(l: &Loop) -> Result<(), ValidateError> {
         .find_map(|(op, &used)| (op.kind.produces_value() && !used).then_some(op))
     {
         return Err(ValidateError::DeadValue {
-            op: op.name.clone(),
+            op: op.name.to_string(),
         });
     }
 
     // Zero-distance cycles: DFS over edges with dist == 0.
     if let Some(idx) = find_zero_distance_cycle(l) {
         return Err(ValidateError::ZeroDistanceCycle {
-            op: l.ops[idx].name.clone(),
+            op: l.ops[idx].name.to_string(),
         });
     }
 
@@ -207,7 +207,7 @@ fn find_zero_distance_cycle(l: &Loop) -> Option<usize> {
     // Every zero-distance edge `(from, to)`, in `sched_edges` order.
     let edges = || {
         let flow = l.ops.iter().enumerate().flat_map(|(to, op)| {
-            op.inputs.iter().filter_map(move |input| match *input {
+            op.inputs().iter().filter_map(move |input| match *input {
                 ValueRef::Op { id, dist: 0 } => Some((id.index(), to)),
                 _ => None,
             })
@@ -437,6 +437,39 @@ mod tests {
                 op: "D".into()
             }))
         );
+    }
+
+    /// Operands past the two an op holds inline are still counted: a
+    /// `bind` with three fails as an arity mismatch naming the true
+    /// count, and an op bound twice keeps only the second binding.
+    #[test]
+    fn binding_three_operands_is_an_arity_error() {
+        let mut b = LoopBuilder::new("wide");
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let l = b.load("L", x, 0);
+        let a = b.reserve_add("A");
+        b.bind(a, [l.now(), l.now(), ValueRef::Const(1.0)]);
+        b.store("S", z, 0, a.now());
+        assert_eq!(
+            b.finish(Weight::default()),
+            Err(BuildError::Invalid(ValidateError::Arity {
+                op: "A".into(),
+                expected: 2,
+                found: 3
+            }))
+        );
+
+        let mut b = LoopBuilder::new("rebound");
+        let x = b.array_in("x");
+        let z = b.array_out("z");
+        let l = b.load("L", x, 0);
+        let a = b.reserve_add("A");
+        b.bind(a, [l.now(), l.now(), l.now()]);
+        b.bind(a, [l.now(), ValueRef::Const(1.0)]);
+        b.store("S", z, 0, a.now());
+        let lp = b.finish(Weight::default()).unwrap();
+        assert_eq!(lp.op(a).inputs(), [l.now(), ValueRef::Const(1.0)]);
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //!
 //! This is the crate's only IMS attempt loop. [`modulo_schedule`],
 //! [`modulo_schedule_with`] and [`schedule_at_ii`] run it on a fresh
-//! context; callers that schedule many loops in a row (benchmarks) keep
-//! one context and reuse its arenas. A caller that schedules one loop at
-//! many IIs (the spill escalation's rung ladder) analyses it once into a
-//! [`PreparedLoop`] and attempts each II on that.
+//! context; callers that schedule many loops in a row keep contexts and
+//! reuse their arenas. The spill descent tree (`ncdrf-spill`'s
+//! `DescentTree`) is that reuser: it owns a small pool of contexts that
+//! the fresh schedule of every spill state and every escalation serve
+//! borrow and return, so a descent sizes its arenas once, not once per
+//! state. A caller that schedules one loop at many
+//! IIs (the spill escalation's rung ladder) analyses it once into a
+//! [`PreparedLoop`] ([`PreparedLoop::in_context`] on a borrowed
+//! context) and attempts each II on that.
 //!
 //! All scheduling state — the modulo reservation table, CSR
 //! predecessor/successor lists, heights, start/instance arrays, the
@@ -47,7 +52,7 @@ use crate::ims::{ScheduleError, SchedulerOptions};
 use crate::mii::{Graph, MiiInfo, RecScratch};
 use crate::schedule::Schedule;
 use crate::Priority;
-use ncdrf_ddg::{Loop, OpId};
+use ncdrf_ddg::{Loop, OpId, OpKind};
 use ncdrf_machine::{Machine, MachineError, UnitRef};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -203,15 +208,18 @@ impl SchedContext {
     /// on II.
     fn analyze(&mut self, l: &Loop, machine: &Machine) -> Result<(), MachineError> {
         let n = l.ops().len();
+        // Each kind's group and latency, resolved once: `None` when no
+        // group serves the kind, or only an empty one does.
+        let served = OpKind::all().map(|kind| {
+            let g = machine.group_for(kind).ok()?;
+            let group = &machine.groups()[g];
+            (group.count() > 0).then_some((idx32(g), group.latency))
+        });
         self.group.clear();
         self.lat.clear();
-        for (_, op) in l.iter_ops() {
-            let g = machine.group_for(op.kind())?;
-            let lt = machine.latency(op.kind())?;
-            if machine.groups()[g].count() == 0 {
-                return Err(MachineError::Unserved(op.kind()));
-            }
-            self.group.push(idx32(g));
+        for op in l.ops() {
+            let (g, lt) = served[op.kind().index()].ok_or(MachineError::Unserved(op.kind()))?;
+            self.group.push(g);
             self.lat.push(lt);
         }
         self.num_groups = machine.groups().len();
@@ -559,9 +567,29 @@ impl<'a> PreparedLoop<'a> {
     /// Returns [`MachineError::Unserved`] if the machine cannot execute
     /// some operation.
     pub fn new(l: &'a Loop, machine: &'a Machine) -> Result<PreparedLoop<'a>, MachineError> {
-        let mut ctx = SchedContext::new();
+        PreparedLoop::in_context(SchedContext::new(), l, machine)
+    }
+
+    /// Analyses `l` on `machine` into `ctx`, reusing its arenas; a reused
+    /// context prepares exactly what a fresh one does.
+    /// [`PreparedLoop::into_context`] hands it back for the next loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MachineError::Unserved`] if the machine cannot execute
+    /// some operation.
+    pub fn in_context(
+        mut ctx: SchedContext,
+        l: &'a Loop,
+        machine: &'a Machine,
+    ) -> Result<PreparedLoop<'a>, MachineError> {
         ctx.analyze(l, machine)?;
         Ok(PreparedLoop { ctx, l, machine })
+    }
+
+    /// The context, with its arenas, for the next loop.
+    pub fn into_context(self) -> SchedContext {
+        self.ctx
     }
 
     /// One IMS attempt at exactly `ii`: the schedule

@@ -181,7 +181,11 @@ mod tests {
         assert_eq!(sched.stages(), 14);
     }
 
-    /// The worked example of §4.1: z[i] = (x[i]*r + y[i])*t + x[i].
+    /// The dataflow of the worked example of §4.1 (Figure 2):
+    /// z[i] = (x[i]*r + y[i])*t + x[i], as `ncdrf-corpus`'s
+    /// `kernels::fig2` builds it (this crate does not depend on the
+    /// corpus), but with other invariant values (`r` = 2, `t` = 3, not
+    /// 0.5 and 1.5), the default weight and another loop name.
     fn example_loop() -> Loop {
         let mut b = LoopBuilder::new("hpca95_example");
         let r = b.invariant("r", 2.0);

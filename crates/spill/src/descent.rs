@@ -45,6 +45,16 @@
 //! the same on every rung above a flat one, which lets an escalation
 //! ladder record that tail without scheduling it.
 //!
+//! A tree owns a small pool of scheduler contexts. The fresh schedule of
+//! every new state and every escalation serve's analysed loop borrow one
+//! and return it, so a descent sizes the scheduler's arenas once, not
+//! once per state. A context rebuilds its state from each loop it is
+//! given, so a borrowed one schedules exactly what a fresh one does. The
+//! pool never holds more contexts than were borrowed at once, a release
+//! empties it, and a tree that never spills holds none: the base schedule
+//! is computed before the tree, so a session that caches the trees of a
+//! whole corpus keeps no context per loop.
+//!
 //! States are keyed by their parent's tree-local id, never by a loop
 //! name, so two loops that share a name cannot share states. A tree owns
 //! the machine and the scheduler options its states are built with, so
@@ -60,7 +70,7 @@ use crate::SpillError;
 use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{lifetimes_into, Lifetime, PlacementOrder};
-use ncdrf_sched::{modulo_schedule_with, PreparedLoop, Rung, Schedule, SchedulerOptions};
+use ncdrf_sched::{PreparedLoop, Rung, SchedContext, Schedule, ScheduleError, SchedulerOptions};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -421,6 +431,37 @@ fn bump(c: &AtomicU64) {
     c.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Scheduler contexts a tree lends to its scheduling (see the module
+/// docs).
+#[derive(Debug, Default)]
+struct Contexts(Mutex<Vec<SchedContext>>);
+
+impl Contexts {
+    /// A pooled context, or a fresh one when all are lent.
+    fn take(&self) -> SchedContext {
+        lock(&self.0).pop().unwrap_or_default()
+    }
+
+    /// Returns a context to the pool.
+    fn put(&self, ctx: SchedContext) {
+        lock(&self.0).push(ctx);
+    }
+
+    /// Schedules `l` on a pooled context; a failed schedule returns the
+    /// context too, since every call rebuilds its state.
+    fn schedule(
+        &self,
+        l: &Loop,
+        machine: &Machine,
+        opts: SchedulerOptions,
+    ) -> Result<Schedule, ScheduleError> {
+        let mut ctx = self.take();
+        let sched = ctx.schedule(l, machine, opts);
+        self.put(ctx);
+        sched
+    }
+}
+
 /// The shared spill descent of one loop: its unspilled root state and an
 /// index of every state reached from it, keyed by `(parent, victim)`.
 ///
@@ -438,6 +479,7 @@ pub struct DescentTree {
     /// states only a trajectory still holds.
     memoised: Mutex<Vec<Weak<DescentState>>>,
     counters: Counters,
+    contexts: Contexts,
 }
 
 impl DescentTree {
@@ -464,6 +506,7 @@ impl DescentTree {
             }),
             memoised: Mutex::default(),
             counters: Counters::default(),
+            contexts: Contexts::default(),
         }
     }
 
@@ -511,11 +554,13 @@ impl DescentTree {
         &self.root.consumers
     }
 
-    /// Ends sharing for now: drops the index and every memo except the
-    /// root's class memo and base lifetimes, on indexed and retained
-    /// states alike. States a trajectory retains stay alive through the
-    /// trajectory; anything computed later is indexed and memoised again.
+    /// Ends sharing for now: drops the index, the pooled scheduler
+    /// contexts and every memo except the root's class memo and base
+    /// lifetimes, on indexed and retained states alike. States a
+    /// trajectory retains stay alive through the trajectory; anything
+    /// computed later is indexed and memoised again.
     pub fn release(&self) {
+        lock(&self.contexts.0).clear();
         let children = std::mem::take(&mut lock(&self.index).children);
         let memoised = std::mem::take(&mut *lock(&self.memoised));
         for state in memoised.iter().filter_map(Weak::upgrade) {
@@ -627,7 +672,7 @@ impl DescentTree {
         }
         let (l, reloads, stats) =
             rewrite(&parent.l, victim).map_err(|e| SpillError::Rewrite(e.to_string()))?;
-        let fresh = modulo_schedule_with(&l, &self.machine, self.scheduler)?;
+        let fresh = self.contexts.schedule(&l, &self.machine, self.scheduler)?;
         bump(&self.counters.states_computed);
         let mut index = lock(&self.index);
         let id = index.next_id;
@@ -754,8 +799,9 @@ impl DescentTree {
 
     /// The escalation rung of `state` at `ii`: its schedule, or `None`
     /// when the loop does not schedule there. A miss schedules on
-    /// `prepared`, the state's loop analysed once, which the first miss
-    /// of a caller fills in.
+    /// `prepared`, the state's loop analysed once on a pooled context,
+    /// which the first miss of a caller fills in and
+    /// [`DescentTree::restore`] returns.
     pub(crate) fn rung<'s>(
         &'s self,
         state: &'s Arc<DescentState>,
@@ -764,11 +810,14 @@ impl DescentTree {
     ) -> Result<Option<Arc<Scheduled>>, MachineError> {
         if let Some(hit) = lock(&state.rungs).get(&ii) {
             bump(&self.counters.rungs_reused);
-            return Ok(hit.clone());
+            return Ok(hit.as_ref().map(Arc::clone));
         }
         let prepared = match prepared {
             Some(prepared) => prepared,
-            None => prepared.insert(PreparedLoop::new(&state.l, &self.machine)?),
+            None => {
+                let ctx = self.contexts.take();
+                prepared.insert(PreparedLoop::in_context(ctx, &state.l, &self.machine)?)
+            }
         };
         let rung = prepared
             .schedule_at_ii(ii, self.scheduler)
@@ -779,9 +828,20 @@ impl DescentTree {
                 ))
             });
         bump(&self.counters.rungs_computed);
-        let rung = lock(&state.rungs).entry(ii).or_insert(rung).clone();
+        let rung = lock(&state.rungs)
+            .entry(ii)
+            .or_insert(rung)
+            .as_ref()
+            .map(Arc::clone);
         self.memoise(state);
         Ok(rung)
+    }
+
+    /// Returns the context of a serve's analysed loop to the pool.
+    pub(crate) fn restore(&self, prepared: Option<PreparedLoop<'_>>) {
+        if let Some(prepared) = prepared {
+            self.contexts.put(prepared.into_context());
+        }
     }
 }
 
@@ -791,6 +851,7 @@ mod tests {
     use crate::{requirement_unified, SpillOptions, SpillTrajectory};
     use ncdrf_ddg::{LoopBuilder, Weight};
     use ncdrf_regalloc::allocate_unified;
+    use ncdrf_sched::modulo_schedule_with;
 
     fn pressured() -> Loop {
         let mut b = LoopBuilder::new("pressured");
@@ -957,5 +1018,90 @@ mod tests {
         assert_ne!(x.l, y.l);
         let s = t.stats();
         assert_eq!((s.states_computed, s.states_reused, s.indexed), (4, 1, 4));
+    }
+
+    /// Two models of one class down the budget ladder, into escalation.
+    fn descend(t: &Arc<DescentTree>, machine: &Machine) {
+        let opts = SpillOptions::default();
+        for mut hook in [Scaled(1, 1), Scaled(3, 4)] {
+            let mut traj = SpillTrajectory::in_tree(t, &mut hook, opts).unwrap();
+            for budget in LADDER {
+                traj.evaluate(machine, budget, &mut hook).unwrap();
+            }
+        }
+    }
+
+    /// Every small-corpus loop descends on one chain of pooled contexts:
+    /// each tree starts from the contexts the previous loop's tree (of
+    /// other sizes) returned, the one on top having just failed to
+    /// schedule the loop under a cap below its II. Every state's fresh
+    /// schedule and every computed rung equals a fresh context's, and
+    /// the counts are those of the descent before contexts were pooled.
+    #[test]
+    fn pooled_contexts_schedule_what_fresh_ones_do() {
+        let corpus = ncdrf_corpus::Corpus::small();
+        let one_port = Machine::clustered_n(1, 3, 1);
+        // `DescentStats` (computed, reused) of states, rungs and classes,
+        // skipped rungs and indexed states, as the descent counted them
+        // when each state scheduled on a fresh context.
+        let pinned = [
+            (
+                Machine::clustered(6, 1),
+                [1606, 1606, 4276, 4729, 21605, 5995, 6448, 0, 1606],
+            ),
+            (
+                one_port,
+                [1606, 1606, 1090, 1456, 16545, 2809, 3175, 0, 1606],
+            ),
+        ];
+        for (machine, want) in pinned {
+            let opts = SchedulerOptions::default();
+            let mut carried: Vec<SchedContext> = Vec::new();
+            let mut stats = DescentStats::default();
+            for l in corpus.iter() {
+                let base = modulo_schedule_with(l, &machine, opts).unwrap();
+                let capped = SchedulerOptions {
+                    max_ii: Some(base.ii() - 1),
+                    ..opts
+                };
+                let t = Arc::new(DescentTree::new(l.to_owned(), base, machine.clone(), opts));
+                let mut ctx = carried.pop().unwrap_or_default();
+                assert!(matches!(
+                    ctx.schedule(l, &machine, capped),
+                    Err(ScheduleError::NoSchedule { .. })
+                ));
+                carried.push(ctx);
+                lock(&t.contexts.0).append(&mut carried);
+                descend(&t, &machine);
+
+                let index = lock(&t.index);
+                for state in index.children.values().chain([t.root()]) {
+                    let fresh = modulo_schedule_with(&state.l, &machine, opts).unwrap();
+                    assert_eq!(*state.fresh.sched, fresh, "`{}`", l.name());
+                    for (&ii, rung) in lock(&state.rungs).iter() {
+                        let fresh = SchedContext::new()
+                            .schedule_at_ii(&state.l, &machine, ii, opts)
+                            .unwrap();
+                        let rung = rung.as_ref().map(|r| &*r.sched);
+                        assert_eq!(rung, fresh.as_ref(), "`{}` at II {ii}", l.name());
+                    }
+                }
+                drop(index);
+                stats.absorb(t.stats());
+                carried = std::mem::take(&mut *lock(&t.contexts.0));
+            }
+            let got = [
+                stats.states_computed,
+                stats.states_reused,
+                stats.rungs_computed,
+                stats.rungs_reused,
+                stats.rungs_skipped,
+                stats.classes_computed,
+                stats.classes_reused,
+                stats.classes_bounded,
+                stats.indexed,
+            ];
+            assert_eq!(got, want, "{}", machine.name());
+        }
     }
 }

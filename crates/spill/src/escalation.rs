@@ -16,7 +16,8 @@
 //! rung table of the [`DescentTree`], so every model whose descent ends
 //! in that state schedules each rung once, and a memoised requirement
 //! class allocates each rung once. A serve analyses the terminal loop
-//! for IMS once, on the first rung it schedules.
+//! for IMS once, on the first rung it schedules, on a scheduler context
+//! borrowed from the tree's pool.
 //!
 //! A rung is allocated only when it might fit. Where the requirement has
 //! a class lower bound ([`crate::Requirement::bound`]: MaxLive for the
@@ -63,8 +64,8 @@ pub(crate) struct SpillTally {
 /// the call that returns it computed them.
 type Recorded = (usize, Option<(Arc<ClassRequirement>, u32)>);
 
-/// The terminal loop, analysed for IMS on the first rung a serve
-/// schedules.
+/// The terminal loop, analysed for IMS on a context of the tree's pool
+/// on the first rung a serve schedules; the serve returns the context.
 type Prepared<'s> = Option<PreparedLoop<'s>>;
 
 /// One trajectory's II-escalation rungs of its terminal state. Scalars
@@ -115,16 +116,30 @@ impl EscalationLadder {
     /// The scheduling or requirement error of the first rung that fails;
     /// the rungs before it stay recorded, and a retry re-fails the same
     /// rung.
-    pub(crate) fn serve<'s>(
+    pub(crate) fn serve(
         &mut self,
+        tree: &DescentTree,
+        state: &Arc<DescentState>,
+        budget: u32,
+        requirement: &mut dyn Requirement,
+        tally: SpillTally,
+    ) -> Result<SpillResult, SpillError> {
+        let mut prepared = None;
+        let served = self.serve_on(&mut prepared, tree, state, budget, requirement, tally);
+        tree.restore(prepared);
+        served
+    }
+
+    /// [`EscalationLadder::serve`], scheduling its rungs on `p`.
+    fn serve_on<'s>(
+        &mut self,
+        p: &mut Prepared<'s>,
         tree: &'s DescentTree,
         state: &'s Arc<DescentState>,
         budget: u32,
         requirement: &mut dyn Requirement,
         tally: SpillTally,
     ) -> Result<SpillResult, SpillError> {
-        let mut prepared: Prepared<'s> = None;
-        let p = &mut prepared;
         let served = match self.first_recorded_fit(p, tree, state, budget, requirement)? {
             Some(hit) => Some(hit),
             None => self

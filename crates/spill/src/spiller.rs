@@ -6,7 +6,7 @@ use crate::rewrite::rewrite;
 use ncdrf_ddg::{Consumers, Loop, OpId};
 use ncdrf_machine::{Machine, MachineError};
 use ncdrf_regalloc::{lifetimes, lifetimes_into, Lifetime};
-use ncdrf_sched::{modulo_schedule_with, Schedule, ScheduleError, SchedulerOptions};
+use ncdrf_sched::{SchedContext, Schedule, ScheduleError, SchedulerOptions};
 use std::fmt;
 
 /// The sanctioned narrow into the spiller's `u32` candidate-index
@@ -191,7 +191,8 @@ pub fn spill_until_fits(
     requirement: &mut RequirementFn<'_>,
     opts: SpillOptions,
 ) -> Result<SpillResult, SpillError> {
-    run_spill_loop(l, machine, None, budget, requirement, opts)
+    let ctx = &mut SchedContext::new();
+    run_spill_loop(l, machine, ctx, None, budget, requirement, opts)
 }
 
 /// [`spill_until_fits`] seeded with an already-computed base schedule for
@@ -216,12 +217,15 @@ pub fn spill_until_fits_seeded(
     requirement: &mut RequirementFn<'_>,
     opts: SpillOptions,
 ) -> Result<SpillResult, SpillError> {
-    run_spill_loop(l, machine, Some(base), budget, requirement, opts)
+    let ctx = &mut SchedContext::new();
+    run_spill_loop(l, machine, ctx, Some(base), budget, requirement, opts)
 }
 
+/// The spill loop, scheduling every round on `ctx`.
 fn run_spill_loop(
     l: &Loop,
     machine: &Machine,
+    ctx: &mut SchedContext,
     mut seeded: Option<Schedule>,
     budget: u32,
     requirement: &mut RequirementFn<'_>,
@@ -244,7 +248,7 @@ fn run_spill_loop(
         let cur = current.as_ref().unwrap_or(l);
         let mut sched = match seeded.take() {
             Some(base) => base,
-            None => modulo_schedule_with(cur, machine, opts.scheduler)?,
+            None => ctx.schedule(cur, machine, opts.scheduler)?,
         };
         let regs = requirement(cur, machine, &mut sched)?;
         if regs <= budget {
@@ -283,7 +287,7 @@ fn run_spill_loop(
             // a one-shot ladder rooted at the exhausted loop.
             if opts.escalate_ii {
                 let cur = take_current(current, l);
-                let fresh = modulo_schedule_with(&cur, machine, opts.scheduler)?;
+                let fresh = ctx.schedule(&cur, machine, opts.scheduler)?;
                 let tree = DescentTree::new(cur, fresh, machine.to_owned(), opts.scheduler);
                 let root = tree.root();
                 return EscalationLadder::new(&tree, root).serve(

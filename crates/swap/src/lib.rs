@@ -664,10 +664,14 @@ mod tests {
     use ncdrf_regalloc::{classify, lifetimes};
     use ncdrf_sched::modulo_schedule;
 
-    /// The §4 example loop of the paper (Figure 2): 2 loads, 2 muls,
-    /// 2 adds, 1 store.
-    fn paper_example() -> Loop {
-        let mut b = LoopBuilder::new("fig2");
+    /// A variant of the paper's §4 example loop (Figure 2), not Figure 2
+    /// itself (`ncdrf-corpus`'s `kernels::fig2`, which this crate does
+    /// not depend on): `y` is read and written in place (`S7` stores to
+    /// `y`, not `z`), `M3 = L2*r` (Figure 2: `L1*r`), `A4 = M3+t`
+    /// (Figure 2: `M3+L2`) and `M5 = A4*L1` (Figure 2: `A4*t`). Same op
+    /// count and kinds: 2 loads, 2 muls, 2 adds, 1 store.
+    fn fig2_variant() -> Loop {
+        let mut b = LoopBuilder::new("fig2_variant");
         let r = b.invariant("r", 0.5);
         let t = b.invariant("t", 1.5);
         let x = b.array_in("x");
@@ -684,7 +688,7 @@ mod tests {
 
     #[test]
     fn swap_never_increases_requirement() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(3, 2);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let out = swap_pass(&l, &machine, &mut sched).unwrap();
@@ -694,7 +698,7 @@ mod tests {
 
     #[test]
     fn swap_preserves_schedule_validity() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(6, 1);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let _ = swap_pass(&l, &machine, &mut sched).unwrap();
@@ -703,7 +707,7 @@ mod tests {
 
     #[test]
     fn unified_machine_is_noop() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::pxly(2, 3);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let before = sched.clone();
@@ -714,7 +718,7 @@ mod tests {
 
     #[test]
     fn outcome_matches_final_classification() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(3, 2);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let out = swap_pass(&l, &machine, &mut sched).unwrap();
@@ -725,7 +729,7 @@ mod tests {
 
     #[test]
     fn gain_is_before_minus_after() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(3, 2);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let out = swap_pass(&l, &machine, &mut sched).unwrap();
@@ -734,7 +738,7 @@ mod tests {
 
     #[test]
     fn exact_scoring_not_worse_than_bound() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(3, 2);
 
         let mut s1 = modulo_schedule(&l, &machine).unwrap();
@@ -773,7 +777,7 @@ mod tests {
 
     #[test]
     fn pairs_only_mode_applies_only_pairs() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(3, 2);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let out = swap_pass_with(
@@ -795,7 +799,7 @@ mod tests {
 
     #[test]
     fn max_steps_limits_actions() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(6, 2);
         let mut sched = modulo_schedule(&l, &machine).unwrap();
         let out = swap_pass_with(
@@ -813,7 +817,7 @@ mod tests {
 
     #[test]
     fn classify_with_clusters_matches_schedule_classify() {
-        let l = paper_example();
+        let l = fig2_variant();
         let machine = Machine::clustered(3, 2);
         let sched = modulo_schedule(&l, &machine).unwrap();
         let lts = lifetimes(&l, &machine, &sched).unwrap();

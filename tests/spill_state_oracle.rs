@@ -9,7 +9,11 @@
 //! - the spill rewrite, which appends spill code to its parent, returns
 //!   the `Loop`, reloads and counts of a rebuild from scratch through
 //!   `LoopBuilder`, for every value of every small-corpus loop and along
-//!   chains of three spills.
+//!   chains of three spills;
+//! - the appending builder, which checks only the appended op names,
+//!   fails a spill whose store or reload is named like a user op with
+//!   the rebuild's `DuplicateOpName`, and both builders name their first
+//!   repeated op.
 
 use ncdrf::corpus::Corpus;
 use ncdrf::ddg::{
@@ -401,4 +405,59 @@ fn the_appending_rewrite_equals_the_rebuild_along_chains_of_three_spills() {
         }
     }
     assert!(chains > 0);
+}
+
+/// `x` loaded and read by `A`, with a user op named `taken` after them,
+/// into `b`: spilling `x` appends an op of that name when it is `SS.x` or
+/// `RL.x.A.0`.
+fn ops_with_one_named(b: &mut LoopBuilder, taken: &str) {
+    let x = b.array_in("x");
+    let z = b.array_out("z");
+    let l = b.load("x", x, 0);
+    let a = b.add("A", l.now(), ValueRef::Const(1.0));
+    let t = b.add(taken, a.now(), ValueRef::Const(2.0));
+    b.store("S", z, 0, t.now());
+}
+
+fn loop_with_an_op_named(taken: &str) -> Loop {
+    let mut b = LoopBuilder::new("taken");
+    ops_with_one_named(&mut b, taken);
+    b.finish(Weight::default()).unwrap()
+}
+
+/// A spill whose store or reload takes a name a user op already holds
+/// fails with the rebuild's `DuplicateOpName`, although the appending
+/// builder checks only the appended names.
+#[test]
+fn a_spill_op_named_like_a_user_op_fails_as_the_rebuild_does() {
+    for taken in ["SS.x", "RL.x.A.0"] {
+        let l = loop_with_an_op_named(taken);
+        let victim = l.find_op("x").unwrap();
+        let want = Err(BuildError::DuplicateOpName(taken.into()));
+        assert_eq!(oracle_rewrite(&l, victim).map(|(l, ..)| l), want);
+        assert_eq!(spill_value(&l, victim).map(|(l, ..)| l), want, "{taken}");
+    }
+}
+
+/// Loads appended to a loop through an extending builder report the
+/// repeated name a builder made from nothing reports for the same ops:
+/// the first op whose name an earlier op took, whether two appended ops
+/// share it or an appended op repeats a parent's name before them.
+#[test]
+fn an_extending_builder_reports_the_first_repeat_a_new_builder_does() {
+    let parent = loop_with_an_op_named("T");
+    let x = parent.find_array("x").unwrap();
+    for (appended, first) in [(&["N", "N"][..], "N"), (&["M", "T", "N", "N"], "T")] {
+        let mut extending = LoopBuilder::extending(&parent);
+        let mut new = LoopBuilder::new("taken");
+        ops_with_one_named(&mut new, "T");
+        for b in [&mut extending, &mut new] {
+            for (i, name) in appended.iter().enumerate() {
+                b.load(name, x, i as i64 + 1);
+            }
+        }
+        let want = Err(BuildError::DuplicateOpName(first.into()));
+        assert_eq!(new.finish(Weight::default()), want, "{appended:?}");
+        assert_eq!(extending.finish(Weight::default()), want, "{appended:?}");
+    }
 }
